@@ -9,7 +9,9 @@
 /// the register-blocked kernel layer against the historical reference
 /// loops (before/after in one binary), and the *AsyncThroughput benchmarks
 /// measure the micro-batching front end against one-at-a-time PredictMs
-/// under 8 concurrent callers. Best observed timings are written to
+/// under 8 concurrent callers. BM_ParallelForDispatch times one fork-join
+/// ParallelFor (empty and ~100 µs bodies at 4, 8 and 32 indices) on a
+/// 4-worker pool. Best observed timings are written to
 /// BENCH_parallel.json (machine-readable) when a run includes them, e.g.
 ///   bench_micro --benchmark_filter='Threads|Kernel|Async'
 /// Sections absent from the current run are preserved from an existing
@@ -1009,6 +1011,32 @@ void BM_TrainThreads(benchmark::State& state) {
   }
 }
 
+/// Fork-join cost of one ParallelFor on a 4-worker pool. Arg 0 is the body:
+/// 0 = empty, 1 = a dependent multiply-add chain of about 100 µs on a
+/// 2.4 GHz x86 core. Arg 1 is the index count. The empty body measures pure
+/// dispatch (publish, wake, join); the busy body shows how close a balanced
+/// loop gets to n / 4 bodies of wall time.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  static ThreadPool pool(4);
+  const bool busy = state.range(0) != 0;
+  const size_t n = static_cast<size_t>(state.range(1));
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    ParallelFor(&pool, n, [&](size_t i) {
+      double x = static_cast<double>(i);
+      if (busy) {
+        for (int k = 0; k < 30000; ++k) x = x * 0.999999 + 1.0;
+      }
+      out[i] = x;
+    });
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgsProduct({{0, 1}, {4, 8, 32}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 template <const char* kModel>
 void BM_PredictBatchThreads(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();
@@ -1433,7 +1461,7 @@ bool RunKernelSmoke() {
       }
       net.Backward(grad, &tape, &sink);
       sink.AddTo(net.Grads());
-      opt.Step();
+      QCFE_CHECK_OK(opt.Step());
     }
     std::vector<double> flat;
     for (Matrix* p : net.Params()) {

@@ -253,8 +253,17 @@ Status Pipeline::ExtendSnapshots(const std::vector<Environment>& envs,
 
 Status Pipeline::Retrain(const std::vector<PlanSample>& train,
                          const TrainConfig& config, TrainStats* stats) {
+  // A retrain that fails part-way (a non-finite batch, say) must not leave
+  // the model half-trained: on failure the state saved here comes back.
+  ByteWriter entry_state;
+  QCFE_RETURN_IF_ERROR(model_->SaveState(&entry_state));
   TrainStats retrain_stats;
-  QCFE_RETURN_IF_ERROR(model_->Train(train, config, &retrain_stats));
+  Status trained = model_->Train(train, config, &retrain_stats);
+  if (!trained.ok()) {
+    ByteReader restore(entry_state.bytes());
+    QCFE_CHECK_OK(model_->LoadState(&restore));
+    return trained;
+  }
   // Merge with history rather than leaving train_stats_ stale: the merged
   // stats describe the full training the current weights went through (Fit
   // plus every successful retrain), so a post-retrain Explain() or Save()

@@ -65,11 +65,12 @@ struct PipelineConfig {
   /// Final model training.
   TrainConfig train;
 
-  /// Worker threads for snapshot collection, feature reduction, per-epoch
-  /// eval and batched serving (unset/1 = serial; see util/thread_pool.h).
-  /// Every parallel path partitions work statically and reduces in index
-  /// order, so the fitted pipeline and its predictions are bit-identical
-  /// for any setting — threads buy wall-clock, never different models.
+  /// Worker threads for snapshot collection, feature reduction, training,
+  /// per-epoch eval and batched serving (unset/1 = serial; see
+  /// util/thread_pool.h). Every parallel task writes only its own slot and
+  /// results reduce in index order, so the fitted pipeline and its
+  /// predictions are bit-identical for any setting — threads buy
+  /// wall-clock, never different models.
   Parallelism parallelism;
 
   /// Micro-batching knobs for servers built via ServeAsync(): batch-full
@@ -178,7 +179,10 @@ class Pipeline {
   /// Explain() and Save() always describe the training the current weights
   /// actually went through. The fit-time drift baselines
   /// (env_baseline_qerror()) are refreshed for the environments present in
-  /// `train`. `stats` (optional) receives just this retrain's stats.
+  /// `train`. `stats` (optional) receives just this retrain's stats. On
+  /// failure nothing changes: a batch with a non-finite loss or gradient
+  /// norm is kNumericError naming its epoch and batch, and the model's
+  /// weights and optimizer state are restored to what they were on entry.
   Status Retrain(const std::vector<PlanSample>& train,
                  const TrainConfig& config, TrainStats* stats = nullptr);
 

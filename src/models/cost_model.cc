@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <utility>
 
+#include "nn/optimizer.h"
 #include "util/stats.h"
 
 namespace qcfe {
@@ -141,6 +143,18 @@ size_t ResolveTrainChunkSize(const TrainConfig& config,
   if (width < 1.0) width = 1.0;
   if (width > static_cast<double>(batch)) width = static_cast<double>(batch);
   return static_cast<size_t>(width);
+}
+
+Status StepBatch(AdamOptimizer* optimizer, double batch_loss,
+                 const std::vector<double>& slot_sq, int epoch, size_t batch,
+                 ThreadPool* pool) {
+  const std::string where = "training epoch " + std::to_string(epoch) +
+                            ", batch " + std::to_string(batch);
+  if (!std::isfinite(batch_loss)) {
+    return Status::NumericError(where +
+                                ": batch loss is not finite; no step applied");
+  }
+  return optimizer->Step(pool, slot_sq).WithContext(where);
 }
 
 double EvalMeanQError(const CostModel& model,

@@ -22,6 +22,7 @@ namespace qcfe {
 
 class ByteReader;
 class ByteWriter;
+class AdamOptimizer;
 
 /// One training/evaluation sample: an executed plan (carrying per-operator
 /// actual latencies used as training signal), the environment it ran under,
@@ -194,6 +195,16 @@ constexpr double kTrainFlopsPerParam = 6.0;
 size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double merge_cost_elems,
                              double per_sample_cost_elems);
+
+/// One optimizer step of data-parallel training (`slot_sq` as returned by
+/// Optimizer::ReduceChunks), refused when the batch went numerically bad:
+/// a non-finite `batch_loss` (a NaN or infinite label, say) or a
+/// non-finite gradient norm returns kNumericError naming `epoch` and
+/// `batch` and applies no step. Without the check a NaN norm slips past
+/// the clip comparison and Adam writes NaN into every weight.
+Status StepBatch(AdamOptimizer* optimizer, double batch_loss,
+                 const std::vector<double>& slot_sq, int epoch, size_t batch,
+                 ThreadPool* pool);
 
 /// Mean q-error of the model on `eval_set` through the batched, pool-sharded
 /// serving path (bit-identical to the per-plan loop). Drives the per-epoch

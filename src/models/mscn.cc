@@ -456,6 +456,25 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
   std::vector<ChunkScratch> scratch;
   std::vector<NetSinks> sinks;
   std::vector<double> chunk_losses;
+  std::vector<double> slot_sq;
+  // Optimizer gradient slot -> (module, slot within that module's sink), in
+  // Grads() order, for the per-slot chunk reduction.
+  static constexpr GradSink NetSinks::*kModuleSinks[] = {
+      &NetSinks::join, &NetSinks::pred, &NetSinks::op, &NetSinks::final_net};
+  std::vector<std::pair<size_t, size_t>> slot_modules;
+  {
+    Mlp* modules[] = {join_net_.get(), pred_net_.get(), op_net_.get(),
+                      final_net_.get()};
+    for (size_t m = 0; m < 4; ++m) {
+      for (size_t k = 0; k < modules[m]->Grads().size(); ++k) {
+        slot_modules.emplace_back(m, k);
+      }
+    }
+  }
+  const Optimizer::ChunkPart part = [&](size_t slot, size_t c) {
+    const auto [m, k] = slot_modules[slot];
+    return &(sinks[c].*kModuleSinks[m]).slot(k);
+  };
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Per-epoch order from an epoch-keyed Split stream: epoch e's shuffle
@@ -467,7 +486,6 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
     double epoch_loss = 0.0;
     for (size_t start = 0; start < order.size(); start += config.batch_size) {
       size_t end = std::min(start + config.batch_size, order.size());
-      optimizer_->ZeroGrad();
       double inv = 1.0 / static_cast<double>(end - start);
       size_t num_chunks = (end - start + chunk_size - 1) / chunk_size;
       if (scratch.size() < num_chunks) scratch.resize(num_chunks);
@@ -480,12 +498,16 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
         chunk_losses[c] =
             TrainChunk(encoded, order, cs, ce, inv, &scratch[c], &sinks[c]);
       });
-      // Fixed-order reduction: chunk index major, module order minor.
+      // Fixed-order reductions: losses in chunk order, and each gradient
+      // slot over the chunks in chunk order.
+      double batch_loss = 0.0;
       for (size_t c = 0; c < num_chunks; ++c) {
+        batch_loss += chunk_losses[c];
         epoch_loss += chunk_losses[c];
-        sinks[c].AddTo(this);
       }
-      optimizer_->Step();
+      optimizer_->ReduceChunks(num_chunks, part, pool, &slot_sq);
+      QCFE_RETURN_IF_ERROR(StepBatch(optimizer_.get(), batch_loss, slot_sq,
+                                     epoch, start / config.batch_size, pool));
     }
     if (stats != nullptr) {
       stats->loss_curve.push_back(epoch_loss /

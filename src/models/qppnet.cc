@@ -254,6 +254,19 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   // which keeps the fitted model bit-identical at any thread count.
   std::vector<ChunkAccum> accums;
   std::vector<double> chunk_losses;
+  std::vector<double> slot_sq;
+  // Optimizer gradient slot -> (operator unit, slot within that unit), in
+  // Grads() order, for the per-slot chunk reduction.
+  std::vector<std::pair<size_t, size_t>> slot_units;
+  for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+    for (size_t k = 0; k < units_[oi]->Grads().size(); ++k) {
+      slot_units.emplace_back(oi, k);
+    }
+  }
+  const Optimizer::ChunkPart part = [&](size_t slot, size_t c) {
+    const auto [oi, k] = slot_units[slot];
+    return accums[c].touched[oi] ? &accums[c].sinks[oi].slot(k) : nullptr;
+  };
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Per-epoch order from an epoch-keyed Split stream: epoch e's shuffle
@@ -266,7 +279,6 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
     size_t epoch_nodes = 0;
     for (size_t start = 0; start < order.size(); start += config.batch_size) {
       size_t end = std::min(start + config.batch_size, order.size());
-      optimizer_->ZeroGrad();
       size_t batch_nodes = 0;
       for (size_t i = start; i < end; ++i) {
         batch_nodes += encoded[order[i]].nodes.size();
@@ -287,17 +299,17 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
         }
         chunk_losses[c] = loss;
       });
-      // Fixed-order reduction: chunk index major, operator index minor.
+      // Fixed-order reductions: losses in chunk order, and each gradient
+      // slot over its touching chunks in chunk order.
+      double batch_loss = 0.0;
       for (size_t c = 0; c < num_chunks; ++c) {
+        batch_loss += chunk_losses[c];
         epoch_loss += chunk_losses[c];
-        for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
-          if (accums[c].touched[oi]) {
-            accums[c].sinks[oi].AddTo(units_[oi]->Grads());
-          }
-        }
       }
+      optimizer_->ReduceChunks(num_chunks, part, pool, &slot_sq);
       epoch_nodes += batch_nodes;
-      optimizer_->Step();
+      QCFE_RETURN_IF_ERROR(StepBatch(optimizer_.get(), batch_loss, slot_sq,
+                                     epoch, start / config.batch_size, pool));
     }
     if (stats != nullptr) {
       stats->loss_curve.push_back(

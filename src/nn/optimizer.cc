@@ -2,11 +2,13 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "nn/kernels.h"
 #include "nn/matrix_io.h"
 #include "util/serialize.h"
+#include "util/thread_pool.h"
 
 namespace qcfe {
 
@@ -27,6 +29,60 @@ void GradSink::AddTo(const std::vector<Matrix*>& grads) const {
   for (size_t i = 0; i < grads_.size(); ++i) grads[i]->Add(grads_[i]);
 }
 
+namespace {
+
+/// Sum of squares in no particular order (four running sums, so the loop
+/// is not one long dependency chain). Only ever used as a bound.
+double SumSquares(const Matrix& m) {
+  const Matrix::Buffer& d = m.data();
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= d.size(); i += 4) {
+    for (size_t k = 0; k < 4; ++k) acc[k] += d[i + k] * d[i + k];
+  }
+  for (; i < d.size(); ++i) acc[0] += d[i] * d[i];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+bool AllZero(const Matrix& m) {
+  for (double v : m.data()) {
+    if (v != 0.0) return false;
+  }
+  return true;
+}
+
+/// True when the sums of squares prove the serial chain's squared norm
+/// finite and below `limit`. Two summation orders of the same n
+/// non-negative terms differ by a relative error of at most about
+/// n * DBL_EPSILON. Requiring that to be under 1e-8, and the sum to clear
+/// `limit` by a relative 1e-6, settles the comparison exactly.
+bool ClearlyBelow(const std::vector<Matrix*>& grads,
+                  const std::vector<double>& slot_sq, double limit) {
+  double sum = 0.0;
+  double n = 0.0;
+  for (size_t s = 0; s < grads.size(); ++s) {
+    sum += slot_sq[s];
+    n += static_cast<double>(grads[s]->size());
+  }
+  return n * std::numeric_limits<double>::epsilon() < 1e-8 &&
+         std::isfinite(limit) && sum < limit * (1.0 - 1e-6);
+}
+
+}  // namespace
+
+void Optimizer::ReduceChunks(size_t num_chunks, const ChunkPart& part,
+                             ThreadPool* pool, std::vector<double>* slot_sq) {
+  if (slot_sq != nullptr) slot_sq->assign(grads_.size(), 0.0);
+  ParallelFor(pool, grads_.size(), [&](size_t s) {
+    Matrix* g = grads_[s];
+    g->Fill(0.0);
+    for (size_t c = 0; c < num_chunks; ++c) {
+      if (const Matrix* p = part(s, c)) g->Add(*p);
+    }
+    if (slot_sq != nullptr) (*slot_sq)[s] = SumSquares(*g);
+  });
+}
+
 SgdOptimizer::SgdOptimizer(std::vector<Matrix*> params,
                            std::vector<Matrix*> grads, double lr,
                            double momentum)
@@ -37,12 +93,13 @@ SgdOptimizer::SgdOptimizer(std::vector<Matrix*> params,
   for (Matrix* p : params_) velocity_.emplace_back(p->rows(), p->cols());
 }
 
-void SgdOptimizer::Step() {
+Status SgdOptimizer::Step(ThreadPool* pool) {
   // The update runs in the active kernel ISA tier; lane arithmetic is
   // single-rounding only, so every tier produces bit-identical parameters.
-  for (size_t i = 0; i < params_.size(); ++i) {
+  ParallelFor(pool, params_.size(), [&](size_t i) {
     kernels::SgdStep(params_[i], *grads_[i], &velocity_[i], lr_, momentum_);
-  }
+  });
+  return Status::OK();
 }
 
 AdamOptimizer::AdamOptimizer(std::vector<Matrix*> params,
@@ -60,19 +117,36 @@ AdamOptimizer::AdamOptimizer(std::vector<Matrix*> params,
   }
 }
 
-void AdamOptimizer::Step() {
+Status AdamOptimizer::Step(ThreadPool* pool) {
+  std::vector<double> slot_sq(grads_.size(), 0.0);
   if (clip_norm_ > 0.0) {
+    ParallelFor(pool, grads_.size(),
+                [&](size_t s) { slot_sq[s] = SumSquares(*grads_[s]); });
+  }
+  return Step(pool, slot_sq);
+}
+
+Status AdamOptimizer::Step(ThreadPool* pool,
+                           const std::vector<double>& slot_sq) {
+  QCFE_CHECK(slot_sq.size() == grads_.size(),
+             "AdamOptimizer::Step: one sum of squares per gradient slot");
+  double scale = 1.0;
+  // Usually the norm is well inside the clip radius, and the sums of
+  // squares settle that without the serial chain. The chain runs otherwise.
+  if (clip_norm_ > 0.0 &&
+      !ClearlyBelow(grads_, slot_sq, clip_norm_ * clip_norm_)) {
+    // One serial chain in slot order: its rounding is part of the model.
     double norm_sq = 0.0;
     for (const Matrix* g : grads_) {
+      if (AllZero(*g)) continue;
       for (double v : g->data()) norm_sq += v * v;
     }
     double norm = std::sqrt(norm_sq);
-    if (norm > clip_norm_) {
-      double scale = clip_norm_ / norm;
-      for (Matrix* g : grads_) {
-        for (double& v : g->data()) v *= scale;
-      }
+    if (!std::isfinite(norm)) {
+      return Status::NumericError("gradient norm is not finite; no step "
+                                  "applied");
     }
+    if (norm > clip_norm_) scale = clip_norm_ / norm;
   }
   ++t_;
   double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
@@ -81,10 +155,14 @@ void AdamOptimizer::Step() {
   // included — lane arithmetic is IEEE-exact, so every tier produces
   // bit-identical parameters). The Step share of small-model training is
   // large enough that the vectorized tiers matter.
-  for (size_t i = 0; i < params_.size(); ++i) {
+  ParallelFor(pool, params_.size(), [&](size_t i) {
+    if (scale != 1.0) {
+      for (double& v : grads_[i]->data()) v *= scale;
+    }
     kernels::AdamStep(params_[i], *grads_[i], &m_[i], &v_[i], lr_, beta1_,
                       beta2_, eps_, bc1, bc2);
-  }
+  });
+  return Status::OK();
 }
 
 void AdamOptimizer::SaveState(ByteWriter* w) const {

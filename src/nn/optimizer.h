@@ -6,7 +6,13 @@
 /// gradient accumulator (GradSink) that tape-based backprop writes into.
 /// Adam is the default for both estimators, matching the reference
 /// QPPNet/MSCN implementations.
+///
+/// Every per-batch phase that touches all parameter slots (the chunk
+/// reduction and the optimizer step) can fan out over a ThreadPool passed
+/// per call, one slot per ParallelFor index. Each slot's arithmetic is the
+/// serial loop's, so the pool changes wall time, never bits.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -17,6 +23,7 @@ namespace qcfe {
 
 class ByteReader;
 class ByteWriter;
+class ThreadPool;
 
 /// A caller-owned set of parameter-gradient accumulators, shaped like some
 /// network's Grads() list. Tape-based Mlp::Backward adds into a sink
@@ -58,13 +65,30 @@ class Optimizer {
       : params_(std::move(params)), grads_(std::move(grads)) {}
   virtual ~Optimizer() = default;
 
-  /// Applies one update using the currently accumulated gradients.
-  virtual void Step() = 0;
+  /// Applies one update using the currently accumulated gradients. With a
+  /// pool the update runs one parameter slot per task; null runs the plain
+  /// loop. Both are bit-identical. A gradient norm that is not finite
+  /// (checked when the optimizer computes one) is kNumericError, and no
+  /// parameter or optimizer state changes.
+  virtual Status Step(ThreadPool* pool = nullptr) = 0;
 
   /// Zeroes all bound gradients.
   void ZeroGrad() {
     for (Matrix* g : grads_) g->Fill(0.0);
   }
+
+  /// Accumulator `chunk`'s contribution to bound-gradient slot `slot`, or
+  /// null when that chunk never touched the slot.
+  using ChunkPart = std::function<const Matrix*(size_t slot, size_t chunk)>;
+
+  /// The chunk reduction of data-parallel training, with ZeroGrad folded
+  /// in: sets every bound gradient to 0 + part(s, 0) + part(s, 1) + ...
+  /// over the non-null parts, in chunk order. That is exactly ZeroGrad
+  /// followed by adding each chunk's GradSink in chunk order. With a pool,
+  /// slots are reduced one per task. `slot_sq` (optional) receives each
+  /// reduced slot's sum of squares, for AdamOptimizer::Step's clip check.
+  void ReduceChunks(size_t num_chunks, const ChunkPart& part,
+                    ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
 
  protected:
   std::vector<Matrix*> params_;
@@ -76,7 +100,7 @@ class SgdOptimizer : public Optimizer {
  public:
   SgdOptimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads,
                double lr, double momentum = 0.0);
-  void Step() override;
+  Status Step(ThreadPool* pool = nullptr) override;
 
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
@@ -93,7 +117,15 @@ class AdamOptimizer : public Optimizer {
   AdamOptimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads,
                 double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8);
-  void Step() override;
+  /// Clips (when enabled) and updates. Whenever clipping may apply, the
+  /// clip norm is summed serially in slot order, skipping all-zero slots
+  /// (they add exactly +0), so it is the same number with or without a
+  /// pool. Per-slot sums of squares, taken in parallel, first skip that
+  /// chain when they prove the norm inside the clip radius.
+  Status Step(ThreadPool* pool = nullptr) override;
+  /// Step for gradients whose per-slot sums of squares are already known
+  /// (ReduceChunks returns them), saving a pass over the gradients.
+  Status Step(ThreadPool* pool, const std::vector<double>& slot_sq);
 
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
@@ -103,7 +135,7 @@ class AdamOptimizer : public Optimizer {
   void set_clip_norm(double clip) { clip_norm_ = clip; }
 
   /// Serializes hyperparameters, step count and first/second-moment slots
-  /// for model artifacts (core/artifact.h), so a loaded model's next Step()
+  /// for model artifacts (core/artifact.h), so a loaded model's next Step
   /// is bit-identical to the never-persisted original's (warm-start
   /// retraining resumes mid-schedule, not from scratch).
   void SaveState(ByteWriter* w) const;

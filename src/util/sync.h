@@ -113,11 +113,13 @@ class CondVar;
 /// new subsystems slot in without renumbering. The README
 /// ("Thread-safety analysis & lock ranks") mirrors this table.
 namespace lock_rank {
-/// ThreadPool's task queue: released before any task body runs.
-inline constexpr int kThreadPoolQueue = 10;
-/// ParallelFor's per-call join latch: taken by workers after their block
-/// completes and by the caller while waiting; never wraps another lock.
-inline constexpr int kParallelForJoin = 20;
+/// ThreadPool's job slot: guards publishing a loop, worker wake-up and the
+/// join count. Never held while a loop body runs.
+inline constexpr int kThreadPool = 10;
+/// A ParallelFor loop's lowest-error record: taken only by a body's
+/// exception handler (after the body has unwound) and by the caller once
+/// the loop has joined.
+inline constexpr int kParallelForError = 20;
 /// AsyncServer's request queue: held while registering with the clock's
 /// waiter list, so it must rank below kClockWaiters.
 inline constexpr int kAsyncServerQueue = 30;

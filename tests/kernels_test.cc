@@ -269,7 +269,7 @@ std::vector<double> TrainUnderMode(KernelMode mode) {
     }
     net.Backward(grad, &tape, &sink);
     sink.AddTo(net.Grads());
-    opt.Step();
+    EXPECT_TRUE(opt.Step().ok());
   }
   std::vector<double> flat;
   for (Matrix* p : net.Params()) {

@@ -1,12 +1,18 @@
 /// Unit tests for src/nn: matrix algebra, layer forward/backward consistency
 /// against numerical gradients, MLP training convergence, optimizers, least
-/// squares, scalers, serialization and input shrinking.
+/// squares, scalers, serialization and input shrinking. The optimizer
+/// suite also pins the pool-parallel chunk reduction and Step to their
+/// serial loops, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/linalg.h"
@@ -16,6 +22,7 @@
 #include "nn/scaler.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace qcfe {
 namespace {
@@ -196,7 +203,7 @@ TEST(MlpTest, LearnsLinearFunction) {
     }
     net.Backward(grad, &tape, &sink);
     sink.AddTo(net.Grads());
-    opt.Step();
+    ASSERT_TRUE(opt.Step().ok());
     last = loss / 64.0;
   }
   EXPECT_LT(last, 0.05);
@@ -320,7 +327,7 @@ TEST(OptimizerTest, SgdReducesQuadratic) {
   SgdOptimizer opt({&w}, {&g}, 0.1, 0.9);
   for (int i = 0; i < 200; ++i) {
     g.At(0, 0) = 2.0 * (w.At(0, 0) - 3.0);
-    opt.Step();
+    ASSERT_TRUE(opt.Step().ok());
   }
   EXPECT_NEAR(w.At(0, 0), 3.0, 1e-3);
 }
@@ -332,7 +339,7 @@ TEST(OptimizerTest, AdamReducesQuadratic) {
   for (int i = 0; i < 2000; ++i) {
     g.At(0, 0) = 2.0 * (w.At(0, 0) - 1.0);
     g.At(0, 1) = 2.0 * (w.At(0, 1) + 2.0);
-    opt.Step();
+    ASSERT_TRUE(opt.Step().ok());
   }
   EXPECT_NEAR(w.At(0, 0), 1.0, 1e-2);
   EXPECT_NEAR(w.At(0, 1), -2.0, 1e-2);
@@ -344,6 +351,198 @@ TEST(OptimizerTest, ZeroGradClearsAll) {
   SgdOptimizer opt({&w}, {&g}, 0.1);
   opt.ZeroGrad();
   EXPECT_DOUBLE_EQ(g.At(0, 0), 0.0);
+}
+
+/// Odd slot shapes (none a multiple of the 8-double row padding), so the
+/// per-slot pool work covers ragged rows and single elements.
+std::vector<Matrix> OddSlots() {
+  std::vector<Matrix> slots;
+  for (auto [r, c] : std::vector<std::pair<size_t, size_t>>{
+           {1, 1}, {3, 5}, {7, 9}, {1, 13}, {5, 3}, {2, 17}}) {
+    slots.emplace_back(r, c);
+  }
+  return slots;
+}
+
+std::vector<Matrix*> Ptrs(std::vector<Matrix>* slots) {
+  std::vector<Matrix*> out;
+  for (Matrix& m : *slots) out.push_back(&m);
+  return out;
+}
+
+bool SameBits(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data().data(), b[i].data().data(),
+                    a[i].size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Fills step `step`'s gradients; slots 1 and 4 stay all-zero throughout,
+/// and slot 3 is all-zero on even steps.
+void FillGrads(int step, std::vector<Matrix>* grads) {
+  Rng rng(1000 + static_cast<uint64_t>(step));
+  for (size_t s = 0; s < grads->size(); ++s) {
+    Matrix& g = (*grads)[s];
+    g.Fill(0.0);
+    if (s == 1 || s == 4 || (s == 3 && step % 2 == 0)) continue;
+    for (size_t r = 0; r < g.rows(); ++r) {
+      for (size_t c = 0; c < g.cols(); ++c) {
+        g.At(r, c) = rng.Gaussian(0.0, 1.0);
+      }
+    }
+  }
+}
+
+template <typename MakeOpt>
+void ExpectPoolStepMatchesSerial(MakeOpt make) {
+  ThreadPool pool(4);
+  Rng init(77);
+  std::vector<Matrix> p_serial = OddSlots(), g_serial = OddSlots();
+  for (Matrix& p : p_serial) p.RandomizeGaussian(&init, 1.0);
+  std::vector<Matrix> p_pool = p_serial, g_pool = g_serial;
+  auto serial = make(Ptrs(&p_serial), Ptrs(&g_serial));
+  auto pooled = make(Ptrs(&p_pool), Ptrs(&g_pool));
+  for (int step = 0; step < 6; ++step) {
+    FillGrads(step, &g_serial);
+    FillGrads(step, &g_pool);
+    ASSERT_TRUE(serial->Step(nullptr).ok());
+    ASSERT_TRUE(pooled->Step(&pool).ok());
+    ASSERT_TRUE(SameBits(p_serial, p_pool)) << "params diverge at " << step;
+    ASSERT_TRUE(SameBits(g_serial, g_pool)) << "grads diverge at " << step;
+  }
+}
+
+TEST(OptimizerTest, AdamStepOnPoolIsBitIdenticalToSerial) {
+  for (double clip : {0.0, 0.5, 1e6}) {
+    SCOPED_TRACE(clip);
+    auto make = [clip](std::vector<Matrix*> p, std::vector<Matrix*> g) {
+      auto opt = std::make_unique<AdamOptimizer>(std::move(p), std::move(g),
+                                                 1e-2);
+      opt->set_clip_norm(clip);
+      return opt;
+    };
+    ExpectPoolStepMatchesSerial(make);
+  }
+}
+
+TEST(OptimizerTest, AdamClipsGradientsExactlyWhenNormExceedsClip) {
+  // Far from the radius the per-slot sums decide; right at it only the
+  // serial chain can: clip = norm is no clip, one part in 1e12 less is.
+  std::vector<Matrix> g = OddSlots();
+  FillGrads(1, &g);
+  double norm_sq = 0.0;
+  for (const Matrix& m : g) {
+    for (double v : m.data()) norm_sq += v * v;
+  }
+  const double norm = std::sqrt(norm_sq);
+  ThreadPool pool(4);
+  for (auto [clip, clipped] : std::vector<std::pair<double, bool>>{
+           {norm * 1e6, false},
+           {norm, false},
+           {norm * (1.0 + 1e-12), false},
+           {norm * (1.0 - 1e-12), true},
+           {norm * 0.05, true}}) {
+    std::vector<Matrix> p = OddSlots(), grads = g;
+    AdamOptimizer opt(Ptrs(&p), Ptrs(&grads), 1e-2);
+    opt.set_clip_norm(clip);
+    ASSERT_TRUE(opt.Step(&pool).ok());
+    EXPECT_EQ(!SameBits(grads, g), clipped) << "clip " << clip;
+  }
+}
+
+TEST(OptimizerTest, SgdStepOnPoolIsBitIdenticalToSerial) {
+  ExpectPoolStepMatchesSerial([](std::vector<Matrix*> p,
+                                  std::vector<Matrix*> g) {
+    return std::make_unique<SgdOptimizer>(std::move(p), std::move(g), 0.05,
+                                          0.9);
+  });
+}
+
+TEST(OptimizerTest, AdamRejectsNonFiniteGradientNorm) {
+  std::vector<Matrix> p = OddSlots(), g = OddSlots();
+  FillGrads(1, &g);
+  g[2].At(3, 4) = std::nan("");
+  const std::vector<Matrix> before = p;
+  AdamOptimizer opt(Ptrs(&p), Ptrs(&g), 1e-2);
+  opt.set_clip_norm(5.0);
+  Status st = opt.Step();
+  EXPECT_EQ(st.code(), StatusCode::kNumericError);
+  EXPECT_TRUE(SameBits(p, before));
+}
+
+TEST(OptimizerTest, ReduceChunksMatchesSerialChunkOrderMerge) {
+  // Three units of two slots each; five chunks, each touching a subset of
+  // the units. Untouched (unit, chunk) pairs contribute nothing at all.
+  constexpr size_t kChunks = 5;
+  const bool touched[kChunks][3] = {{true, false, true},
+                                    {false, false, true},
+                                    {true, false, false},
+                                    {true, false, true},
+                                    {false, false, true}};
+  std::vector<Matrix> shapes = OddSlots();
+  std::vector<std::array<GradSink, 3>> sinks(kChunks);
+  Rng rng(91);
+  for (size_t c = 0; c < kChunks; ++c) {
+    for (size_t u = 0; u < 3; ++u) {
+      sinks[c][u].InitLike({&shapes[2 * u], &shapes[2 * u + 1]});
+      for (size_t k = 0; k < 2; ++k) {
+        Matrix& m = sinks[c][u].slot(k);
+        for (size_t r = 0; r < m.rows(); ++r) {
+          for (size_t col = 0; col < m.cols(); ++col) {
+            // Include negative zeros: 0 + (-0) is +0, a copy would be -0.
+            m.At(r, col) = (r + col) % 4 == 0 ? -0.0 : rng.Gaussian(0.0, 3.0);
+          }
+        }
+      }
+    }
+  }
+
+  // Reference: ZeroGrad, then each touched sink in chunk order.
+  std::vector<Matrix> expected = OddSlots();
+  for (Matrix& m : expected) m.Fill(7.0);  // stale values must not survive
+  std::vector<Matrix*> expected_ptrs = Ptrs(&expected);
+  {
+    SgdOptimizer opt(Ptrs(&shapes), expected_ptrs, 0.1);
+    opt.ZeroGrad();
+    for (size_t c = 0; c < kChunks; ++c) {
+      for (size_t u = 0; u < 3; ++u) {
+        if (touched[c][u]) {
+          sinks[c][u].AddTo({expected_ptrs[2 * u], expected_ptrs[2 * u + 1]});
+        }
+      }
+    }
+  }
+
+  const Optimizer::ChunkPart part = [&](size_t slot,
+                                        size_t c) -> const Matrix* {
+    const size_t u = slot / 2;
+    return touched[c][u] ? &sinks[c][u].slot(slot % 2) : nullptr;
+  };
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<Matrix> got = OddSlots();
+    for (Matrix& m : got) m.Fill(7.0);
+    SgdOptimizer opt(Ptrs(&shapes), Ptrs(&got), 0.1);
+    std::vector<double> slot_sq;
+    opt.ReduceChunks(kChunks, part, p, &slot_sq);
+    EXPECT_TRUE(SameBits(got, expected)) << (p == nullptr ? "serial" : "pool");
+    // Unit 1 was never touched: its slots are exactly +0.
+    for (size_t k = 2; k < 4; ++k) {
+      for (double v : got[k].data()) EXPECT_FALSE(std::signbit(v) || v != 0.0);
+    }
+    // The per-slot sums of squares agree with a plain loop up to rounding.
+    ASSERT_EQ(slot_sq.size(), got.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      double sq = 0.0;
+      for (double v : got[k].data()) sq += v * v;
+      EXPECT_NEAR(slot_sq[k], sq, 1e-12 * sq) << "slot " << k;
+    }
+  }
 }
 
 TEST(LinalgTest, CholeskySolveKnownSystem) {

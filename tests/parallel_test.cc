@@ -2,8 +2,9 @@
 /// (labeled-query collection, snapshot fitting, feature reduction, pipeline
 /// Fit, batched serving) must produce bit-identical results at any thread
 /// count. "Bit-identical" is meant literally — EXPECT_EQ on doubles — since
-/// all parallel loops partition work statically, reduce in index order and
-/// draw per-task Rng::Split streams.
+/// every parallel task writes only its own slot (whichever thread claims
+/// it), results reduce in index order, and tasks draw per-task
+/// Rng::Split streams.
 ///
 /// Wall-clock audit: nothing in this suite depends on real time. The
 /// `collection_ms` values compared below are SIMULATED label cost — the sum

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -257,6 +260,61 @@ TEST_F(PipelineTest, ExtendSnapshotsAndRetrain) {
   TrainStats stats;
   ASSERT_TRUE((*pipeline)->Retrain(train_, retrain, &stats).ok());
   EXPECT_EQ(stats.loss_curve.size(), 2u);
+}
+
+TEST_F(PipelineTest, RetrainRejectsNonFiniteLabelAndKeepsServingBits) {
+  // One NaN-labelled sample among healthy ones. The plan's root latency is
+  // NaN too, since QPPNet trains on per-node subtree latencies.
+  std::unique_ptr<PlanNode> poisoned_plan = train_[0].plan->Clone();
+  poisoned_plan->actual_ms = std::nan("");
+  std::vector<PlanSample> poisoned = train_;
+  poisoned.push_back({poisoned_plan.get(), train_[0].env_id, std::nan("")});
+
+  for (const char* estimator : {"qppnet", "mscn"}) {
+    SCOPED_TRACE(estimator);
+    PipelineConfig cfg;
+    cfg.estimator = estimator;
+    cfg.snapshot_scale = 1;
+    cfg.use_reduction = false;
+    cfg.train.epochs = 3;
+    cfg.parallelism.num_threads = 2;
+    auto victim = ctx_->FitPipeline(cfg, train_);
+    auto twin = ctx_->FitPipeline(cfg, train_);
+    ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    auto before = (*victim)->PredictBatch(test_);
+    ASSERT_TRUE(before.ok());
+    const size_t curve = (*victim)->train_stats().loss_curve.size();
+
+    TrainConfig retrain;
+    retrain.epochs = 2;
+    Status st = (*victim)->Retrain(poisoned, retrain);
+    EXPECT_EQ(st.code(), StatusCode::kNumericError) << st.ToString();
+    EXPECT_NE(st.message().find("epoch 0, batch "), std::string::npos)
+        << st.ToString();
+
+    // Nothing changed: served predictions, history, and (through a clean
+    // retrain matched against an untouched twin) the optimizer state.
+    auto after = (*victim)->PredictBatch(test_);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after->size(), before->size());
+    for (size_t i = 0; i < after->size(); ++i) {
+      EXPECT_EQ(std::memcmp(&(*after)[i], &(*before)[i], sizeof(double)), 0)
+          << "prediction " << i;
+    }
+    EXPECT_EQ((*victim)->train_stats().loss_curve.size(), curve);
+    ASSERT_TRUE((*victim)->Retrain(train_, retrain).ok());
+    ASSERT_TRUE((*twin)->Retrain(train_, retrain).ok());
+    auto victim_next = (*victim)->PredictBatch(test_);
+    auto twin_next = (*twin)->PredictBatch(test_);
+    ASSERT_TRUE(victim_next.ok() && twin_next.ok());
+    for (size_t i = 0; i < victim_next->size(); ++i) {
+      EXPECT_EQ(std::memcmp(&(*victim_next)[i], &(*twin_next)[i],
+                            sizeof(double)),
+                0)
+          << "prediction " << i << " after a clean retrain";
+    }
+  }
 }
 
 TEST_F(PipelineTest, ExtendSnapshotsAssignsCollectionCost) {

@@ -43,7 +43,7 @@ TEST(SyncReleaseTest, ReleaseBuildSkipsRankBookkeepingEntirely) {
   // without an owner record — the "ranked mutex costs exactly a
   // std::mutex" guarantee from the sync.h header comment.
   Mutex server(lock_rank::kAsyncServerQueue);
-  Mutex pool(lock_rank::kThreadPoolQueue);
+  Mutex pool(lock_rank::kThreadPool);
   server.Lock();
   EXPECT_EQ(sync_internal::TopHeldRank(), kNoLockRank);
   server.Unlock();

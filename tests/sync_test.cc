@@ -174,13 +174,13 @@ TEST(SyncTest, CondVarWaitForWakesOnNotify) {
 
 TEST(SyncRankTest, OrderedAcquisitionIsAccepted) {
   EXPECT_EQ(sync_internal::TopHeldRank(), kNoLockRank);
-  sync_internal::RankOnAcquire(lock_rank::kThreadPoolQueue);
+  sync_internal::RankOnAcquire(lock_rank::kThreadPool);
   sync_internal::RankOnAcquire(lock_rank::kAsyncServerQueue);
   sync_internal::RankOnAcquire(lock_rank::kClockWaiters);
   EXPECT_EQ(sync_internal::TopHeldRank(), lock_rank::kClockWaiters);
   sync_internal::RankOnRelease(lock_rank::kClockWaiters);
   sync_internal::RankOnRelease(lock_rank::kAsyncServerQueue);
-  sync_internal::RankOnRelease(lock_rank::kThreadPoolQueue);
+  sync_internal::RankOnRelease(lock_rank::kThreadPool);
   EXPECT_EQ(sync_internal::TopHeldRank(), kNoLockRank);
 }
 
@@ -207,7 +207,7 @@ TEST(SyncRankDeathTest, InversionAbortsNamingBothRanks) {
   EXPECT_DEATH(
       {
         sync_internal::RankOnAcquire(lock_rank::kAsyncServerQueue);
-        sync_internal::RankOnAcquire(lock_rank::kThreadPoolQueue);
+        sync_internal::RankOnAcquire(lock_rank::kThreadPool);
       },
       "acquiring rank 10 while holding rank 30");
 }
@@ -247,7 +247,7 @@ TEST(SyncRankDeathTest, RankedMutexInversionAbortsUnderDchecks) {
                     "sync_release_tu.cc covers the release half";
   }
   Mutex server(lock_rank::kAsyncServerQueue);
-  Mutex pool(lock_rank::kThreadPoolQueue);
+  Mutex pool(lock_rank::kThreadPool);
   EXPECT_DEATH(AcquireOutOfOrder(&server, &pool),
                "acquiring rank 10 while holding rank 30");
 }
@@ -255,7 +255,7 @@ TEST(SyncRankDeathTest, RankedMutexInversionAbortsUnderDchecks) {
 TEST(SyncRankTest, RankedMutexOrderedNestingRunsUnderDchecks) {
   // The positive half of the previous test: rank-increasing nesting is
   // exactly what the table sanctions, in any build.
-  Mutex pool(lock_rank::kThreadPoolQueue);
+  Mutex pool(lock_rank::kThreadPool);
   Mutex clockw(lock_rank::kClockWaiters);
   pool.Lock();
   clockw.Lock();

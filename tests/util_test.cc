@@ -1,7 +1,7 @@
 /// Unit tests for src/util: Status/Result, RNG determinism and distribution
-/// sanity, the thread pool (coverage, exception propagation, nesting),
-/// metric definitions (q-error, Pearson, quantiles), string helpers and
-/// table rendering.
+/// sanity, the thread pool (coverage, exception propagation, nesting,
+/// concurrent callers), metric definitions (q-error, Pearson, quantiles),
+/// string helpers and table rendering.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/clock.h"
 #include "util/sync.h"
@@ -294,6 +296,83 @@ TEST(ThreadPoolTest, NestedExceptionStillPropagates) {
                              });
                            }),
                std::logic_error);
+}
+
+TEST(ThreadPoolTest, LowestThrowingIndexWinsUnderDynamicClaiming) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      ParallelFor(&pool, 512, [&](size_t i) {
+        if (i == 40) {
+          // Slow down the lowest thrower so higher indices throw first.
+          volatile double sink = 0.0;
+          for (int k = 0; k < 200000; ++k) sink = sink + 1.0;
+        }
+        if (i >= 40 && i % 5 == 0) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 40");
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 25;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &bad, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(100 + 37 * c + round);
+        for (auto& h : hits) h = 0;
+        ParallelFor(&pool, hits.size(), [&](size_t i) { ++hits[i]; });
+        for (const auto& h : hits) bad += (h.load() != 1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ThreadPoolTest, SecondCallerRunsInlineWhilePoolIsBusy) {
+  ThreadPool pool(4);
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+  std::thread first([&] {
+    ParallelFor(&pool, 4, [&](size_t i) {
+      if (i != 0) return;
+      started = true;
+      // Holds the pool's loop open until the second caller has finished;
+      // a second caller that queued behind this loop would never finish.
+      while (!released) std::this_thread::yield();
+    });
+  });
+  while (!started) std::this_thread::yield();
+  std::vector<std::thread::id> ran_on(16);
+  ParallelFor(&pool, ran_on.size(),
+              [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  released = true;
+  first.join();
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolDeathTest, CallerHoldingRankedLockAbortsUnderDchecks) {
+  if (!LockRankCheckingEnabled()) {
+    GTEST_SKIP() << "the caller-lock contract is a dcheck";
+  }
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        Mutex cache(lock_rank::kDatabaseCache);
+        MutexLock lock(&cache);
+        ParallelFor(&pool, 8, [](size_t) {});
+      },
+      "holds a ranked lock");
 }
 
 TEST(StatsTest, QErrorPerfectPredictionIsOne) {
