@@ -9,10 +9,12 @@
 /// the register-blocked kernel layer against the historical reference
 /// loops (before/after in one binary), and the *AsyncThroughput benchmarks
 /// measure the micro-batching front end against one-at-a-time PredictMs
-/// under 8 concurrent callers. BM_ParallelForDispatch times one fork-join
-/// ParallelFor (empty and ~100 µs bodies at 4, 8 and 32 indices) on a
-/// 4-worker pool. Best observed timings are written to
-/// BENCH_parallel.json (machine-readable) when a run includes them, e.g.
+/// under 8 concurrent callers. BM_BuildDatabase times one synthetic
+/// database build per benchmark at harness quick scale.
+/// BM_ParallelForDispatch times one fork-join ParallelFor (empty and ~100 µs
+/// bodies at 4, 8 and 32 indices) on a 4-worker pool. Best observed timings
+/// are written to BENCH_parallel.json (machine-readable) when a run includes
+/// them, e.g.
 ///   bench_micro --benchmark_filter='Threads|Kernel|Async'
 /// Sections absent from the current run are preserved from an existing
 /// BENCH_parallel.json, so partial reruns never erase other sweeps.
@@ -162,6 +164,26 @@ void BM_BTreeRangeScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeRangeScan);
+
+// One synthetic database build (rows, indexes, ANALYZE) at harness quick
+// scale: the database every quick paper bench and the repo benchmark's
+// setup phase start from. sysbench and job-light draw Zipf columns; TPC-H
+// draws none.
+void BM_BuildDatabase(benchmark::State& state, const char* name) {
+  const HarnessOptions opt = OptionsFor(name, RunScale::kQuick);
+  auto workload = MakeBenchmark(name);
+  QCFE_CHECK_OK(workload.status());
+  for (auto _ : state) {
+    auto db = (*workload)->BuildDatabase(opt.scale_factor, opt.seed);
+    benchmark::DoNotOptimize(db.get());
+  }
+}
+BENCHMARK_CAPTURE(BM_BuildDatabase, tpch, "tpch")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildDatabase, sysbench, "sysbench")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildDatabase, joblight, "joblight")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PlanQuery(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();

@@ -1,7 +1,10 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "util/check.h"
 
 namespace qcfe {
 
@@ -49,21 +52,6 @@ double Rng::LognormalNoise(double sigma) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  assert(n >= 1);
-  if (s <= 0.0) return UniformInt(1, n);
-  // Inverse CDF by linear scan; n is small (column domains) in this project.
-  double norm = 0.0;
-  for (int64_t i = 1; i <= n; ++i) norm += 1.0 / std::pow(static_cast<double>(i), s);
-  double target = Uniform() * norm;
-  double acc = 0.0;
-  for (int64_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= target) return i;
-  }
-  return n;
-}
-
 std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
   assert(k <= n);
   // Partial Fisher-Yates over an index vector.
@@ -101,6 +89,27 @@ Rng Rng::Split(uint64_t stream) const {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return Rng(z ^ (z >> 31));
+}
+
+ZipfTable::ZipfTable(int64_t n, double s) : n_(n) {
+  QCFE_CHECK(n >= 1, "ZipfTable needs n >= 1");
+  QCFE_CHECK(std::isfinite(s), "ZipfTable needs a finite exponent");
+  if (s <= 0.0) return;
+  cdf_.resize(static_cast<size_t>(n));
+  double acc = 0.0;
+  for (int64_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    cdf_[static_cast<size_t>(i - 1)] = acc;
+  }
+}
+
+int64_t ZipfTable::Sample(Rng* rng) const {
+  if (cdf_.empty()) return rng->UniformInt(1, n_);
+  // Uniform() < 1, so target <= cdf_.back() and the search never runs off
+  // the end of the table.
+  const double target = rng->Uniform() * cdf_.back();
+  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), target);
+  return static_cast<int64_t>(it - cdf_.begin()) + 1;
 }
 
 }  // namespace qcfe

@@ -16,8 +16,9 @@ namespace qcfe {
 /// SplitMix64-based generator with hand-rolled distributions.
 ///
 /// Deliberately small: uniform ints/doubles, Gaussian (Box-Muller),
-/// log-normal, Zipf, sampling and shuffling. All methods are deterministic
-/// functions of the seed and the call sequence.
+/// log-normal, sampling and shuffling. Zipf draws go through ZipfTable
+/// (below), which precomputes its CDF once per (n, s). All methods are
+/// deterministic functions of the seed and the call sequence.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed ^ 0x9E3779B97F4A7C15ULL) {
@@ -50,10 +51,6 @@ class Rng {
 
   /// True with probability p.
   bool Bernoulli(double p);
-
-  /// Zipf-distributed integer in [1, n] with exponent `s` (s=0 -> uniform).
-  /// Uses rejection-free inverse-CDF over a cached table when n is small.
-  int64_t Zipf(int64_t n, double s);
 
   /// Picks one element uniformly.
   template <typename T>
@@ -99,6 +96,29 @@ class Rng {
 
  private:
   uint64_t state_;
+};
+
+/// Zipf-distributed integers in [1, n]: P(i) proportional to 1/i^s, with
+/// s <= 0 meaning uniform.
+///
+/// Contract: construction is O(n) time and memory (the inclusive prefix
+/// sums of 1/i^s, accumulated in index order); Sample() is O(log n) and
+/// consumes exactly one Uniform() (UniformInt(1, n) when s <= 0). Prefix
+/// sums of non-negative terms never decrease in floating point, so the
+/// binary search returns bit for bit the index the inverse-CDF linear scan
+/// over the same sums returns, from the same Rng stream. Build one table
+/// per (n, s) outside the draw loop. n < 1 or a non-finite s fails a
+/// QCFE_CHECK.
+class ZipfTable {
+ public:
+  ZipfTable(int64_t n, double s);
+
+  /// One draw in [1, n].
+  int64_t Sample(Rng* rng) const;
+
+ private:
+  int64_t n_;
+  std::vector<double> cdf_;  // unnormalised; empty when s <= 0 (uniform)
 };
 
 }  // namespace qcfe

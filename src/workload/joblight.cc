@@ -40,15 +40,19 @@ std::unique_ptr<Database> JobLightBenchmark::BuildDatabase(
       "title", Schema({{"id", DataType::kInt64},
                        {"kind_id", DataType::kInt64},
                        {"production_year", DataType::kInt64}}));
+  const ZipfTable kind_dist(7, 1.0);
   for (int64_t i = 0; i < n_title; ++i) {
     // Production years skew recent, like IMDB.
     int64_t year = 2019 - static_cast<int64_t>(
                               std::floor(std::pow(rng.Uniform(), 2.2) * 110));
-    QCFE_CHECK_OK(title->AppendRow({Value(i), Value(rng.Zipf(7, 1.0)), Value(year)}));
+    QCFE_CHECK_OK(title->AppendRow(
+        {Value(i), Value(kind_dist.Sample(&rng)), Value(year)}));
   }
   QCFE_CHECK_OK(title->BuildIndex("id"));
   QCFE_CHECK_OK(db->catalog()->AddTable(std::move(title)));
 
+  // Popular movies accumulate more facts: Zipf over title ids.
+  const ZipfTable movie_dist(n_title, 0.6);
   for (const Satellite& sat : kSatellites) {
     int64_t n = static_cast<int64_t>(
         std::max(200.0, sat.base_rows * scale_factor));
@@ -56,11 +60,11 @@ std::unique_ptr<Database> JobLightBenchmark::BuildDatabase(
         sat.table, Schema({{"id", DataType::kInt64},
                            {"movie_id", DataType::kInt64},
                            {sat.extra_col, DataType::kInt64}}));
+    const ZipfTable extra_dist(sat.extra_max, 0.9);
     for (int64_t i = 0; i < n; ++i) {
-      // Popular movies accumulate more facts: Zipf over title ids.
-      int64_t movie = rng.Zipf(n_title, 0.6) - 1;
+      int64_t movie = movie_dist.Sample(&rng) - 1;
       QCFE_CHECK_OK(table->AppendRow(
-          {Value(i), Value(movie), Value(rng.Zipf(sat.extra_max, 0.9))}));
+          {Value(i), Value(movie), Value(extra_dist.Sample(&rng))}));
     }
     QCFE_CHECK_OK(table->BuildIndex("movie_id"));
     QCFE_CHECK_OK(db->catalog()->AddTable(std::move(table)));

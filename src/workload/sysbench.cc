@@ -18,8 +18,9 @@ std::unique_ptr<Database> SysbenchBenchmark::BuildDatabase(
                          {"k", DataType::kInt64},
                          {"c", DataType::kString},
                          {"pad", DataType::kString}}));
+  const ZipfTable k_dist(n, 0.5);
   for (int64_t i = 1; i <= n; ++i) {
-    QCFE_CHECK_OK(sbtest->AppendRow({Value(i), Value(rng.Zipf(n, 0.5)),
+    QCFE_CHECK_OK(sbtest->AppendRow({Value(i), Value(k_dist.Sample(&rng)),
                              Value(rng.RandomString(16)),
                              Value(rng.RandomString(12))}));
   }

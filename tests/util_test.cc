@@ -120,9 +120,10 @@ TEST(RngTest, LognormalZeroSigmaIsExactlyOne) {
 
 TEST(RngTest, ZipfSkewsTowardSmallValues) {
   Rng rng(17);
+  const ZipfTable zipf(100, 1.2);
   int low = 0, n = 5000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(100, 1.2) <= 10) ++low;
+    if (zipf.Sample(&rng) <= 10) ++low;
   }
   // With s=1.2 the first decile carries well over half the mass.
   EXPECT_GT(low, n / 2);
@@ -130,11 +131,81 @@ TEST(RngTest, ZipfSkewsTowardSmallValues) {
 
 TEST(RngTest, ZipfZeroExponentIsUniform) {
   Rng rng(17);
+  const ZipfTable zipf(100, 0.0);
   int low = 0, n = 10000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(100, 0.0) <= 50) ++low;
+    if (zipf.Sample(&rng) <= 50) ++low;
   }
   EXPECT_NEAR(static_cast<double>(low) / n, 0.5, 0.03);
+}
+
+// The O(n)-per-draw inverse-CDF scan that ZipfTable replaced, kept as the
+// oracle for its bit-parity contract. Per draw it scales one Uniform() by
+// the normaliser and re-accumulates 1/i^s from i = 1 until the running sum
+// reaches the target. The terms and the normaliser are pure functions of
+// (i, s), so they are computed once here rather than on every draw; the
+// per-draw additions and comparisons run in the original order.
+class LinearScanZipf {
+ public:
+  LinearScanZipf(int64_t n, double s) : n_(n), s_(s) {
+    for (int64_t i = 1; i <= n; ++i) {
+      terms_.push_back(1.0 / std::pow(static_cast<double>(i), s));
+      norm_ += terms_.back();
+    }
+  }
+
+  int64_t Sample(Rng* rng) const {
+    if (s_ <= 0.0) return rng->UniformInt(1, n_);
+    double target = rng->Uniform() * norm_;
+    double acc = 0.0;
+    for (int64_t i = 1; i <= n_; ++i) {
+      acc += terms_[static_cast<size_t>(i - 1)];
+      if (acc >= target) return i;
+    }
+    return n_;
+  }
+
+ private:
+  int64_t n_;
+  double s_;
+  std::vector<double> terms_;
+  double norm_ = 0.0;
+};
+
+TEST(RngTest, ZipfTableMatchesLinearScanReference) {
+  const int64_t kSizes[] = {1, 2, 7, 100, 2000, 6000};
+  const double kExponents[] = {0.0, 0.5, 0.6, 0.9, 1.0, 1.2, 3.0, 50.0};
+  const int kDraws = 5000;
+  uint64_t seed = 101;
+  for (int64_t n : kSizes) {
+    for (double s : kExponents) {
+      const ZipfTable table(n, s);
+      const LinearScanZipf scan(n, s);
+      Rng a(seed), b(seed);
+      ++seed;
+      int mismatches = 0;
+      for (int d = 0; d < kDraws; ++d) {
+        int64_t got = table.Sample(&a);
+        int64_t want = scan.Sample(&b);
+        ASSERT_GE(got, 1);
+        ASSERT_LE(got, n);
+        if (got != want && ++mismatches <= 3) {
+          ADD_FAILURE() << "n=" << n << " s=" << s << " draw " << d
+                        << ": table " << got << " vs scan " << want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " s=" << s;
+      EXPECT_EQ(a.state(), b.state()) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfTableDeathTest, RejectsBadParameters) {
+  EXPECT_DEATH(ZipfTable(0, 1.0), "n >= 1");
+  EXPECT_DEATH(ZipfTable(-5, 0.0), "n >= 1");
+  EXPECT_DEATH(ZipfTable(10, std::nan("")), "finite exponent");
+  EXPECT_DEATH(ZipfTable(10, HUGE_VAL), "finite exponent");
+  EXPECT_DEATH(ZipfTable(10, -HUGE_VAL), "finite exponent");
 }
 
 TEST(RngTest, SampleIndicesDistinctAndInRange) {

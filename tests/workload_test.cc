@@ -1,14 +1,21 @@
-/// Tests for src/workload: every benchmark builds, analyzes, and every
-/// template instantiates/plans/executes across environments; the collector
-/// produces balanced labeled corpora; splits are disjoint and exhaustive.
+/// Tests for src/workload: every benchmark builds, analyzes and generates
+/// pinned (bit-identical) data, and every template instantiates/plans/
+/// executes across environments; the collector produces balanced labeled
+/// corpora; splits are disjoint and exhaustive.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 
+#include "engine/table.h"
 #include "sql/data_abstract.h"
 #include "sql/simplified_templates.h"
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/stats.h"
 #include "workload/benchmark.h"
 #include "workload/collector.h"
@@ -84,6 +91,51 @@ TEST_P(BenchmarkSweep, SimplifiedTemplatePipelineWorks) {
     ASSERT_TRUE(run.ok()) << spec.ToString() << ": "
                           << run.status().ToString();
   }
+}
+
+// Every column of every table at TestScale(name), seed 7, as the CRC-32 of
+// its exact little-endian encoding. The constants pin the generators'
+// output bit for bit: a change to a generator, or to any Rng distribution
+// it draws from (values or stream consumption), changes them. Update them
+// only for an intended change to the generated data.
+TEST_P(BenchmarkSweep, GeneratedDataIsPinned) {
+  const std::map<std::string, std::map<std::string, uint32_t>> kExpected = {
+      {"tpch",
+       {{"customer", 0xD32D1FAAu},
+        {"lineitem", 0xEC52E247u},
+        {"nation", 0xE9C4EDE6u},
+        {"orders", 0xFFFB38DCu},
+        {"part", 0x4351CF8Eu},
+        {"partsupp", 0x8EB1520Du},
+        {"region", 0x109CA0F5u},
+        {"supplier", 0xB93ACB48u}}},
+      {"joblight",
+       {{"cast_info", 0x7744CDE6u},
+        {"movie_companies", 0x23DDDC26u},
+        {"movie_info", 0x29A01E07u},
+        {"movie_info_idx", 0xEE4E3E4Eu},
+        {"movie_keyword", 0x00EE2EE2u},
+        {"title", 0x91F90F2Au}}},
+      {"sysbench", {{"sbtest1", 0xF9DEBCB0u}}},
+  };
+  auto bench = MakeBenchmark(GetParam());
+  ASSERT_TRUE(bench.ok());
+  auto db = (*bench)->BuildDatabase(TestScale(GetParam()), 7);
+  std::map<std::string, uint32_t> got;
+  for (const std::string& name : db->catalog()->TableNames()) {
+    const Table* table = db->catalog()->GetTable(name);
+    ASSERT_NE(table, nullptr) << name;
+    ByteWriter bytes;
+    bytes.PutU64(table->num_rows());
+    for (size_t c = 0; c < table->schema().num_columns(); ++c) {
+      const Column& column = table->column(c);
+      for (int64_t v : column.ints()) bytes.PutI64(v);
+      for (double v : column.doubles()) bytes.PutF64(v);
+      for (const std::string& v : column.strings()) bytes.PutString(v);
+    }
+    got[name] = Crc32(bytes.bytes());
+  }
+  EXPECT_EQ(got, kExpected.at(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkSweep,
