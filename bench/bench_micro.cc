@@ -10,7 +10,8 @@
 /// loops (before/after in one binary), and the *AsyncThroughput benchmarks
 /// measure the micro-batching front end against one-at-a-time PredictMs
 /// under 8 concurrent callers. BM_BuildDatabase times one synthetic
-/// database build per benchmark at harness quick scale.
+/// database build per benchmark at harness quick scale; BM_CollectCorpus
+/// times one single-threaded 1,500-query corpus collection on it.
 /// BM_ParallelForDispatch times one fork-join ParallelFor (empty and ~100 µs
 /// bodies at 4, 8 and 32 indices) on a 4-worker pool. Best observed timings
 /// are written to BENCH_parallel.json (machine-readable) when a run includes
@@ -183,6 +184,34 @@ BENCHMARK_CAPTURE(BM_BuildDatabase, tpch, "tpch")
 BENCHMARK_CAPTURE(BM_BuildDatabase, sysbench, "sysbench")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_BuildDatabase, joblight, "joblight")
+    ->Unit(benchmark::kMillisecond);
+
+// One labelled-corpus collection (1,500 queries, single thread) at harness
+// quick options: the executor-bound part of every quick paper bench and of
+// the repo benchmark's setup phase. The execution cache is cleared per
+// iteration, so each one executes what a fresh setup executes.
+void BM_CollectCorpus(benchmark::State& state, const char* name) {
+  const HarnessOptions opt = OptionsFor(name, RunScale::kQuick);
+  auto workload = MakeBenchmark(name);
+  QCFE_CHECK_OK(workload.status());
+  auto db = (*workload)->BuildDatabase(opt.scale_factor, opt.seed);
+  const std::vector<Environment> envs = EnvironmentSampler::Sample(
+      opt.num_envs, HardwareProfile::H1(), opt.seed * 31 + 5);
+  const std::vector<QueryTemplate> templates = (*workload)->Templates();
+  QueryCollector collector(db.get(), &envs);
+  for (auto _ : state) {
+    db->ClearExecutionCache();
+    auto corpus = collector.Collect(templates, 1500, opt.seed * 13 + 3);
+    QCFE_CHECK_OK(corpus.status());
+    benchmark::DoNotOptimize(corpus->collection_ms);
+  }
+  state.SetItemsProcessed(state.iterations() * 1500);
+}
+BENCHMARK_CAPTURE(BM_CollectCorpus, tpch, "tpch")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CollectCorpus, sysbench, "sysbench")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CollectCorpus, joblight, "joblight")
     ->Unit(benchmark::kMillisecond);
 
 void BM_PlanQuery(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -52,7 +53,7 @@ Result<QueryRunResult> Database::Run(const QuerySpec& query,
     // execute and compute identical records (execution is deterministic);
     // the first insert wins and the duplicate is discarded.
     Executor executor(&catalog_, env.knobs);
-    Result<Relation> rel = executor.Execute(plan.get());
+    Result<RowIdRelation> rel = executor.Execute(plan.get());
     if (!rel.ok()) return rel.status();
     result_rows = rel.value().NumRows();
     auto records = std::make_shared<std::vector<NodeExecRecord>>();
@@ -84,13 +85,12 @@ Result<Relation> Database::ExecuteForResult(const QuerySpec& query,
   std::unique_ptr<PlanNode> plan = std::move(planned.value());
 
   Executor executor(&catalog_, env.knobs);
-  Result<Relation> rel = executor.Execute(plan.get());
+  Result<RowIdRelation> rel = executor.Execute(plan.get());
   if (!rel.ok()) return rel.status();
 
-  Relation out = std::move(rel.value());
-  if (query.limit.has_value() && out.rows.size() > *query.limit) {
-    out.rows.resize(*query.limit);
-  }
+  // Values are built once, here, and only for the rows LIMIT keeps.
+  Relation out = rel.value().Materialize(
+      query.limit.value_or(std::numeric_limits<size_t>::max()));
 
   CostSimulator sim(env, catalog_.TotalSizeMb());
   double total = sim.PricePlan(plan.get(), noise_rng);

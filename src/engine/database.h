@@ -64,7 +64,9 @@ class Database {
                              Rng* noise_rng);
 
   /// Executes a plan and also returns the materialized result relation
-  /// (used by examples and result-correctness tests; no caching).
+  /// (used by examples and result-correctness tests; no caching). Rows come
+  /// in a deterministic order: scan order, then join probe order, GROUP BY
+  /// groups in first-seen order, ORDER BY stable.
   Result<Relation> ExecuteForResult(const QuerySpec& query,
                                     const Environment& env, Rng* noise_rng,
                                     QueryRunResult* run);

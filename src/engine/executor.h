@@ -2,13 +2,26 @@
 #define QCFE_ENGINE_EXECUTOR_H_
 
 /// \file executor.h
-/// Materializing executor. Runs a physical plan over real data, producing
-/// correct results *and* the per-operator work counts (pages, tuples,
-/// comparisons) that the cost simulator prices into ground-truth latencies.
-/// Work counts reflect what the operator logically does (e.g. a Nested Loop
-/// is charged n1*n2 units even though equi-joins are evaluated via hashing
-/// internally for speed).
+/// Row-id executor. Runs a physical plan over real data, producing correct
+/// results *and* the per-operator work counts (pages, tuples, comparisons)
+/// that the cost simulator prices into ground-truth latencies. Work counts
+/// reflect what the operator logically does (e.g. a Nested Loop is charged
+/// n1*n2 units even though equi-joins are evaluated via hashing internally
+/// for speed).
+///
+/// Intermediate results never copy values. A RowIdRelation names its
+/// sources (base tables, or the small table an Aggregate builds for its
+/// groups) and holds one uint32_t row id per source per row: scans emit the
+/// ids of the rows passing their filters, joins concatenate id tuples and
+/// sorts permute them. Operators read the typed source columns only where
+/// they need a value (filters, join and group keys, sort keys, aggregate
+/// arguments). Value rows are built once, at the root, by Materialize — and
+/// only for callers that want the result itself; collection needs just the
+/// row count.
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,17 +32,42 @@
 
 namespace qcfe {
 
-/// A materialized intermediate result with a qualified-name schema.
+/// A materialized result with a qualified-name schema.
 struct Relation {
   Schema schema;
   std::vector<std::vector<Value>> rows;
 
   size_t NumRows() const { return rows.size(); }
+};
+
+/// An intermediate result as row ids into its source tables.
+struct RowIdRelation {
+  /// Where a schema column's values live.
+  struct SourceColumn {
+    uint32_t source = 0;  ///< index into `sources`
+    uint32_t column = 0;  ///< column index in that source table
+  };
+
+  Schema schema;
+  std::vector<SourceColumn> columns;  ///< one per schema column
+  std::vector<const Table*> sources;
+  /// Keeps operator-built sources (Aggregate groups) alive; base tables
+  /// belong to the catalog.
+  std::vector<std::shared_ptr<const Table>> owned;
+  /// Row-major: row r's id into source s is ids[r * sources.size() + s].
+  std::vector<uint32_t> ids;
+
+  size_t NumRows() const {
+    return sources.empty() ? 0 : ids.size() / sources.size();
+  }
   /// Bytes under the width accounting used for spill decisions.
   double SizeBytes() const {
-    return static_cast<double>(rows.size()) *
+    return static_cast<double>(NumRows()) *
            static_cast<double>(schema.RowWidth());
   }
+  /// The first `max_rows` rows as values.
+  Relation Materialize(
+      size_t max_rows = std::numeric_limits<size_t>::max()) const;
 };
 
 /// Executes plans against a catalog under a knob configuration (work_mem
@@ -39,8 +77,10 @@ struct Relation {
 /// through const paths only and `knobs_` is an immutable by-value copy — so
 /// one instance may execute distinct plans from several threads, and the
 /// parallel collection layer cheaply builds one Executor per worker/call.
-/// The catalog must outlive the executor and must not be mutated (no
-/// AddTable/AnalyzeAll) while executions are in flight.
+/// The catalog must outlive the executor and every relation it returns, and
+/// must not be mutated (no AddTable/AnalyzeAll) while executions are in
+/// flight. A base table with more rows than a uint32_t row id can index
+/// fails a QCFE_CHECK.
 class Executor {
  public:
   /// `catalog` must be non-null (checked: construction aborts on nullptr,
@@ -48,28 +88,19 @@ class Executor {
   Executor(const Catalog* catalog, const Knobs& knobs);
 
   /// Executes the subtree rooted at `node`, filling actual_rows, input_card
-  /// and work on every node. Returns the materialized output.
-  Result<Relation> Execute(PlanNode* node) const;
+  /// and work on every node. Returns the output as row ids.
+  Result<RowIdRelation> Execute(PlanNode* node) const;
 
  private:
-  Result<Relation> ExecSeqScan(PlanNode* node) const;
-  Result<Relation> ExecIndexScan(PlanNode* node) const;
-  Result<Relation> ExecSort(PlanNode* node) const;
-  Result<Relation> ExecAggregate(PlanNode* node) const;
-  Result<Relation> ExecMaterialize(PlanNode* node) const;
-  Result<Relation> ExecHashJoin(PlanNode* node) const;
-  Result<Relation> ExecMergeJoin(PlanNode* node) const;
-  Result<Relation> ExecNestedLoop(PlanNode* node) const;
+  Result<RowIdRelation> ExecScan(PlanNode* node) const;
+  Result<RowIdRelation> ExecSort(PlanNode* node) const;
+  Result<RowIdRelation> ExecAggregate(PlanNode* node) const;
+  Result<RowIdRelation> ExecMaterialize(PlanNode* node) const;
+  Result<RowIdRelation> ExecJoin(PlanNode* node) const;
 
   /// Shared by hash/merge/NL joins: locates key columns, joins, concatenates.
-  Result<Relation> EquiJoin(PlanNode* node, const Relation& left,
-                            const Relation& right) const;
-
-  /// Builds the (qualified) output schema of a scan of `table` restricted to
-  /// `projection` (empty = all columns); fills `col_indices` with the indices
-  /// of emitted columns in the base table.
-  Status ScanSchema(const Table& table, const std::vector<std::string>& proj,
-                    Schema* schema, std::vector<size_t>* col_indices) const;
+  Result<RowIdRelation> EquiJoin(PlanNode* node, const RowIdRelation& left,
+                                 const RowIdRelation& right) const;
 
   const Catalog* catalog_;
   Knobs knobs_;

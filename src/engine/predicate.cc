@@ -31,22 +31,28 @@ const char* CompareOpName(CompareOp op) {
 }
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
-  // Split the pattern on '%' and greedily match the fragments in order.
-  std::vector<std::string> parts = Split(pattern, '%');
-  bool anchored_start = !pattern.empty() && pattern.front() != '%';
-  bool anchored_end = !pattern.empty() && pattern.back() != '%';
+  return LikePattern(pattern).Matches(text);
+}
+
+LikePattern::LikePattern(const std::string& pattern)
+    : parts_(Split(pattern, '%')),
+      anchored_start_(!pattern.empty() && pattern.front() != '%'),
+      anchored_end_(!pattern.empty() && pattern.back() != '%') {}
+
+bool LikePattern::Matches(std::string_view text) const {
+  // Greedily match the fragments between wildcards in order.
   size_t pos = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    const std::string& frag = parts[i];
+  for (size_t i = 0; i < parts_.size(); ++i) {
+    const std::string& frag = parts_[i];
     if (frag.empty()) continue;
     size_t found = text.find(frag, pos);
-    if (found == std::string::npos) return false;
-    if (i == 0 && anchored_start && found != 0) return false;
+    if (found == std::string_view::npos) return false;
+    if (i == 0 && anchored_start_ && found != 0) return false;
     pos = found + frag.size();
   }
-  if (anchored_end) {
+  if (anchored_end_) {
     // The last non-empty fragment must reach the end of the text.
-    const std::string& last = parts.back();
+    const std::string& last = parts_.back();
     if (text.size() < last.size()) return false;
     if (text.compare(text.size() - last.size(), last.size(), last) != 0) {
       return false;

@@ -8,6 +8,7 @@
 /// keyword set {<, >, =, in, like, ...} maps onto CompareOp).
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/stats.h"
@@ -62,6 +63,19 @@ struct Predicate {
 /// '%'-wildcard match (case-sensitive), supporting leading/trailing/inner
 /// wildcards; no escape syntax.
 bool LikeMatch(const std::string& text, const std::string& pattern);
+
+/// A LIKE pattern split once, for matching many texts: Matches(text) ==
+/// LikeMatch(text, pattern).
+class LikePattern {
+ public:
+  explicit LikePattern(const std::string& pattern);
+  bool Matches(std::string_view text) const;
+
+ private:
+  std::vector<std::string> parts_;  ///< the pattern split on '%'
+  bool anchored_start_;
+  bool anchored_end_;
+};
 
 }  // namespace qcfe
 

@@ -1,5 +1,7 @@
 #include "engine/table.h"
 
+#include "util/check.h"
+
 namespace qcfe {
 
 size_t Column::size() const {
@@ -52,6 +54,21 @@ Value Column::Get(size_t row) const {
   return Value(int64_t{0});
 }
 
+void Column::AppendFrom(const Column& src, size_t row) {
+  QCFE_CHECK(src.type_ == type_, "AppendFrom needs columns of one type");
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.push_back(src.ints_[row]);
+      break;
+    case DataType::kFloat64:
+      doubles_.push_back(src.doubles_[row]);
+      break;
+    case DataType::kString:
+      strings_.push_back(src.strings_[row]);
+      break;
+  }
+}
+
 double Column::GetDouble(size_t row) const {
   switch (type_) {
     case DataType::kInt64:
@@ -59,9 +76,37 @@ double Column::GetDouble(size_t row) const {
     case DataType::kFloat64:
       return doubles_[row];
     case DataType::kString:
-      return ValueToDouble(Value(strings_[row]));
+      return StringToDouble(strings_[row]);
   }
   return 0.0;
+}
+
+uint64_t Column::HashAt(size_t row) const {
+  switch (type_) {
+    case DataType::kInt64:
+      return HashInt64(ints_[row]);
+    case DataType::kFloat64:
+      return HashDouble(doubles_[row]);
+    case DataType::kString:
+      return HashString(strings_[row]);
+  }
+  return 0;
+}
+
+int Column::CompareAt(size_t row, const Column& other,
+                      size_t other_row) const {
+  const bool numeric = type_ != DataType::kString;
+  const bool other_numeric = other.type_ != DataType::kString;
+  if (numeric && other_numeric) {
+    double x = GetDouble(row), y = other.GetDouble(other_row);
+    if (x < y) return -1;
+    if (x > y) return 1;
+    return 0;
+  }
+  // Mixed comparison: numbers order before strings (see CompareValues).
+  if (numeric != other_numeric) return numeric ? -1 : 1;
+  int cmp = strings_[row].compare(other.strings_[other_row]);
+  return (cmp > 0) - (cmp < 0);
 }
 
 Table::Table(std::string name, Schema schema)
@@ -69,6 +114,22 @@ Table::Table(std::string name, Schema schema)
   for (const auto& col : schema_.columns()) {
     columns_.push_back(std::make_unique<Column>(col.type));
   }
+}
+
+std::unique_ptr<Table> Table::FromColumns(
+    std::string name, Schema schema,
+    std::vector<std::unique_ptr<Column>> columns, size_t num_rows) {
+  QCFE_CHECK(columns.size() == schema.num_columns(),
+             "FromColumns needs one column per schema column");
+  for (size_t c = 0; c < columns.size(); ++c) {
+    QCFE_CHECK(columns[c]->type() == schema.column(c).type &&
+                   columns[c]->size() == num_rows,
+               "FromColumns column type or length mismatch");
+  }
+  auto table = std::make_unique<Table>(std::move(name), std::move(schema));
+  table->columns_ = std::move(columns);
+  table->num_rows_ = num_rows;
+  return table;
 }
 
 size_t Table::num_pages() const {

@@ -34,9 +34,17 @@ class Column {
   void AppendDouble(double v);
   void AppendString(std::string v);
 
+  /// Appends row `row` of `src`, which must have this column's type.
+  void AppendFrom(const Column& src, size_t row);
+
   Value Get(size_t row) const;
   /// Numeric view (strings hash; see ValueToDouble).
   double GetDouble(size_t row) const;
+  /// HashValue(Get(row)), without building the Value.
+  uint64_t HashAt(size_t row) const;
+  /// CompareValues(Get(row), other.Get(other_row)), without building the
+  /// Values.
+  int CompareAt(size_t row, const Column& other, size_t other_row) const;
 
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
@@ -60,6 +68,13 @@ struct TableIndex {
 class Table {
  public:
   Table(std::string name, Schema schema);
+
+  /// A table over already-built columns, one per schema column, each of
+  /// its schema column's type and `num_rows` long (checked). Operators use
+  /// it for the small tables they build, e.g. an Aggregate's groups.
+  static std::unique_ptr<Table> FromColumns(
+      std::string name, Schema schema,
+      std::vector<std::unique_ptr<Column>> columns, size_t num_rows);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }

@@ -59,8 +59,12 @@ double ValueToDouble(const Value& v) {
     case 1:
       return std::get<double>(v);
     default:
-      return static_cast<double>(HashValue(v) % (1ULL << 52));
+      return StringToDouble(std::get<std::string>(v));
   }
+}
+
+double StringToDouble(std::string_view s) {
+  return static_cast<double>(HashString(s) % (1ULL << 52));
 }
 
 std::string ValueToString(const Value& v) {
@@ -74,34 +78,39 @@ std::string ValueToString(const Value& v) {
   }
 }
 
+namespace {
+uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t h = 1469598103934665603ULL ^ seed;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+}  // namespace
+
+uint64_t HashInt64(int64_t x) { return Fnv1a(&x, sizeof(x), 1); }
+
+uint64_t HashDouble(double d) {
+  // Hash integral doubles identically to the int64 of the same value so
+  // cross-type equi-joins hash consistently.
+  if (std::floor(d) == d && std::fabs(d) < 9e15) {
+    return HashInt64(static_cast<int64_t>(d));
+  }
+  return Fnv1a(&d, sizeof(d), 2);
+}
+
+uint64_t HashString(std::string_view s) { return Fnv1a(s.data(), s.size(), 3); }
+
 uint64_t HashValue(const Value& v) {
-  auto fnv = [](const unsigned char* data, size_t n, uint64_t seed) {
-    uint64_t h = 1469598103934665603ULL ^ seed;
-    for (size_t i = 0; i < n; ++i) {
-      h ^= data[i];
-      h *= 1099511628211ULL;
-    }
-    return h;
-  };
   switch (v.index()) {
-    case 0: {
-      int64_t x = std::get<int64_t>(v);
-      return fnv(reinterpret_cast<const unsigned char*>(&x), sizeof(x), 1);
-    }
-    case 1: {
-      double d = std::get<double>(v);
-      // Hash integral doubles identically to the int64 of the same value so
-      // cross-type equi-joins hash consistently.
-      if (std::floor(d) == d && std::fabs(d) < 9e15) {
-        int64_t x = static_cast<int64_t>(d);
-        return fnv(reinterpret_cast<const unsigned char*>(&x), sizeof(x), 1);
-      }
-      return fnv(reinterpret_cast<const unsigned char*>(&d), sizeof(d), 2);
-    }
-    default: {
-      const std::string& s = std::get<std::string>(v);
-      return fnv(reinterpret_cast<const unsigned char*>(s.data()), s.size(), 3);
-    }
+    case 0:
+      return HashInt64(std::get<int64_t>(v));
+    case 1:
+      return HashDouble(std::get<double>(v));
+    default:
+      return HashString(std::get<std::string>(v));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace qcfe {
@@ -44,6 +45,16 @@ std::string ValueToString(const Value& v);
 /// Stable 64-bit hash (FNV-1a over the canonical byte form). Used by hash
 /// join/aggregation and by plan fingerprinting.
 uint64_t HashValue(const Value& v);
+
+/// HashValue of a value of each physical type, for callers that read typed
+/// columns without building a Value. HashDouble of an integral double equals
+/// HashInt64 of the same integer.
+uint64_t HashInt64(int64_t x);
+uint64_t HashDouble(double d);
+uint64_t HashString(std::string_view s);
+
+/// ValueToDouble of a string value.
+double StringToDouble(std::string_view s);
 
 /// Type of a runtime value.
 DataType ValueType(const Value& v);

@@ -577,6 +577,105 @@ TEST(ExecutorTest, IndexRangeScanEqualsSeqScanWhenForced) {
   EXPECT_EQ(rel_seq.value().NumRows(), 50u);
 }
 
+// Two range predicates on the index column, in both orders: the probe
+// range must keep the stricter bound on each side together with that
+// bound's own inclusiveness (`id > 100 AND id = 123` probes [123, 123],
+// not (123, 123]), so the forced index path returns what a seq scan does.
+TEST(ExecutorTest, IndexRangeBoundMergeEqualsSeqScan) {
+  auto db = MakeTestDb();
+  auto id = [](CompareOp op, int64_t v) {
+    return MakePred("t1", "id", op, {Value(v)});
+  };
+  const std::vector<Predicate> preds = {
+      id(CompareOp::kEq, 123),  id(CompareOp::kEq, 120),
+      id(CompareOp::kGt, 100),  id(CompareOp::kGt, 120),
+      id(CompareOp::kGe, 100),  id(CompareOp::kGe, 120),
+      id(CompareOp::kLt, 150),  id(CompareOp::kLt, 120),
+      id(CompareOp::kLe, 120),  id(CompareOp::kLe, 150),
+      MakePred("t1", "id", CompareOp::kBetween,
+               {Value(int64_t{110}), Value(int64_t{130})}),
+      MakePred("t1", "id", CompareOp::kBetween,
+               {Value(int64_t{120}), Value(int64_t{125})}),
+  };
+  Environment idx_env = DefaultEnv();
+  idx_env.knobs.seq_page_cost = 1000.0;
+  idx_env.knobs.cpu_tuple_cost = 10.0;
+  idx_env.knobs.random_page_cost = 0.01;
+  Environment seq_env = DefaultEnv();
+  seq_env.knobs.enable_indexscan = false;
+  Rng rng(1);
+  for (size_t i = 0; i < preds.size(); ++i) {
+    for (size_t j = 0; j < preds.size(); ++j) {
+      if (i == j) continue;
+      QuerySpec q;
+      q.tables = {"t1"};
+      q.filters = {preds[i], preds[j]};
+      const std::string what = preds[i].ToString() + " and " +
+                               preds[j].ToString();
+      QueryRunResult run_idx;
+      auto rel_idx = db->ExecuteForResult(q, idx_env, &rng, &run_idx);
+      ASSERT_TRUE(rel_idx.ok()) << what;
+      ASSERT_EQ(run_idx.plan->op, OpType::kIndexScan) << what;
+      QueryRunResult run_seq;
+      auto rel_seq = db->ExecuteForResult(q, seq_env, &rng, &run_seq);
+      ASSERT_TRUE(rel_seq.ok()) << what;
+      ASSERT_EQ(run_seq.plan->op, OpType::kSeqScan) << what;
+      EXPECT_EQ(rel_idx.value().NumRows(), rel_seq.value().NumRows()) << what;
+    }
+  }
+}
+
+// Scan filters run against the typed columns without building Values; they
+// must keep exactly the rows Predicate::Matches keeps, for every operator,
+// every column type and mixed-type (number vs string) literals.
+TEST(ExecutorTest, ScanFiltersMatchPredicateOnEveryColumnType) {
+  auto db = MakeTestDb();
+  auto i64 = [](int64_t v) { return Value(v); };
+  auto str = [](const char* v) { return Value(std::string(v)); };
+  const std::vector<Predicate> preds = {
+      MakePred("t1", "grp", CompareOp::kEq, {i64(5)}),
+      MakePred("t1", "grp", CompareOp::kNe, {i64(5)}),
+      MakePred("t1", "grp", CompareOp::kLt, {Value(4.5)}),
+      MakePred("t1", "grp", CompareOp::kBetween, {i64(2), Value(6.0)}),
+      MakePred("t1", "grp", CompareOp::kIn, {i64(1), i64(3), i64(77)}),
+      MakePred("t1", "grp", CompareOp::kEq, {str("3")}),
+      MakePred("t1", "grp", CompareOp::kLt, {str("3")}),
+      MakePred("t1", "grp", CompareOp::kLike, {str("%")}),
+      MakePred("t1", "val", CompareOp::kGe, {Value(50.0)}),
+      MakePred("t1", "val", CompareOp::kLe, {i64(30)}),
+      MakePred("t1", "val", CompareOp::kGt, {str("a")}),
+      MakePred("t1", "name", CompareOp::kLike, {str("alpha%")}),
+      MakePred("t1", "name", CompareOp::kLike, {str("%7")}),
+      MakePred("t1", "name", CompareOp::kLike, {str("be%9%1")}),
+      MakePred("t1", "name", CompareOp::kLike, {i64(7)}),
+      MakePred("t1", "name", CompareOp::kEq, {str("beta1")}),
+      MakePred("t1", "name", CompareOp::kGt, {str("beta5")}),
+      MakePred("t1", "name", CompareOp::kIn, {str("alpha7"), str("beta8")}),
+      MakePred("t1", "name", CompareOp::kBetween, {str("alpha"), str("alphb")}),
+      MakePred("t1", "name", CompareOp::kGt, {i64(5)}),
+      MakePred("t1", "name", CompareOp::kNe, {Value(1.5)}),
+  };
+  const Table* t1 = db->catalog()->GetTable("t1");
+  Environment env = DefaultEnv();
+  env.knobs.enable_indexscan = false;
+  Rng rng(1);
+  for (const Predicate& p : preds) {
+    auto col = t1->schema().FindColumn(p.column.column);
+    ASSERT_TRUE(col.has_value());
+    size_t expected = 0;
+    for (size_t r = 0; r < t1->num_rows(); ++r) {
+      if (p.Matches(t1->GetValue(r, *col))) ++expected;
+    }
+    QuerySpec q;
+    q.tables = {"t1"};
+    q.filters = {p};
+    QueryRunResult run;
+    auto rel = db->ExecuteForResult(q, env, &rng, &run);
+    ASSERT_TRUE(rel.ok()) << p.ToString();
+    EXPECT_EQ(rel.value().NumRows(), expected) << p.ToString();
+  }
+}
+
 TEST(ExecutorTest, JoinCardinalityMatchesBruteForce) {
   auto db = MakeTestDb();
   QuerySpec q;
@@ -690,6 +789,60 @@ TEST(ExecutorTest, GroupByCountsPerGroup) {
   ASSERT_TRUE(ci.has_value());
   for (const auto& row : rel.value().rows) {
     EXPECT_DOUBLE_EQ(ValueToDouble(row[*ci]), 100.0);
+  }
+}
+
+// GROUP BY emits its groups in first-seen order, independent of any hash
+// table's iteration order: t1's rows run grp = 0, 1, ..., 9, 0, 1, ...
+TEST(ExecutorTest, GroupByEmitsGroupsInFirstSeenOrder) {
+  auto db = MakeTestDb();
+  QuerySpec q;
+  q.tables = {"t1"};
+  q.group_by = {{"t1", "grp"}};
+  Aggregate a;
+  a.kind = Aggregate::Kind::kCount;
+  q.aggregates = {a};
+  Environment env = DefaultEnv();
+  Rng rng(1);
+  QueryRunResult run;
+  auto rel = db->ExecuteForResult(q, env, &rng, &run);
+  ASSERT_TRUE(rel.ok());
+  auto gi = rel.value().schema.FindColumn("t1.grp");
+  ASSERT_TRUE(gi.has_value());
+  std::vector<int64_t> order;
+  for (const auto& row : rel.value().rows) {
+    order.push_back(std::get<int64_t>(row[*gi]));
+  }
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+// A multi-column GROUP BY forms one group per combination of key values,
+// not per value of its first key.
+TEST(ExecutorTest, GroupByMultipleColumnsCountsEachCombination) {
+  Database db("multikey");
+  auto t = std::make_unique<Table>(
+      "t", Schema({{"a", DataType::kInt64}, {"b", DataType::kString}}));
+  for (int64_t i = 0; i < 24; ++i) {
+    ASSERT_TRUE(
+        t->AppendRow({Value(i % 3), Value("b" + std::to_string(i % 4))}).ok());
+  }
+  ASSERT_TRUE(db.catalog()->AddTable(std::move(t)).ok());
+  db.Analyze();
+  QuerySpec q;
+  q.tables = {"t"};
+  q.group_by = {{"t", "a"}, {"t", "b"}};
+  Aggregate a;
+  a.kind = Aggregate::Kind::kCount;
+  q.aggregates = {a};
+  Rng rng(1);
+  QueryRunResult run;
+  auto rel = db.ExecuteForResult(q, DefaultEnv(), &rng, &run);
+  ASSERT_TRUE(rel.ok());
+  ASSERT_EQ(rel.value().NumRows(), 12u);  // lcm(3, 4) combinations
+  auto ci = rel.value().schema.FindColumn("count(*)");
+  ASSERT_TRUE(ci.has_value());
+  for (const auto& row : rel.value().rows) {
+    EXPECT_DOUBLE_EQ(ValueToDouble(row[*ci]), 2.0);
   }
 }
 

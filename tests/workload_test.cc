@@ -138,6 +138,44 @@ TEST_P(BenchmarkSweep, GeneratedDataIsPinned) {
   EXPECT_EQ(got, kExpected.at(GetParam()));
 }
 
+// A 500-query Collect at TestScale(name), seed 7, over five sampled
+// environments, as the CRC-32 of every label and every node's execution
+// record (actual_rows, input_card, input_card2 and the five WorkCounts
+// fields) in pre-order. The constants pin the executor's observable output
+// bit for bit: a change to how any operator counts rows or work, or to the
+// latencies priced from them, changes them. Update them only for an
+// intended change to execution results.
+TEST_P(BenchmarkSweep, CollectedCorpusIsPinned) {
+  const std::map<std::string, uint32_t> kExpected = {
+      {"tpch", 0xEED85756u},
+      {"joblight", 0x96482434u},
+      {"sysbench", 0x6EAD6ECEu},
+  };
+  auto bench = MakeBenchmark(GetParam());
+  ASSERT_TRUE(bench.ok());
+  auto db = (*bench)->BuildDatabase(TestScale(GetParam()), 7);
+  auto envs = EnvironmentSampler::Sample(5, HardwareProfile::H1(), 41);
+  QueryCollector collector(db.get(), &envs);
+  auto set = collector.Collect((*bench)->Templates(), 500, 7);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ByteWriter bytes;
+  for (const LabeledQuery& q : set->queries) {
+    bytes.PutF64(q.total_ms);
+    q.plan->VisitConst([&](const PlanNode* node) {
+      bytes.PutF64(node->actual_rows);
+      bytes.PutF64(node->input_card);
+      bytes.PutF64(node->input_card2);
+      bytes.PutF64(node->work.seq_pages);
+      bytes.PutF64(node->work.rand_pages);
+      bytes.PutF64(node->work.tuples);
+      bytes.PutF64(node->work.index_tuples);
+      bytes.PutF64(node->work.op_units);
+    });
+  }
+  EXPECT_EQ(Crc32(bytes.bytes()), kExpected.at(GetParam()))
+      << std::hex << "0x" << Crc32(bytes.bytes());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkSweep,
                          ::testing::Values("tpch", "joblight", "sysbench"));
 
