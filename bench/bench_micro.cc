@@ -1390,8 +1390,9 @@ BENCHMARK(BM_DiffPropReduction)->Arg(16)->Arg(64);
 
 /// End-to-end kernel parity sweep without google-benchmark: every kernel
 /// entry point, every dispatch pin, over the real-shape table plus edge
-/// shapes, and a short two-mode training loop. Returns false on the first
-/// bit mismatch. This is what CI runs as `bench_micro --smoke`.
+/// shapes, the segmented accumulates against per-segment sinks, and a
+/// short two-mode training loop. Returns false on the first bit mismatch.
+/// This is what CI runs as `bench_micro --smoke`.
 bool RunKernelSmoke() {
   using kernels::KernelIsa;
   using kernels::KernelMode;
@@ -1488,6 +1489,39 @@ bool RunKernelSmoke() {
         kernels::GemmATAccumulate(at_a, b, &acc);
         worst ? expect_close(want_acc, acc, "GemmATAccumulate", worst)
               : expect_equal(want_acc, acc, "GemmATAccumulate");
+      }
+      // Segmented accumulates, bit-gated in every tier: one plain
+      // accumulate per segment into a zeroed temporary, then in-order
+      // Adds, under each dispatch pin. Segments include an empty and a
+      // one-row one.
+      const size_t k = s.k;
+      const std::vector<size_t> bounds = {0, k / 3, k / 3, k / 2,
+                                          std::min(k, k / 2 + 1), k};
+      Matrix bias_seed = RandomWithSparsity(1, s.n, 0.0, &rng);
+      for (KernelMode mode : modes) {
+        Matrix want_w = acc_seed;
+        Matrix want_b = bias_seed;
+        {
+          kernels::ScopedKernelMode pin(mode);
+          for (size_t g = 0; g + 1 < bounds.size(); ++g) {
+            std::vector<size_t> rows;
+            for (size_t r = bounds[g]; r < bounds[g + 1]; ++r) {
+              rows.push_back(r);
+            }
+            Matrix sink_w(s.m, s.n), sink_b(1, s.n);
+            kernels::GemmATAccumulate(at_a.SelectRows(rows),
+                                      b.SelectRows(rows), &sink_w);
+            kernels::ColSumAccumulate(b.SelectRows(rows), &sink_b);
+            want_w.Add(sink_w);
+            want_b.Add(sink_b);
+          }
+        }
+        Matrix got_w = acc_seed;
+        Matrix got_b = bias_seed;
+        kernels::GemmATAccumulateSegments(at_a, b, bounds, &got_w);
+        kernels::ColSumAccumulateSegments(b, bounds, &got_b);
+        expect_equal(want_w, got_w, "GemmATAccumulateSegments");
+        expect_equal(want_b, got_b, "ColSumAccumulateSegments");
       }
     }
   };

@@ -40,12 +40,15 @@ struct TrainConfig {
   double learning_rate = 1e-3;
   uint64_t seed = 1;
   /// Samples per data-parallel gradient chunk. Each optimizer batch is cut
-  /// into fixed chunks of this width; chunks backprop concurrently into
-  /// private GradSinks across the model's thread pool and merge in chunk
-  /// index order. The partition depends only on batch_size and the
+  /// into fixed chunks of this width, and each chunk's parameter gradient
+  /// is summed on its own before the chunks are added in chunk index
+  /// order: QPPNet backprops chunks concurrently into private GradSinks,
+  /// MSCN runs chunk-aligned shards and sums per chunk with segmented
+  /// accumulates. The partition depends only on batch_size and the
   /// resolved chunk_size — never on the worker count — so the fitted model
   /// is bit-identical at any thread count; chunk_size only trades
-  /// scheduling granularity against per-chunk accumulator overhead.
+  /// scheduling granularity against per-chunk accumulator overhead (and,
+  /// as a summation order, is part of the trained bits).
   ///
   /// 0 (the default) autotunes: models derive the width from batch_size and
   /// the measured per-chunk sink-merge cost — the exact count of gradient
@@ -197,7 +200,8 @@ size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double per_sample_cost_elems);
 
 /// One optimizer step of data-parallel training (`slot_sq` as returned by
-/// Optimizer::ReduceChunks), refused when the batch went numerically bad:
+/// Optimizer::SetGrads or ReduceChunks), refused when the batch went
+/// numerically bad:
 /// a non-finite `batch_loss` (a NaN or infinite label, say) or a
 /// non-finite gradient norm returns kNumericError naming `epoch` and
 /// `batch` and applies no step. Without the check a NaN norm slips past

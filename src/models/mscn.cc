@@ -98,10 +98,16 @@ Mscn::Mscn(const Catalog* catalog, const OperatorFeaturizer* featurizer,
       Activation::kRelu, &rng_);
 
   std::vector<Matrix*> params, grads;
+  size_t module = 0;
   for (Mlp* net : {join_net_.get(), pred_net_.get(), op_net_.get(),
                    final_net_.get()}) {
     for (Matrix* p : net->Params()) params.push_back(p);
-    for (Matrix* g : net->Grads()) grads.push_back(g);
+    const std::vector<Matrix*> net_grads = net->Grads();
+    for (size_t k = 0; k < net_grads.size(); ++k) {
+      grads.push_back(net_grads[k]);
+      grad_slots_.emplace_back(module, k);
+    }
+    ++module;
   }
   auto adam = std::make_unique<AdamOptimizer>(params, grads, 1e-3);
   adam->set_clip_norm(5.0);
@@ -227,8 +233,10 @@ Matrix SegmentMean(const Matrix& rows, const std::vector<size_t>& offsets,
   return out;
 }
 
-/// Inverse of SegmentMean for gradients.
-void SegmentExpandInto(const Matrix& pooled_grad,
+/// Inverse of SegmentMean for gradients: the pooled gradient is columns
+/// [col0, col0 + hidden) of `pooled_grad` (one module's slice of the
+/// concat gradient).
+void SegmentExpandInto(const Matrix& pooled_grad, size_t col0,
                        const std::vector<size_t>& offsets, size_t total_rows,
                        size_t hidden, Matrix* out) {
   out->ResetShape(total_rows, hidden);
@@ -239,7 +247,7 @@ void SegmentExpandInto(const Matrix& pooled_grad,
     double inv = 1.0 / static_cast<double>(count);
     for (size_t r = offsets[q]; r < offsets[q + 1]; ++r) {
       for (size_t c = 0; c < hidden; ++c) {
-        out->At(r, c) = pooled_grad.At(q, c) * inv;
+        out->At(r, c) = pooled_grad.At(q, col0 + c) * inv;
       }
     }
   }
@@ -267,18 +275,19 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b, const Matrix& c) {
 
 }  // namespace
 
-const Matrix& Mscn::ForwardPacked(const Packed& packed,
-                                  ChunkScratch* scratch) const {
+const Matrix& Mscn::ForwardPacked(Shard* shard) const {
   size_t h = config_.set_hidden;
-  const Matrix& hj = join_net_->Forward(packed.joins, &scratch->tapes.join);
-  const Matrix& hp = pred_net_->Forward(packed.preds, &scratch->tapes.pred);
-  const Matrix& ho = op_net_->Forward(packed.ops, &scratch->tapes.op);
-  SegmentMeanInto(hj, packed.join_offsets, h, &scratch->pooled_join);
-  SegmentMeanInto(hp, packed.pred_offsets, h, &scratch->pooled_pred);
-  SegmentMeanInto(ho, packed.op_offsets, h, &scratch->pooled_op);
-  ConcatColsInto(scratch->pooled_join, scratch->pooled_pred,
-                 scratch->pooled_op, &scratch->concat);
-  return final_net_->Forward(scratch->concat, &scratch->tapes.final_net);
+  const Packed& packed = shard->packed;
+  NetTapes& tapes = shard->tapes;
+  const Matrix& hj = join_net_->Forward(packed.joins, &tapes.join);
+  const Matrix& hp = pred_net_->Forward(packed.preds, &tapes.pred);
+  const Matrix& ho = op_net_->Forward(packed.ops, &tapes.op);
+  SegmentMeanInto(hj, packed.join_offsets, h, &shard->pooled_join);
+  SegmentMeanInto(hp, packed.pred_offsets, h, &shard->pooled_pred);
+  SegmentMeanInto(ho, packed.op_offsets, h, &shard->pooled_op);
+  ConcatColsInto(shard->pooled_join, shard->pooled_pred, shard->pooled_op,
+                 &shard->concat);
+  return final_net_->Forward(shard->concat, &tapes.final_net);
 }
 
 Matrix Mscn::PredictPacked(const Packed& packed) const {
@@ -298,74 +307,128 @@ Matrix Mscn::PredictPacked(const Packed& packed) const {
   return out;
 }
 
-void Mscn::BackwardPacked(const Packed& packed, const Matrix& grad_out,
-                          ChunkScratch* scratch, NetSinks* sinks) const {
+void Mscn::BackwardPacked(Shard* shard) const {
   size_t h = config_.set_hidden;
+  const Packed& packed = shard->packed;
+  NetTapes& tapes = shard->tapes;
   const Matrix& grad_concat = final_net_->Backward(
-      grad_out, &scratch->tapes.final_net, &sinks->final_net);
-  // Split the concat gradient back into the three pooled segments (every
-  // element overwritten, so the split buffers reshape without zeroing).
-  size_t nq = grad_concat.rows();
-  Matrix& gj = scratch->split_join;
-  Matrix& gp = scratch->split_pred;
-  Matrix& go = scratch->split_op;
-  gj.ResetShapeUninitialized(nq, h);
-  gp.ResetShapeUninitialized(nq, h);
-  go.ResetShapeUninitialized(nq, h);
-  for (size_t r = 0; r < nq; ++r) {
-    for (size_t c = 0; c < h; ++c) {
-      gj.At(r, c) = grad_concat.At(r, c);
-      gp.At(r, c) = grad_concat.At(r, h + c);
-      go.At(r, c) = grad_concat.At(r, 2 * h + c);
+      tapes.final_net.grads.back(), &tapes.final_net, /*sink=*/nullptr);
+  // Each set module's output gradient is its slice of the concat gradient
+  // expanded over the module's element rows, built in place as the
+  // module tape's output gradient. Nobody reads a set module's input
+  // gradient, so its first layer skips that product.
+  SegmentExpandInto(grad_concat, 0, packed.join_offsets, packed.joins.rows(),
+                    h, &tapes.join.grads.back());
+  join_net_->Backward(tapes.join.grads.back(), &tapes.join, nullptr,
+                      /*input_grad=*/false);
+  SegmentExpandInto(grad_concat, h, packed.pred_offsets, packed.preds.rows(),
+                    h, &tapes.pred.grads.back());
+  pred_net_->Backward(tapes.pred.grads.back(), &tapes.pred, nullptr,
+                      /*input_grad=*/false);
+  SegmentExpandInto(grad_concat, 2 * h, packed.op_offsets, packed.ops.rows(),
+                    h, &tapes.op.grads.back());
+  op_net_->Backward(tapes.op.grads.back(), &tapes.op, nullptr,
+                    /*input_grad=*/false);
+}
+
+void Mscn::TrainShard(const std::vector<EncodedQuery>& encoded,
+                      const std::vector<size_t>& order, size_t begin,
+                      size_t end, size_t chunk_size, double inv_batch,
+                      Shard* shard, double* chunk_losses) const {
+  shard->refs.clear();
+  shard->refs.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    shard->refs.push_back(&encoded[order[i]]);
+  }
+  PackInto(shard->refs, &shard->packed);
+  const Packed& packed = shard->packed;
+  // Chunk boundaries as query rows (the final module's rows) and as each
+  // set module's element rows: packing keeps every query's elements
+  // contiguous, so a chunk is one row range in every module.
+  const size_t nq = end - begin;
+  shard->query_bounds.clear();
+  shard->join_bounds.clear();
+  shard->pred_bounds.clear();
+  shard->op_bounds.clear();
+  for (size_t q = 0;; q = std::min(q + chunk_size, nq)) {
+    shard->query_bounds.push_back(q);
+    shard->join_bounds.push_back(packed.join_offsets[q]);
+    shard->pred_bounds.push_back(packed.pred_offsets[q]);
+    shard->op_bounds.push_back(packed.op_offsets[q]);
+    if (q == nq) break;
+  }
+
+  const Matrix& out = ForwardPacked(shard);
+  Matrix& grad = shard->tapes.final_net.grads.back();
+  grad.ResetShapeUninitialized(out.rows(), 1);
+  for (size_t c = 0; c + 1 < shard->query_bounds.size(); ++c) {
+    double loss = 0.0;
+    for (size_t r = shard->query_bounds[c]; r < shard->query_bounds[c + 1];
+         ++r) {
+      double err = out.At(r, 0) - packed.labels[r];
+      loss += err * err;
+      grad.At(r, 0) = 2.0 * err * inv_batch;
+    }
+    chunk_losses[c] = loss;
+  }
+  BackwardPacked(shard);
+}
+
+void Mscn::AddShardGrad(const Optimizer::GradBlock& block,
+                        const Shard& shard, Matrix* grad) const {
+  const auto [module, k] = grad_slots_[block.slot];
+  const size_t rb = block.row_begin;
+  const size_t re = block.row_end;
+  switch (module) {
+    case 0:
+      join_net_->AddParamGrad(k, shard.tapes.join, shard.join_bounds, grad,
+                              rb, re);
+      return;
+    case 1:
+      pred_net_->AddParamGrad(k, shard.tapes.pred, shard.pred_bounds, grad,
+                              rb, re);
+      return;
+    case 2:
+      op_net_->AddParamGrad(k, shard.tapes.op, shard.op_bounds, grad, rb, re);
+      return;
+    default:
+      final_net_->AddParamGrad(k, shard.tapes.final_net, shard.query_bounds,
+                               grad, rb, re);
+      return;
+  }
+}
+
+std::vector<Optimizer::GradBlock> Mscn::GradBlocks(const double* module_rows,
+                                                   size_t workers) {
+  // Work of a slot ~ its elements x the rows its module sums per query.
+  // Cutting the heavy slots into row blocks of about total / (2 workers)
+  // keeps one large operator-module weight from holding up the phase. The
+  // cut is only a schedule: every element's sum is computed the same way
+  // in any block.
+  std::vector<Matrix*> grads = Grads();
+  std::vector<double> work(grads.size());
+  double total = 0.0;
+  for (size_t s = 0; s < grads.size(); ++s) {
+    work[s] = static_cast<double>(grads[s]->rows() * grads[s]->cols()) *
+              module_rows[grad_slots_[s].first];
+    total += work[s];
+  }
+  const double target = total / (2.0 * static_cast<double>(workers));
+  constexpr size_t kRowQuantum = 4;  // the kernels' register-panel height
+  std::vector<Optimizer::GradBlock> blocks;
+  for (size_t s = 0; s < grads.size(); ++s) {
+    const size_t rows = grads[s]->rows();
+    size_t pieces = 1;
+    if (target > 0.0 && work[s] > target) {
+      pieces = static_cast<size_t>(std::ceil(work[s] / target));
+    }
+    size_t step = (rows + pieces - 1) / pieces;
+    step = (step + kRowQuantum - 1) / kRowQuantum * kRowQuantum;
+    for (size_t r = 0; r < rows; r += step) {
+      blocks.push_back({s, r, std::min(r + step, rows)});
     }
   }
-  // One expand buffer serves the three modules in sequence: each module's
-  // Backward has consumed it before the next expand overwrites it.
-  SegmentExpandInto(gj, packed.join_offsets, packed.joins.rows(), h,
-                    &scratch->expand);
-  join_net_->Backward(scratch->expand, &scratch->tapes.join, &sinks->join);
-  SegmentExpandInto(gp, packed.pred_offsets, packed.preds.rows(), h,
-                    &scratch->expand);
-  pred_net_->Backward(scratch->expand, &scratch->tapes.pred, &sinks->pred);
-  SegmentExpandInto(go, packed.op_offsets, packed.ops.rows(), h,
-                    &scratch->expand);
-  op_net_->Backward(scratch->expand, &scratch->tapes.op, &sinks->op);
-}
-
-void Mscn::NetSinks::InitFor(Mscn* model) {
-  join.InitLike(model->join_net_->Grads());
-  pred.InitLike(model->pred_net_->Grads());
-  op.InitLike(model->op_net_->Grads());
-  final_net.InitLike(model->final_net_->Grads());
-}
-
-void Mscn::NetSinks::AddTo(Mscn* model) const {
-  join.AddTo(model->join_net_->Grads());
-  pred.AddTo(model->pred_net_->Grads());
-  op.AddTo(model->op_net_->Grads());
-  final_net.AddTo(model->final_net_->Grads());
-}
-
-double Mscn::TrainChunk(const std::vector<EncodedQuery>& encoded,
-                        const std::vector<size_t>& order, size_t start,
-                        size_t end, double inv_batch, ChunkScratch* scratch,
-                        NetSinks* sinks) const {
-  scratch->refs.clear();
-  scratch->refs.reserve(end - start);
-  for (size_t i = start; i < end; ++i) {
-    scratch->refs.push_back(&encoded[order[i]]);
-  }
-  PackInto(scratch->refs, &scratch->packed);
-  const Matrix& out = ForwardPacked(scratch->packed, scratch);
-  scratch->grad.ResetShapeUninitialized(out.rows(), 1);
-  double loss = 0.0;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double err = out.At(r, 0) - scratch->packed.labels[r];
-    loss += err * err;
-    scratch->grad.At(r, 0) = 2.0 * err * inv_batch;
-  }
-  BackwardPacked(scratch->packed, scratch->grad, scratch, sinks);
-  return loss;
+  return blocks;
 }
 
 void Mscn::FitScalers(const std::vector<EncodedQuery>& queries,
@@ -419,13 +482,18 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
   static_cast<AdamOptimizer*>(optimizer_.get())->set_lr(config.learning_rate);
   Rng train_rng(config.seed);
   std::vector<size_t> order(encoded.size());
-  // Chunk autotuning (chunk_size == 0): per-chunk overhead is the gradient
-  // elements all four sinks zero and merge; per-query compute is the
-  // query's set rows x module parameter elements plus one final-module
-  // pass. Exact element counts over the encoded set — deterministic, so
-  // the partition stays thread-count- and run-independent.
+  // Chunk autotuning (chunk_size == 0). The chunk width decides where each
+  // batch's gradient sums are cut, so it is part of the trained bits and
+  // keeps the derivation it had when every chunk owned a gradient sink:
+  // per-chunk overhead is the gradient elements of all four modules, zeroed
+  // and merged; per-query compute is the query's set rows x module
+  // parameter elements plus one final-module pass. Exact element counts
+  // over the encoded set — deterministic, so the partition stays
+  // thread-count- and run-independent.
   double merge_elems = 0.0;
   double query_elems = 0.0;
+  // Mean rows per query in each module (join, pred, op, final).
+  double module_rows[4] = {0.0, 0.0, 0.0, 1.0};
   {
     auto net_elems = [](Mlp* net) {
       double elems = 0.0;
@@ -442,39 +510,32 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
                      (static_cast<double>(q.joins.size()) * je +
                       static_cast<double>(q.preds.size()) * pe +
                       static_cast<double>(q.ops.size()) * oe + fe);
+      module_rows[0] += static_cast<double>(q.joins.size());
+      module_rows[1] += static_cast<double>(q.preds.size());
+      module_rows[2] += static_cast<double>(q.ops.size());
     }
     query_elems /= static_cast<double>(encoded.size());
+    for (size_t m = 0; m < 3; ++m) {
+      module_rows[m] /= static_cast<double>(encoded.size());
+    }
   }
   const size_t chunk_size =
       ResolveTrainChunkSize(config, merge_elems, query_elems);
-  // Per-chunk gradient state, reused across batches. The chunk partition
-  // depends only on batch_size and the resolved chunk_size — never on the
-  // worker count — and chunk sinks merge in chunk index order below, which
-  // keeps the fitted model bit-identical at any thread count. Module
-  // forwards are row-wise and pooling is per-query, so chunk boundaries
-  // never change a query's forward value either.
-  std::vector<ChunkScratch> scratch;
-  std::vector<NetSinks> sinks;
+  // The chunk partition depends only on batch_size and the resolved
+  // chunk_size, never on the worker count. Each batch runs as at most one
+  // chunk-aligned shard per worker: a shard packs, forwards and
+  // backpropagates its queries once (module forwards and input gradients
+  // are row-wise and pooling is per query, so shard boundaries never
+  // change a value). The parameter gradients are then summed per chunk
+  // from the shards' tapes, one zero-seeded chain per chunk added in chunk
+  // order (Mlp::AddParamGrad), which keeps the fitted model bit-identical
+  // at any thread count.
+  const size_t workers = pool == nullptr ? 1 : pool->num_workers();
+  const std::vector<Optimizer::GradBlock> grad_blocks =
+      GradBlocks(module_rows, workers);
+  std::vector<Shard> shards;
   std::vector<double> chunk_losses;
   std::vector<double> slot_sq;
-  // Optimizer gradient slot -> (module, slot within that module's sink), in
-  // Grads() order, for the per-slot chunk reduction.
-  static constexpr GradSink NetSinks::*kModuleSinks[] = {
-      &NetSinks::join, &NetSinks::pred, &NetSinks::op, &NetSinks::final_net};
-  std::vector<std::pair<size_t, size_t>> slot_modules;
-  {
-    Mlp* modules[] = {join_net_.get(), pred_net_.get(), op_net_.get(),
-                      final_net_.get()};
-    for (size_t m = 0; m < 4; ++m) {
-      for (size_t k = 0; k < modules[m]->Grads().size(); ++k) {
-        slot_modules.emplace_back(m, k);
-      }
-    }
-  }
-  const Optimizer::ChunkPart part = [&](size_t slot, size_t c) {
-    const auto [m, k] = slot_modules[slot];
-    return &(sinks[c].*kModuleSinks[m]).slot(k);
-  };
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Per-epoch order from an epoch-keyed Split stream: epoch e's shuffle
@@ -488,24 +549,35 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
       size_t end = std::min(start + config.batch_size, order.size());
       double inv = 1.0 / static_cast<double>(end - start);
       size_t num_chunks = (end - start + chunk_size - 1) / chunk_size;
-      if (scratch.size() < num_chunks) scratch.resize(num_chunks);
-      if (sinks.size() < num_chunks) sinks.resize(num_chunks);
+      // Chunk range [first, second) of each shard.
+      const std::vector<std::pair<size_t, size_t>> shard_chunks =
+          PartitionBlocks(num_chunks, workers);
+      if (shards.size() < shard_chunks.size()) {
+        shards.resize(shard_chunks.size());
+      }
       chunk_losses.assign(num_chunks, 0.0);
-      ParallelFor(pool, num_chunks, [&](size_t c) {
-        sinks[c].InitFor(this);
-        size_t cs = start + c * chunk_size;
-        size_t ce = std::min(cs + chunk_size, end);
-        chunk_losses[c] =
-            TrainChunk(encoded, order, cs, ce, inv, &scratch[c], &sinks[c]);
+      ParallelFor(pool, shard_chunks.size(), [&](size_t b) {
+        const auto [first, last] = shard_chunks[b];
+        const size_t qs = start + first * chunk_size;
+        const size_t qe = std::min(start + last * chunk_size, end);
+        TrainShard(encoded, order, qs, qe, chunk_size, inv, &shards[b],
+                   &chunk_losses[first]);
       });
       // Fixed-order reductions: losses in chunk order, and each gradient
-      // slot over the chunks in chunk order.
+      // slot over the shards (and their chunks) in order.
       double batch_loss = 0.0;
       for (size_t c = 0; c < num_chunks; ++c) {
         batch_loss += chunk_losses[c];
         epoch_loss += chunk_losses[c];
       }
-      optimizer_->ReduceChunks(num_chunks, part, pool, &slot_sq);
+      optimizer_->SetGrads(
+          grad_blocks,
+          [&](const Optimizer::GradBlock& block, Matrix* grad) {
+            for (size_t b = 0; b < shard_chunks.size(); ++b) {
+              AddShardGrad(block, shards[b], grad);
+            }
+          },
+          pool, &slot_sq);
       QCFE_RETURN_IF_ERROR(StepBatch(optimizer_.get(), batch_loss, slot_sq,
                                      epoch, start / config.batch_size, pool));
     }
@@ -564,13 +636,19 @@ Result<double> Mscn::TrainingLoss(const std::vector<PlanSample>& samples,
         label_scaler_.TransformOne(samples[i].label_ms);
     order.push_back(i);
   }
+  // The training path with the whole sample set as one shard of one
+  // chunk.
   double inv = 1.0 / static_cast<double>(samples.size());
-  ChunkScratch scratch;
-  NetSinks sinks;
-  sinks.InitFor(this);
-  double loss =
-      TrainChunk(encoded, order, 0, encoded.size(), inv, &scratch, &sinks);
-  if (accumulate_gradients) sinks.AddTo(this);
+  Shard shard;
+  double loss = 0.0;
+  TrainShard(encoded, order, 0, encoded.size(), encoded.size(), inv, &shard,
+             &loss);
+  if (accumulate_gradients) {
+    std::vector<Matrix*> grads = Grads();
+    for (size_t slot = 0; slot < grads.size(); ++slot) {
+      AddShardGrad({slot, 0, grads[slot]->rows()}, shard, grads[slot]);
+    }
+  }
   return loss * inv;
 }
 

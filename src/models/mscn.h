@@ -36,12 +36,15 @@ class Mscn : public CostModel {
        MscnConfig config, uint64_t seed);
 
   std::string name() const override { return "MSCN"; }
-  /// Chunk-parallel training: each epoch's query order (drawn from an
-  /// epoch-keyed Rng::Split stream) is cut into fixed-width chunks
-  /// (TrainConfig::chunk_size) independent of the worker count; each chunk
-  /// packs its queries and backprops into private GradSinks concurrently
-  /// via the attached thread pool, and sinks merge into the optimizer-bound
-  /// gradients in chunk order — bit-identical models at any thread count.
+  /// Batch-wide training: each epoch's query order (drawn from an
+  /// epoch-keyed Rng::Split stream) is cut into optimizer batches, and
+  /// each batch into fixed-width chunks (TrainConfig::chunk_size)
+  /// independent of the worker count. A batch runs as at most one
+  /// chunk-aligned shard per worker of the attached pool; each shard packs,
+  /// forwards and backprops its queries once. Parameter gradients are then
+  /// written straight into the optimizer-bound gradients, one row block of
+  /// a gradient per task, as one zero-seeded sum per chunk added in chunk
+  /// order — bit-identical models at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
   Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
@@ -118,51 +121,60 @@ class Mscn : public CostModel {
   void PackInto(const std::vector<const EncodedQuery*>& batch,
                 Packed* packed) const;
 
-  /// One forward pass's activation record across the four modules; what
-  /// BackwardPacked consumes instead of per-layer caches.
+  /// One forward/backward pass's activation and gradient record across
+  /// the four modules.
   struct NetTapes {
     Mlp::Tape join, pred, op, final_net;
   };
 
-  /// One training chunk's reusable scratch arena: the module tapes, the
-  /// packed element matrices and every pooled/concat/split intermediate of
-  /// the chunked forward/backward, reshaped in place across chunks and
-  /// batches so steady-state training never touches the allocator.
-  struct ChunkScratch {
+  /// One training shard: a chunk-aligned run of an optimizer batch's
+  /// queries, packed, forwarded and backpropagated once. Its tapes keep
+  /// every linear layer's output gradient, and the bounds cut each
+  /// module's rows at the chunk boundaries, so the parameter gradients can
+  /// be summed per chunk afterwards (AddShardGrad). Shards are reused
+  /// across batches, reshaped in place, so steady-state training never
+  /// touches the allocator.
+  struct Shard {
     NetTapes tapes;
     Packed packed;
     std::vector<const EncodedQuery*> refs;
-    Matrix pooled_join, pooled_pred, pooled_op, concat;  // forward
-    Matrix grad;                                         // dL/d(out)
-    Matrix split_join, split_pred, split_op, expand;     // backward
+    Matrix pooled_join, pooled_pred, pooled_op, concat;
+    /// Chunk boundaries as row offsets into the shard's queries (the final
+    /// module's rows) and into each set module's element rows.
+    std::vector<size_t> query_bounds, join_bounds, pred_bounds, op_bounds;
   };
 
-  /// One training chunk's private gradient state across the four modules.
-  struct NetSinks {
-    GradSink join, pred, op, final_net;
-
-    /// (Re)shapes and zeroes every sink for this model's modules.
-    void InitFor(Mscn* model);
-    /// Merges into the optimizer-bound gradients in fixed module order.
-    void AddTo(Mscn* model) const;
-  };
-
-  /// Forward returns per-query predictions (nq x 1) as a reference into
-  /// the scratch's final-module tape, recording module activations on the
-  /// scratch's tapes for a subsequent BackwardPacked. Const and
-  /// state-free: concurrent chunks share only the read-only modules.
-  const Matrix& ForwardPacked(const Packed& packed, ChunkScratch* scratch) const;
+  /// Forward returns per-query predictions (nq x 1) of the shard's packed
+  /// queries as a reference into the final-module tape, recording module
+  /// activations on the shard's tapes. Const and state-free: concurrent
+  /// shards share only the read-only modules.
+  const Matrix& ForwardPacked(Shard* shard) const;
   Matrix PredictPacked(const Packed& packed) const;
-  void BackwardPacked(const Packed& packed, const Matrix& grad_out,
-                      ChunkScratch* scratch, NetSinks* sinks) const;
+  /// Backprop from the output gradient the caller left in the final
+  /// module tape's grads.back(), keeping every module's layer gradients on
+  /// the shard's tapes.
+  void BackwardPacked(Shard* shard) const;
 
-  /// Pack + forward + backward for queries [start, end) of `order`,
-  /// accumulating into `sinks` (seeded with 2 * err * inv_batch per query).
-  /// Returns the chunk's summed squared error.
-  double TrainChunk(const std::vector<EncodedQuery>& encoded,
-                    const std::vector<size_t>& order, size_t start, size_t end,
-                    double inv_batch, ChunkScratch* scratch,
-                    NetSinks* sinks) const;
+  /// Pack + forward + backward for queries [begin, end) of `order`, cut
+  /// into chunks of `chunk_size` queries (seeded with 2 * err * inv_batch
+  /// per query). Writes each chunk's summed squared error to
+  /// chunk_losses[0], chunk_losses[1], ...
+  void TrainShard(const std::vector<EncodedQuery>& encoded,
+                  const std::vector<size_t>& order, size_t begin, size_t end,
+                  size_t chunk_size, double inv_batch, Shard* shard,
+                  double* chunk_losses) const;
+
+  /// Adds the shard's contribution to rows [row_begin, row_end) of
+  /// optimizer gradient slot block.slot (Grads() order) into `grad`: one
+  /// chain per chunk, in chunk order.
+  void AddShardGrad(const Optimizer::GradBlock& block, const Shard& shard,
+                    Matrix* grad) const;
+
+  /// The gradient phase's tasks: every optimizer gradient slot, heavy ones
+  /// cut into row blocks of about equal work for `workers` threads, given
+  /// the mean rows per query of each module (join, pred, op, final).
+  std::vector<Optimizer::GradBlock> GradBlocks(const double* module_rows,
+                                               size_t workers);
 
   void FitScalers(const std::vector<EncodedQuery>& queries,
                   const std::vector<double>& labels_ms);
@@ -185,6 +197,9 @@ class Mscn : public CostModel {
   LogTargetScaler label_scaler_;
   bool scalers_fitted_ = false;
   std::unique_ptr<AdamOptimizer> optimizer_;
+  /// Optimizer gradient slot -> (module: join, pred, op, final; slot within
+  /// that module's Grads()).
+  std::vector<std::pair<size_t, size_t>> grad_slots_;
 };
 
 }  // namespace qcfe

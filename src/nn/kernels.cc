@@ -205,6 +205,23 @@ bool DispatchBlocked(size_t rows) {
   }
 }
 
+/// Segment bounds must be a non-empty ascending run of row offsets inside
+/// the operand (a run of one offset is zero segments).
+void CheckSegmentBounds(const std::vector<size_t>& bounds, size_t rows) {
+  QCFE_CHECK(!bounds.empty() && bounds.back() <= rows,
+             "segment bounds must be non-empty and end inside the operand");
+  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+    QCFE_CHECK(bounds[s] <= bounds[s + 1], "segment bounds must ascend");
+  }
+}
+
+/// Row indices [bounds[s], bounds[s + 1]) for the reference replay.
+std::vector<size_t> SegmentRows(const std::vector<size_t>& bounds, size_t s) {
+  std::vector<size_t> rows;
+  for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) rows.push_back(r);
+  return rows;
+}
+
 }  // namespace
 
 void SetKernelMode(KernelMode mode) {
@@ -264,11 +281,24 @@ double ZeroFraction(const Matrix& m) {
   // the always-zero pad columns would otherwise inflate the fraction.
   constexpr size_t kMaxProbes = 256;
   const size_t stride = n > kMaxProbes ? n / kMaxProbes : 1;
+  // The probe walk carries (row, col) of logical index i = row * cols +
+  // col along instead of dividing per probe: each step advances col by
+  // stride % cols and row by stride / cols, carrying one row on overflow.
+  const size_t row_step = stride / cols;
+  const size_t col_step = stride % cols;
   size_t zeros = 0;
   size_t probes = 0;
+  size_t row = 0;
+  size_t col = 0;
   for (size_t i = 0; i < n; i += stride) {
-    zeros += m.At(i / cols, i % cols) == 0.0 ? 1 : 0;
+    zeros += m.RowPtr(row)[col] == 0.0 ? 1 : 0;
     ++probes;
+    row += row_step;
+    col += col_step;
+    if (col >= cols) {
+      col -= cols;
+      ++row;
+    }
   }
   return static_cast<double>(zeros) / static_cast<double>(probes);
 }
@@ -465,12 +495,13 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
              "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
   const KernelTable& t = ActiveTable();
+  const size_t whole[2] = {0, a.rows()};
   switch (GetKernelMode()) {
     case KernelMode::kReference:
       reference::GemmATAccumulate(a, b, acc);
       return;
     case KernelMode::kDense:
-      t.at_acc_panel(a, b, acc);
+      t.at_acc_panel(a, b, whole, 1, 0, a.cols(), acc);
       return;
     case KernelMode::kSparse:
       if (a.rows() == 1) {
@@ -495,7 +526,7 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
     t.at_acc_sparse(a, b, acc);
     return;
   }
-  t.at_acc_panel(a, b, acc);
+  t.at_acc_panel(a, b, whole, 1, 0, a.cols(), acc);
 }
 
 void ColSumAccumulate(const Matrix& a, Matrix* acc) {
@@ -505,7 +536,53 @@ void ColSumAccumulate(const Matrix& a, Matrix* acc) {
     reference::ColSumAccumulate(a, acc);
     return;
   }
-  ActiveTable().colsum_acc(a, acc);
+  const size_t whole[2] = {0, a.rows()};
+  ActiveTable().colsum_acc(a, whole, 1, acc);
+}
+
+void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
+                              const std::vector<size_t>& bounds, Matrix* acc,
+                              size_t row_begin, size_t row_end) {
+  QCFE_CHECK(a.rows() == b.rows(), "GemmATAccumulate: row-count mismatch");
+  QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
+             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  CheckSegmentBounds(bounds, a.rows());
+  row_end = std::min(row_end, a.cols());
+  QCFE_CHECK(row_begin <= row_end,
+             "GemmATAccumulate: output row range must ascend");
+  if (GetKernelMode() == KernelMode::kReference) {
+    // Literally one zeroed temporary per segment, the historical
+    // accumulate into it, then the in-order merge adds of the rows asked
+    // for.
+    for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+      const std::vector<size_t> rows = SegmentRows(bounds, s);
+      Matrix tmp(a.cols(), b.cols());
+      reference::GemmATAccumulate(a.SelectRows(rows), b.SelectRows(rows),
+                                  &tmp);
+      for (size_t i = row_begin; i < row_end; ++i) {
+        for (size_t j = 0; j < b.cols(); ++j) acc->At(i, j) += tmp.At(i, j);
+      }
+    }
+    return;
+  }
+  ActiveTable().at_acc_panel(a, b, bounds.data(), bounds.size() - 1,
+                             row_begin, row_end, acc);
+}
+
+void ColSumAccumulateSegments(const Matrix& a,
+                              const std::vector<size_t>& bounds, Matrix* acc) {
+  QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
+             "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
+  CheckSegmentBounds(bounds, a.rows());
+  if (GetKernelMode() == KernelMode::kReference) {
+    for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+      Matrix tmp(1, a.cols());
+      reference::ColSumAccumulate(a.SelectRows(SegmentRows(bounds, s)), &tmp);
+      acc->Add(tmp);
+    }
+    return;
+  }
+  ActiveTable().colsum_acc(a, bounds.data(), bounds.size() - 1, acc);
 }
 
 // ------------------------------------------------------------ epilogues
@@ -590,13 +667,15 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   QCFE_CHECK(a.rows() == b.rows(), "GemmATAccumulate: row-count mismatch");
   QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
              "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  ActiveTable().at_acc_panel(a, b, acc);
+  const size_t whole[2] = {0, a.rows()};
+  ActiveTable().at_acc_panel(a, b, whole, 1, 0, a.cols(), acc);
 }
 
 void ColSumAccumulate(const Matrix& a, Matrix* acc) {
   QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
              "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
-  ActiveTable().colsum_acc(a, acc);
+  const size_t whole[2] = {0, a.rows()};
+  ActiveTable().colsum_acc(a, whole, 1, acc);
 }
 
 }  // namespace simd

@@ -29,6 +29,24 @@
 /// `bench_micro --smoke`); ColSumAccumulate, AdamStep and SgdStep use no
 /// FMA and no reductions, so they are bit-identical across every tier.
 ///
+/// Segmented accumulates. GemmATAccumulateSegments/ColSumAccumulateSegments
+/// cut the shared row dimension at caller-given bounds and, per output
+/// element, build each segment's terms as one zero-seeded chain in the
+/// tier's own arithmetic (FMA on AVX2/NEON, mul+add on scalar), then add
+/// the chains onto the destination with unfused adds in segment order.
+/// That equals, bit for bit, one zeroed gradient sink per chunk merged in
+/// chunk order: each sink takes one accumulate, and +0 + chain == chain
+/// because a chain seeded at +0 can never round to -0; the merge then adds
+/// the sinks into a zeroed gradient in chunk order. So a batch whose rows
+/// are segmented at its chunk boundaries gets the sinks' bits without any
+/// sink (MSCN trains this way). Segments must follow the chunk partition: a
+/// caller that splits work into shards (one packed forward/backward per
+/// worker) must cut shards at chunk boundaries and feed the shards to the
+/// accumulate in order, because a chain that spanned a chunk boundary, or
+/// two chunks summed in a different order, would round differently. The
+/// plain GemmATAccumulate/ColSumAccumulate are the one-segment call of the
+/// same tier slot; no tier has a second accumulate kernel.
+///
 /// Autotuning. The dispatch thresholds (dense-vs-streaming row crossover,
 /// sparse-vs-dense zero-fraction crossover) are measured once per process
 /// by a lazy startup micro-probe over real layer shapes (see Autotune()),
@@ -43,6 +61,7 @@
 /// stay bit-equal (under the scalar tier) or within tolerance (SIMD).
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -197,8 +216,10 @@ const KernelTuning& Tuning();
 void Autotune();
 
 /// Fraction of exactly-zero entries in a deterministic strided sample of
-/// `m`'s logical elements (a few hundred probes; the row padding is never
-/// sampled). Exposed for tests; the dispatch heuristic.
+/// `m`'s logical elements: logical index i = row * cols + col for i = 0,
+/// stride, 2 * stride, ... with stride = max(1, size / 256), so at most a
+/// few hundred probes and never the row padding. Exposed for tests; the
+/// dispatch heuristic.
 double ZeroFraction(const Matrix& m);
 
 /// Compiled-default zero-fraction threshold above which dispatch prefers
@@ -245,14 +266,32 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
 /// tier — column sums are vertical and never reduce across lanes).
 void ColSumAccumulate(const Matrix& a, Matrix* acc);
 
+/// Segmented GemmATAccumulate: for s = 0, 1, ..., the rows [bounds[s],
+/// bounds[s + 1]) of a and b contribute one zero-seeded contraction that is
+/// added onto acc before the next segment's (see "Segmented accumulates"
+/// above). Equals one GemmATAccumulate per segment into a zeroed temporary
+/// followed by in-order Adds, bit for bit, in every tier. `bounds` must
+/// ascend and end at or before a.rows(); rows outside it are ignored.
+/// Only acc rows [row_begin, min(row_end, a.cols())) are updated, so one
+/// accumulate can be split across tasks by output rows without changing
+/// any element. Always runs the tier's register panel (kReference replays
+/// the temporaries).
+void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
+                              const std::vector<size_t>& bounds, Matrix* acc,
+                              size_t row_begin = 0,
+                              size_t row_end = SIZE_MAX);
+
+/// Segmented ColSumAccumulate, with the same segment semantics.
+void ColSumAccumulateSegments(const Matrix& a,
+                              const std::vector<size_t>& bounds, Matrix* acc);
+
 // ------------------------------------------------------------ epilogues
 
 /// out = relu(in), elementwise; `out` may alias `in`.
 void ReluForward(const Matrix& in, Matrix* out);
 
 /// grad_in = grad_out with entries zeroed where pre_activation <= 0: the
-/// fused ReLU-mask backward. `grad_in` may alias `grad_out` (the in-place
-/// form the tape-scratch backward uses).
+/// fused ReLU-mask backward. `grad_in` may alias `grad_out`.
 void ReluMaskBackward(const Matrix& grad_out, const Matrix& pre_activation,
                       Matrix* grad_in);
 

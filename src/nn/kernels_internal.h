@@ -45,14 +45,22 @@ struct KernelTable {
   void (*at_panel)(const Matrix& a, const Matrix& b, Matrix* out);
   /// a^T * b, streaming zero-skip form (overwrite; wins on few rows).
   void (*at_stream)(const Matrix& a, const Matrix& b, Matrix* out);
-  /// acc += a^T * b, register-panel contraction then one add.
-  void (*at_acc_panel)(const Matrix& a, const Matrix& b, Matrix* acc);
+  /// acc += a^T * b over row segments, for acc rows [i_begin, i_end) only:
+  /// the rows [bounds[s], bounds[s+1]) of segment s = 0 .. num_segments-1
+  /// each form one zero-seeded register-panel contraction, added onto acc
+  /// with one unfused add, in segment order. GemmATAccumulate is the
+  /// one-segment call over every acc row.
+  void (*at_acc_panel)(const Matrix& a, const Matrix& b, const size_t* bounds,
+                       size_t num_segments, size_t i_begin, size_t i_end,
+                       Matrix* acc);
   /// acc += a^T * b via a thread-local zero-skip temporary then one Add.
   void (*at_acc_sparse)(const Matrix& a, const Matrix& b, Matrix* acc);
   /// acc += a^T * b for single-row a/b (rank-1, row-sparse).
   void (*at_acc_rank1)(const Matrix& a, const Matrix& b, Matrix* acc);
-  /// acc (1 x n) += column sums of a.
-  void (*colsum_acc)(const Matrix& a, Matrix* acc);
+  /// acc (1 x n) += column sums of a over row segments, with the same
+  /// per-segment chain and in-order add as at_acc_panel.
+  void (*colsum_acc)(const Matrix& a, const size_t* bounds,
+                     size_t num_segments, Matrix* acc);
   /// One Adam update over flat arrays of length n (bc1/bc2 are the
   /// precomputed bias corrections 1-beta^t). Bit-identical across tiers:
   /// every lane operation (mul/add/div/sqrt) is a single IEEE rounding.

@@ -119,66 +119,63 @@ void DenseNNDispatch(const Matrix& a, const Matrix& b, const Matrix* bias,
   }
 }
 
-/// Register-blocked a^T * b: an (a.cols x b.cols) output panel accumulates
-/// while the shared row dimension streams past; rows whose a-panel entries
-/// are all exactly zero are skipped (their products are ±0.0 and cannot
-/// change the accumulators). With accumulate=true the finished panel is
-/// added onto the destination in one pass — the register-resident
-/// replacement for "materialise a^T * b, then Add()".
-template <bool kAccumulate>
-void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
+/// Register-blocked a^T * b over row segments: each (a.cols x b.cols)
+/// output panel accumulates while one segment's rows stream past; rows
+/// whose a-panel entries are all exactly zero are skipped (their products
+/// are ±0.0 and cannot change the accumulators). Every segment starts from
+/// a zero panel, and each finished segment panel is added onto the
+/// destination in one pass, in segment order — the register-resident
+/// replacement for "materialise a^T * b per segment, then Add() each", for
+/// acc rows [i_begin, i_end) only.
+void DenseATAccumulate(const Matrix& a, const Matrix& b, const size_t* bounds,
+                       size_t num_segments, size_t i_begin, size_t i_end,
+                       Matrix* out) {
   QCFE_CHECK(a.rows() == b.rows(), "GemmAT: a.rows() must equal b.rows()");
   QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
-  if (!kAccumulate) {
-    out->ResetShapeUninitialized(a.cols(), b.cols());
-  } else {
-    QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
-               "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  }
-  const size_t rows = a.rows();
-  const size_t m = a.cols();
+  QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
+             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  QCFE_CHECK(i_begin <= i_end && i_end <= a.cols(),
+             "GemmATAccumulate: output row range outside acc");
   const size_t n = b.cols();
-  for (size_t i0 = 0; i0 < m; i0 += kMr) {
-    const size_t mr = std::min(kMr, m - i0);
+  for (size_t i0 = i_begin; i0 < i_end; i0 += kMr) {
+    const size_t mr = std::min(kMr, i_end - i0);
     for (size_t j0 = 0; j0 < n; j0 += kNr) {
       const size_t nr = std::min(kNr, n - j0);
-      double acc[kMr][kNr] = {{0.0}};
-      if (mr == kMr && nr == kNr) {
-        // Fixed trip counts keep the accumulator panel in registers.
-        for (size_t r = 0; r < rows; ++r) {
-          const double* __restrict arow = a.RowPtr(r) + i0;
-          const double* __restrict brow = b.RowPtr(r) + j0;
-          double av[kMr];
-          bool any = false;
-          for (size_t ii = 0; ii < kMr; ++ii) {
-            av[ii] = arow[ii];
-            any = any || av[ii] != 0.0;
+      for (size_t s = 0; s < num_segments; ++s) {
+        double acc[kMr][kNr] = {{0.0}};
+        if (mr == kMr && nr == kNr) {
+          // Fixed trip counts keep the accumulator panel in registers.
+          for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+            const double* __restrict arow = a.RowPtr(r) + i0;
+            const double* __restrict brow = b.RowPtr(r) + j0;
+            double av[kMr];
+            bool any = false;
+            for (size_t ii = 0; ii < kMr; ++ii) {
+              av[ii] = arow[ii];
+              any = any || av[ii] != 0.0;
+            }
+            if (!any) continue;
+            for (size_t ii = 0; ii < kMr; ++ii) {
+              for (size_t jj = 0; jj < kNr; ++jj) {
+                acc[ii][jj] += av[ii] * brow[jj];
+              }
+            }
           }
-          if (!any) continue;
-          for (size_t ii = 0; ii < kMr; ++ii) {
-            for (size_t jj = 0; jj < kNr; ++jj) {
-              acc[ii][jj] += av[ii] * brow[jj];
+        } else {
+          for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+            const double* __restrict arow = a.RowPtr(r) + i0;
+            const double* __restrict brow = b.RowPtr(r) + j0;
+            for (size_t ii = 0; ii < mr; ++ii) {
+              const double av = arow[ii];
+              if (av == 0.0) continue;
+              for (size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += av * brow[jj];
             }
           }
         }
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          const double* __restrict arow = a.RowPtr(r) + i0;
-          const double* __restrict brow = b.RowPtr(r) + j0;
-          for (size_t ii = 0; ii < mr; ++ii) {
-            const double av = arow[ii];
-            if (av == 0.0) continue;
-            for (size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += av * brow[jj];
-          }
-        }
-      }
-      for (size_t ii = 0; ii < mr; ++ii) {
-        double* dst = out->RowPtr(i0 + ii) + j0;
-        for (size_t jj = 0; jj < nr; ++jj) {
-          if (kAccumulate) {
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = out->RowPtr(i0 + ii) + j0;
+          for (size_t jj = 0; jj < nr; ++jj) {
             dst[jj] += acc[ii][jj];
-          } else {
-            dst[jj] = acc[ii][jj];
           }
         }
       }
@@ -187,11 +184,12 @@ void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 void DenseATOverwrite(const Matrix& a, const Matrix& b, Matrix* out) {
-  DenseAT<false>(a, b, out);
-}
-
-void DenseATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  DenseAT<true>(a, b, acc);
+  QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
+  // +0 + chain == chain (a chain seeded at +0 never rounds to -0), so the
+  // overwrite is the one-segment accumulate onto a zeroed output.
+  out->ResetShape(a.cols(), b.cols());
+  const size_t whole[2] = {0, a.rows()};
+  DenseATAccumulate(a, b, whole, 1, 0, a.cols(), out);
 }
 
 /// Streaming zero-skip a^T * b (overwrite): the historical i-k-j loop,
@@ -293,23 +291,27 @@ void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   }
 }
 
-/// Column-blocked stack buffer: each column's sum is built zero-seeded in
-/// ascending row order, then added to the destination once — the exact
-/// "ColSum() then Add()" chains without the temporary matrix. The vertical
-/// (no cross-lane) reductions make this op bit-identical in every tier.
-void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
+/// Column-blocked stack buffer: each segment's column sums are built
+/// zero-seeded in ascending row order, then added to the destination once,
+/// segment by segment — the exact "ColSum() then Add()" chains per segment
+/// without the temporary matrix. The vertical (no cross-lane) reductions
+/// make this op bit-identical in every tier.
+void ColSumAccumulateImpl(const Matrix& a, const size_t* bounds,
+                          size_t num_segments, Matrix* acc) {
   constexpr size_t kCb = 256;
   const size_t n = a.cols();
   double buf[kCb];
   for (size_t c0 = 0; c0 < n; c0 += kCb) {
     const size_t cb = std::min(kCb, n - c0);
-    std::fill(buf, buf + cb, 0.0);
-    for (size_t r = 0; r < a.rows(); ++r) {
-      const double* __restrict src = a.RowPtr(r) + c0;
-      for (size_t c = 0; c < cb; ++c) buf[c] += src[c];
-    }
     double* dst = acc->RowPtr(0) + c0;
-    for (size_t c = 0; c < cb; ++c) dst[c] += buf[c];
+    for (size_t s = 0; s < num_segments; ++s) {
+      std::fill(buf, buf + cb, 0.0);
+      for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+        const double* __restrict src = a.RowPtr(r) + c0;
+        for (size_t c = 0; c < cb; ++c) buf[c] += src[c];
+      }
+      for (size_t c = 0; c < cb; ++c) dst[c] += buf[c];
+    }
   }
 }
 

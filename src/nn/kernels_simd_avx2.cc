@@ -258,90 +258,79 @@ void DenseBT(const Matrix& a, const Matrix& b, Matrix* out) {
 
 // ------------------------------------------------------------- GemmAT
 
-template <bool kAccumulate>
-void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
+/// a^T * b over row segments (see the scalar tier): every segment is its
+/// own zero-seeded fma chain per element, finished before the next segment
+/// starts and added onto the destination with one unfused add. Unlike the
+/// scalar tier the vector panels do not test rows for zeros: fma(0, b, acc)
+/// == acc, so the skip never changed a bit, and on training activations
+/// its data-dependent branch cost more than the products it saved.
+void DenseATAccumulate(const Matrix& a, const Matrix& b, const size_t* bounds,
+                       size_t num_segments, size_t i_begin, size_t i_end,
+                       Matrix* out) {
   QCFE_CHECK(a.rows() == b.rows(), "GemmAT: a.rows() must equal b.rows()");
   QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
-  if (!kAccumulate) {
-    out->ResetShapeUninitialized(a.cols(), b.cols());
-  } else {
-    QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
-               "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  }
-  const size_t rows = a.rows();
-  const size_t m = a.cols();
+  QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
+             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  QCFE_CHECK(i_begin <= i_end && i_end <= a.cols(),
+             "GemmATAccumulate: output row range outside acc");
   const size_t n = b.cols();
-  for (size_t i0 = 0; i0 < m; i0 += kMr) {
-    const size_t mr = std::min(kMr, m - i0);
+  for (size_t i0 = i_begin; i0 < i_end; i0 += kMr) {
+    const size_t mr = std::min(kMr, i_end - i0);
     size_t j0 = 0;
     for (; j0 + kNr <= n; j0 += kNr) {
-      __m256d acc0[kMr];
-      __m256d acc1[kMr];
-      for (size_t ii = 0; ii < kMr; ++ii) {
-        acc0[ii] = _mm256_setzero_pd();
-        acc1[ii] = _mm256_setzero_pd();
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        const double* __restrict arow = a.RowPtr(r) + i0;
-        const double* __restrict brow = b.RowPtr(r) + j0;
-        bool any = false;
-        for (size_t ii = 0; ii < mr; ++ii) any = any || arow[ii] != 0.0;
-        if (!any) continue;  // fma(0, b, acc) == acc: skipping is bit-safe
-        const __m256d bv0 = _mm256_loadu_pd(brow);
-        const __m256d bv1 = _mm256_loadu_pd(brow + 4);
-        for (size_t ii = 0; ii < mr; ++ii) {
-          const __m256d av = _mm256_set1_pd(arow[ii]);
-          acc0[ii] = _mm256_fmadd_pd(av, bv0, acc0[ii]);
-          acc1[ii] = _mm256_fmadd_pd(av, bv1, acc1[ii]);
+      for (size_t s = 0; s < num_segments; ++s) {
+        __m256d acc0[kMr];
+        __m256d acc1[kMr];
+        for (size_t ii = 0; ii < kMr; ++ii) {
+          acc0[ii] = _mm256_setzero_pd();
+          acc1[ii] = _mm256_setzero_pd();
         }
-      }
-      for (size_t ii = 0; ii < mr; ++ii) {
-        double* dst = out->RowPtr(i0 + ii) + j0;
-        if (kAccumulate) {
+        for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+          const double* __restrict arow = a.RowPtr(r) + i0;
+          const double* __restrict brow = b.RowPtr(r) + j0;
+          const __m256d bv0 = _mm256_loadu_pd(brow);
+          const __m256d bv1 = _mm256_loadu_pd(brow + 4);
+          for (size_t ii = 0; ii < mr; ++ii) {
+            const __m256d av = _mm256_set1_pd(arow[ii]);
+            acc0[ii] = _mm256_fmadd_pd(av, bv0, acc0[ii]);
+            acc1[ii] = _mm256_fmadd_pd(av, bv1, acc1[ii]);
+          }
+        }
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = out->RowPtr(i0 + ii) + j0;
           // One unfused add onto the destination after the full chain.
-          _mm256_storeu_pd(dst,
-                           _mm256_add_pd(_mm256_loadu_pd(dst), acc0[ii]));
-          _mm256_storeu_pd(
-              dst + 4, _mm256_add_pd(_mm256_loadu_pd(dst + 4), acc1[ii]));
-        } else {
-          _mm256_storeu_pd(dst, acc0[ii]);
-          _mm256_storeu_pd(dst + 4, acc1[ii]);
+          _mm256_storeu_pd(dst, _mm256_add_pd(_mm256_loadu_pd(dst), acc0[ii]));
+          _mm256_storeu_pd(dst + 4,
+                           _mm256_add_pd(_mm256_loadu_pd(dst + 4), acc1[ii]));
         }
       }
     }
     for (; j0 + 4 <= n; j0 += 4) {
-      __m256d acc[kMr];
-      for (size_t ii = 0; ii < kMr; ++ii) acc[ii] = _mm256_setzero_pd();
-      for (size_t r = 0; r < rows; ++r) {
-        const double* __restrict arow = a.RowPtr(r) + i0;
-        bool any = false;
-        for (size_t ii = 0; ii < mr; ++ii) any = any || arow[ii] != 0.0;
-        if (!any) continue;
-        const __m256d bv = _mm256_loadu_pd(b.RowPtr(r) + j0);
-        for (size_t ii = 0; ii < mr; ++ii) {
-          acc[ii] = _mm256_fmadd_pd(_mm256_set1_pd(arow[ii]), bv, acc[ii]);
+      for (size_t s = 0; s < num_segments; ++s) {
+        __m256d acc[kMr];
+        for (size_t ii = 0; ii < kMr; ++ii) acc[ii] = _mm256_setzero_pd();
+        for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+          const double* __restrict arow = a.RowPtr(r) + i0;
+          const __m256d bv = _mm256_loadu_pd(b.RowPtr(r) + j0);
+          for (size_t ii = 0; ii < mr; ++ii) {
+            acc[ii] = _mm256_fmadd_pd(_mm256_set1_pd(arow[ii]), bv, acc[ii]);
+          }
         }
-      }
-      for (size_t ii = 0; ii < mr; ++ii) {
-        double* dst = out->RowPtr(i0 + ii) + j0;
-        if (kAccumulate) {
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = out->RowPtr(i0 + ii) + j0;
           _mm256_storeu_pd(dst, _mm256_add_pd(_mm256_loadu_pd(dst), acc[ii]));
-        } else {
-          _mm256_storeu_pd(dst, acc[ii]);
         }
       }
     }
     for (; j0 < n; ++j0) {
       for (size_t ii = 0; ii < mr; ++ii) {
-        double acc = 0.0;
-        for (size_t r = 0; r < rows; ++r) {
-          acc = std::fma(a.At(r, i0 + ii), b.At(r, j0), acc);
-        }
         double* dst = &out->RowPtr(i0 + ii)[j0];
-        if (kAccumulate) {
+        for (size_t s = 0; s < num_segments; ++s) {
+          double acc = 0.0;
+          for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+            acc = std::fma(a.At(r, i0 + ii), b.At(r, j0), acc);
+          }
           *dst += acc;
-        } else {
-          *dst = acc;
         }
       }
     }
@@ -349,11 +338,12 @@ void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 void DenseATOverwrite(const Matrix& a, const Matrix& b, Matrix* out) {
-  DenseAT<false>(a, b, out);
-}
-
-void DenseATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  DenseAT<true>(a, b, acc);
+  QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
+  // +0 + chain == chain (a chain seeded at +0 never rounds to -0), so the
+  // overwrite is the one-segment accumulate onto a zeroed output.
+  out->ResetShape(a.cols(), b.cols());
+  const size_t whole[2] = {0, a.rows()};
+  DenseATAccumulate(a, b, whole, 1, 0, a.cols(), out);
 }
 
 /// Streaming zero-skip a^T * b (overwrite): identical per-element fma
@@ -412,23 +402,31 @@ void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
 
 // --------------------------------------------------------- reductions
 
-void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
+void ColSumAccumulateImpl(const Matrix& a, const size_t* bounds,
+                          size_t num_segments, Matrix* acc) {
   const size_t n = a.cols();
   double* dst = acc->RowPtr(0);
   size_t c0 = 0;
   // Vertical (per-column) chains only — no cross-lane reduction, so this
   // is bit-identical to the scalar tier.
   for (; c0 + 4 <= n; c0 += 4) {
-    __m256d sum = _mm256_setzero_pd();
-    for (size_t r = 0; r < a.rows(); ++r) {
-      sum = _mm256_add_pd(sum, _mm256_loadu_pd(a.RowPtr(r) + c0));
+    for (size_t s = 0; s < num_segments; ++s) {
+      __m256d sum = _mm256_setzero_pd();
+      for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+        sum = _mm256_add_pd(sum, _mm256_loadu_pd(a.RowPtr(r) + c0));
+      }
+      _mm256_storeu_pd(dst + c0,
+                       _mm256_add_pd(_mm256_loadu_pd(dst + c0), sum));
     }
-    _mm256_storeu_pd(dst + c0, _mm256_add_pd(_mm256_loadu_pd(dst + c0), sum));
   }
   for (; c0 < n; ++c0) {
-    double sum = 0.0;
-    for (size_t r = 0; r < a.rows(); ++r) sum += a.RowPtr(r)[c0];
-    dst[c0] += sum;
+    for (size_t s = 0; s < num_segments; ++s) {
+      double sum = 0.0;
+      for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+        sum += a.RowPtr(r)[c0];
+      }
+      dst[c0] += sum;
+    }
   }
 }
 

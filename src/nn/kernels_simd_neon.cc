@@ -197,66 +197,61 @@ void DenseBT(const Matrix& a, const Matrix& b, Matrix* out) {
 
 // ------------------------------------------------------------- GemmAT
 
-template <bool kAccumulate>
-void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
+/// a^T * b over row segments (see the scalar tier): every segment is its
+/// own zero-seeded fma chain per element, finished before the next segment
+/// starts and added onto the destination with one unfused add.
+void DenseATAccumulate(const Matrix& a, const Matrix& b, const size_t* bounds,
+                       size_t num_segments, size_t i_begin, size_t i_end,
+                       Matrix* out) {
   QCFE_CHECK(a.rows() == b.rows(), "GemmAT: a.rows() must equal b.rows()");
   QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
-  if (!kAccumulate) {
-    out->ResetShapeUninitialized(a.cols(), b.cols());
-  } else {
-    QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
-               "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  }
-  const size_t rows = a.rows();
-  const size_t m = a.cols();
+  QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
+             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  QCFE_CHECK(i_begin <= i_end && i_end <= a.cols(),
+             "GemmATAccumulate: output row range outside acc");
   const size_t n = b.cols();
-  for (size_t i0 = 0; i0 < m; i0 += kMr) {
-    const size_t mr = std::min(kMr, m - i0);
+  for (size_t i0 = i_begin; i0 < i_end; i0 += kMr) {
+    const size_t mr = std::min(kMr, i_end - i0);
     size_t j0 = 0;
     for (; j0 + 4 <= n; j0 += 4) {
-      float64x2_t acc0[kMr];
-      float64x2_t acc1[kMr];
-      for (size_t ii = 0; ii < kMr; ++ii) {
-        acc0[ii] = vdupq_n_f64(0.0);
-        acc1[ii] = vdupq_n_f64(0.0);
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        const double* __restrict arow = a.RowPtr(r) + i0;
-        const double* __restrict brow = b.RowPtr(r) + j0;
-        bool any = false;
-        for (size_t ii = 0; ii < mr; ++ii) any = any || arow[ii] != 0.0;
-        if (!any) continue;  // fma(0, b, acc) == acc: skipping is bit-safe
-        const float64x2_t bv0 = vld1q_f64(brow);
-        const float64x2_t bv1 = vld1q_f64(brow + 2);
-        for (size_t ii = 0; ii < mr; ++ii) {
-          const double av = arow[ii];
-          acc0[ii] = vfmaq_n_f64(acc0[ii], bv0, av);
-          acc1[ii] = vfmaq_n_f64(acc1[ii], bv1, av);
+      for (size_t s = 0; s < num_segments; ++s) {
+        float64x2_t acc0[kMr];
+        float64x2_t acc1[kMr];
+        for (size_t ii = 0; ii < kMr; ++ii) {
+          acc0[ii] = vdupq_n_f64(0.0);
+          acc1[ii] = vdupq_n_f64(0.0);
         }
-      }
-      for (size_t ii = 0; ii < mr; ++ii) {
-        double* dst = out->RowPtr(i0 + ii) + j0;
-        if (kAccumulate) {
+        for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+          const double* __restrict arow = a.RowPtr(r) + i0;
+          const double* __restrict brow = b.RowPtr(r) + j0;
+          bool any = false;
+          for (size_t ii = 0; ii < mr; ++ii) any = any || arow[ii] != 0.0;
+          if (!any) continue;  // fma(0, b, acc) == acc: skipping is bit-safe
+          const float64x2_t bv0 = vld1q_f64(brow);
+          const float64x2_t bv1 = vld1q_f64(brow + 2);
+          for (size_t ii = 0; ii < mr; ++ii) {
+            const double av = arow[ii];
+            acc0[ii] = vfmaq_n_f64(acc0[ii], bv0, av);
+            acc1[ii] = vfmaq_n_f64(acc1[ii], bv1, av);
+          }
+        }
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = out->RowPtr(i0 + ii) + j0;
           // One unfused add onto the destination after the full chain.
           vst1q_f64(dst, vaddq_f64(vld1q_f64(dst), acc0[ii]));
           vst1q_f64(dst + 2, vaddq_f64(vld1q_f64(dst + 2), acc1[ii]));
-        } else {
-          vst1q_f64(dst, acc0[ii]);
-          vst1q_f64(dst + 2, acc1[ii]);
         }
       }
     }
     for (; j0 < n; ++j0) {
       for (size_t ii = 0; ii < mr; ++ii) {
-        double acc = 0.0;
-        for (size_t r = 0; r < rows; ++r) {
-          acc = std::fma(a.At(r, i0 + ii), b.At(r, j0), acc);
-        }
         double* dst = &out->RowPtr(i0 + ii)[j0];
-        if (kAccumulate) {
+        for (size_t s = 0; s < num_segments; ++s) {
+          double acc = 0.0;
+          for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+            acc = std::fma(a.At(r, i0 + ii), b.At(r, j0), acc);
+          }
           *dst += acc;
-        } else {
-          *dst = acc;
         }
       }
     }
@@ -264,11 +259,12 @@ void DenseAT(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 void DenseATOverwrite(const Matrix& a, const Matrix& b, Matrix* out) {
-  DenseAT<false>(a, b, out);
-}
-
-void DenseATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  DenseAT<true>(a, b, acc);
+  QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
+  // +0 + chain == chain (a chain seeded at +0 never rounds to -0), so the
+  // overwrite is the one-segment accumulate onto a zeroed output.
+  out->ResetShape(a.cols(), b.cols());
+  const size_t whole[2] = {0, a.rows()};
+  DenseATAccumulate(a, b, whole, 1, 0, a.cols(), out);
 }
 
 void StreamAT(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -321,22 +317,29 @@ void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
 
 // --------------------------------------------------------- reductions
 
-void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
+void ColSumAccumulateImpl(const Matrix& a, const size_t* bounds,
+                          size_t num_segments, Matrix* acc) {
   const size_t n = a.cols();
   double* dst = acc->RowPtr(0);
   size_t c0 = 0;
   // Vertical chains only: bit-identical to the scalar tier.
   for (; c0 + 2 <= n; c0 += 2) {
-    float64x2_t sum = vdupq_n_f64(0.0);
-    for (size_t r = 0; r < a.rows(); ++r) {
-      sum = vaddq_f64(sum, vld1q_f64(a.RowPtr(r) + c0));
+    for (size_t s = 0; s < num_segments; ++s) {
+      float64x2_t sum = vdupq_n_f64(0.0);
+      for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+        sum = vaddq_f64(sum, vld1q_f64(a.RowPtr(r) + c0));
+      }
+      vst1q_f64(dst + c0, vaddq_f64(vld1q_f64(dst + c0), sum));
     }
-    vst1q_f64(dst + c0, vaddq_f64(vld1q_f64(dst + c0), sum));
   }
   for (; c0 < n; ++c0) {
-    double sum = 0.0;
-    for (size_t r = 0; r < a.rows(); ++r) sum += a.RowPtr(r)[c0];
-    dst[c0] += sum;
+    for (size_t s = 0; s < num_segments; ++s) {
+      double sum = 0.0;
+      for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
+        sum += a.RowPtr(r)[c0];
+      }
+      dst[c0] += sum;
+    }
   }
 }
 

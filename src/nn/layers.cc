@@ -43,7 +43,7 @@ void LinearLayer::BackwardInto(const Matrix& grad_output, const Matrix& input,
     kernels::GemmATAccumulate(input, grad_output, param_grads[0]);
     kernels::ColSumAccumulate(grad_output, param_grads[1]);
   }
-  kernels::GemmBT(grad_output, w_, grad_input);
+  if (grad_input != nullptr) kernels::GemmBT(grad_output, w_, grad_input);
 }
 
 void LinearLayer::ZeroGrad() {
@@ -65,6 +65,7 @@ void ReluLayer::BackwardInto(const Matrix& grad_output, const Matrix& input,
                              const Matrix& /*output*/,
                              Matrix* const* /*param_grads*/,
                              Matrix* grad_input) const {
+  if (grad_input == nullptr) return;
   // Fused ReLU-mask backward: one pass that copies and masks (or masks in
   // place when grad_input aliases grad_output) instead of the historical
   // copy-then-mask pair.
@@ -96,6 +97,7 @@ void SigmoidLayer::BackwardInto(const Matrix& grad_output,
                                 const Matrix& /*input*/, const Matrix& output,
                                 Matrix* const* /*param_grads*/,
                                 Matrix* grad_input) const {
+  if (grad_input == nullptr) return;
   if (grad_input != &grad_output) {
     grad_input->ResetShapeUninitialized(grad_output.rows(),
                                         grad_output.cols());
@@ -128,6 +130,7 @@ void TanhLayer::BackwardInto(const Matrix& grad_output,
                              const Matrix& /*input*/, const Matrix& output,
                              Matrix* const* /*param_grads*/,
                              Matrix* grad_input) const {
+  if (grad_input == nullptr) return;
   if (grad_input != &grad_output) {
     grad_input->ResetShapeUninitialized(grad_output.rows(),
                                         grad_output.cols());

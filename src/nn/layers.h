@@ -54,9 +54,9 @@ class Layer {
   /// accumulator matrices (Grads() order) into which the parameter
   /// gradients are added; null skips parameter accumulation entirely
   /// (input-gradient probes). For elementwise layers (everything but
-  /// Linear) `grad_input` may alias `grad_output`, which is how the tape-
-  /// scratch backward applies activation masks in place; for Linear it
-  /// must not alias any operand.
+  /// Linear) `grad_input` may alias `grad_output`; for Linear it must not
+  /// alias any operand. A null `grad_input` skips dL/d(input) (a network's
+  /// first layer when nobody reads its input gradient).
   virtual void BackwardInto(const Matrix& grad_output, const Matrix& input,
                             const Matrix& output, Matrix* const* param_grads,
                             Matrix* grad_input) const = 0;

@@ -44,6 +44,9 @@ const Matrix& Mlp::Forward(const Matrix& input, Tape* tape) const {
   QCFE_CHECK(tape != nullptr, "Mlp::Forward requires a caller-owned tape");
   QCFE_CHECK(layers_.empty() || in_dim_ == 0 || input.cols() == in_dim_,
              "Mlp::Forward input width does not match the network's in_dim");
+  if (tape->grads.size() != layers_.size() + 1) {
+    tape->grads.resize(layers_.size() + 1);
+  }
   if (kernels::GetKernelMode() == kernels::KernelMode::kReference) {
     // Historical replay for before/after benchmarks: fresh activation
     // matrices every call (same values, allocator included).
@@ -106,7 +109,7 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
 }
 
 const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
-                            GradSink* sink) const {
+                            GradSink* sink, bool input_grad) const {
   // Tape-reuse contract: Backward consumes the activation record of a
   // Forward() on this same network. A stale or foreign tape would read
   // mismatched activations and silently corrupt every gradient.
@@ -120,26 +123,12 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
   // in reverse while keeping the running offset past the current layer.
   size_t offset = sink == nullptr ? 0 : sink->size();
   Matrix* const* slots = sink == nullptr ? nullptr : sink->slots();
-  if (kernels::GetKernelMode() == kernels::KernelMode::kReference) {
-    // Historical replay: one freshly allocated gradient matrix per layer.
-    Matrix g = grad_output;
-    for (size_t i = layers_.size(); i > 0; --i) {
-      const Layer& layer = *layers_[i - 1];
-      Matrix* const* param_grads = nullptr;
-      if (sink != nullptr) {
-        offset -= layer.num_param_grads();
-        if (layer.num_param_grads() > 0) param_grads = slots + offset;
-      }
-      g = layer.Backward(g, tape->activations[i - 1], tape->activations[i],
-                         param_grads);
-    }
-    tape->grad_ping = std::move(g);
-    return tape->grad_ping;
-  }
-  // The running gradient lives in the tape's ping-pong scratch: elementwise
-  // layers mask it in place, linear layers write the opposite buffer.
-  // Values are identical to the allocating walk — only the storage moved.
-  Matrix* cur = nullptr;  // null: still reading the caller's grad_output
+  std::vector<Matrix>& grads = tape->grads;  // sized by Forward()
+  if (&grad_output != &grads.back()) grads.back() = grad_output;
+  // Every layer writes its input gradient into its own tape slot (reshaped
+  // in place, so a reused tape makes the pass allocation-free), which
+  // leaves each linear layer's output gradient on the tape for
+  // AddParamGrad.
   for (size_t i = layers_.size(); i > 0; --i) {
     const Layer& layer = *layers_[i - 1];
     Matrix* const* param_grads = nullptr;
@@ -147,27 +136,40 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
       offset -= layer.num_param_grads();
       if (layer.num_param_grads() > 0) param_grads = slots + offset;
     }
-    const Matrix& src = cur == nullptr ? grad_output : *cur;
-    if (layer.kind() == LayerKind::kLinear) {
-      Matrix* dst =
-          (cur == &tape->grad_ping) ? &tape->grad_pong : &tape->grad_ping;
-      layer.BackwardInto(src, tape->activations[i - 1], tape->activations[i],
-                         param_grads, dst);
-      cur = dst;
-    } else if (cur == nullptr) {
-      layer.BackwardInto(src, tape->activations[i - 1], tape->activations[i],
-                         param_grads, &tape->grad_ping);
-      cur = &tape->grad_ping;
-    } else {
-      layer.BackwardInto(src, tape->activations[i - 1], tape->activations[i],
-                         param_grads, cur);
+    Matrix* grad_input = (i == 1 && !input_grad) ? nullptr : &grads[i - 1];
+    layer.BackwardInto(grads[i], tape->activations[i - 1],
+                       tape->activations[i], param_grads, grad_input);
+  }
+  return grads.front();
+}
+
+void Mlp::AddParamGrad(size_t slot, const Tape& tape,
+                       const std::vector<size_t>& bounds, Matrix* grad,
+                       size_t row_begin, size_t row_end) const {
+  QCFE_CHECK(tape.grads.size() == layers_.size() + 1 &&
+                 tape.activations.size() == layers_.size() + 1,
+             "Mlp::AddParamGrad tape does not hold a Backward() on this "
+             "network");
+  size_t offset = 0;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const size_t n = layers_[i]->num_param_grads();
+    if (slot < offset + n) {
+      // Only linear layers own parameters: slot `offset` is dW, the next
+      // is db, and grads[i + 1] is the layer's output gradient.
+      QCFE_CHECK(layers_[i]->kind() == LayerKind::kLinear,
+                 "Mlp::AddParamGrad: only linear layers have parameters");
+      const Matrix& grad_output = tape.grads[i + 1];
+      if (slot == offset) {
+        kernels::GemmATAccumulateSegments(tape.activations[i], grad_output,
+                                          bounds, grad, row_begin, row_end);
+      } else if (row_begin == 0 && row_end > 0) {
+        kernels::ColSumAccumulateSegments(grad_output, bounds, grad);
+      }
+      return;
     }
+    offset += n;
   }
-  if (cur == nullptr) {
-    tape->grad_ping = grad_output;
-    cur = &tape->grad_ping;
-  }
-  return *cur;
+  QCFE_CHECK(false, "Mlp::AddParamGrad: gradient slot out of range");
 }
 
 Matrix Mlp::InputGradient(const Matrix& input) const {

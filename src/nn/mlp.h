@@ -7,6 +7,7 @@
 /// unit" per physical operator type; MSCN uses Mlps as set modules and as the
 /// final regressor.
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -48,14 +49,19 @@ class Mlp {
   /// concurrently as long as each owns its tape (and gradient sink). The
   /// difference-propagation walker in src/core consumes the same record.
   ///
-  /// A tape doubles as the backward scratch arena: the activation matrices
-  /// and the gradient ping-pong buffers are reused across Forward/Backward
-  /// calls (reshaped in place), so steady-state training steps on a reused
-  /// tape never touch the allocator.
+  /// A tape also keeps the gradient record of the last Backward():
+  /// grads[i] is dL/d(activations[i]), so grads[i + 1] is layer i's output
+  /// gradient, which AddParamGrad turns into parameter gradients. All tape
+  /// matrices are reused across Forward/Backward calls (reshaped in
+  /// place), so steady-state training steps on a reused tape never touch
+  /// the allocator.
   struct Tape {
     std::vector<Matrix> activations;
-    /// Backward/seed scratch (not part of the activation record).
-    Matrix grad_ping, grad_pong, seed;
+    /// Sized by Forward() to match `activations`; a caller may build the
+    /// output gradient in grads.back() and pass that to Backward().
+    std::vector<Matrix> grads;
+    /// InputGradient's one-hot seed (not part of either record).
+    Matrix seed;
   };
 
   /// Forward pass recording every layer input plus the final output on
@@ -85,16 +91,30 @@ class Mlp {
 
   /// Backprop from dL/d(output) through the activations recorded on `tape`
   /// (which must come from a Forward() on this network with the matching
-  /// input). Parameter gradients are added into `sink` (layout = Grads();
-  /// shape it with GradSink::InitLike); a null sink skips parameter
-  /// accumulation entirely, which is how gradient probes stay side-effect
-  /// free. Returns dL/d(input) as a reference into the tape's scratch
-  /// buffers (invalidated by the next Backward on it). The running
-  /// gradient ping-pongs between two tape-owned buffers — activation masks
-  /// apply in place, linear layers write the opposite buffer — so a reused
-  /// tape makes the whole backward pass allocation-free.
+  /// input), recording every dL/d(activations[i]) in tape->grads.
+  /// Parameter gradients are added into `sink` (layout = Grads(); shape it
+  /// with GradSink::InitLike); a null sink adds none, which is how gradient
+  /// probes stay side-effect free and how batch-wide training defers them
+  /// to AddParamGrad. Returns dL/d(input), a reference into the tape
+  /// (invalidated by the next Backward on it); with `input_grad` false that
+  /// last product is skipped and the returned matrix is stale.
+  /// `grad_output` may be the tape's own grads.back().
   const Matrix& Backward(const Matrix& grad_output, Tape* tape,
-                         GradSink* sink) const;
+                         GradSink* sink, bool input_grad = true) const;
+
+  /// Adds the gradient of parameter slot `slot` (Grads() order) from the
+  /// Backward() recorded on `tape` into `grad`, with the tape's rows cut at
+  /// `bounds` into segments (kernels::GemmATAccumulateSegments and
+  /// ColSumAccumulateSegments): each segment is one zero-seeded sum added
+  /// with one unfused add, in order. Calls for several tapes in sequence
+  /// continue the same ordered chain of adds, so a batch backpropagated in
+  /// chunk-aligned shards and segmented at its chunk boundaries gets the
+  /// bits of one gradient sink per chunk merged in chunk order.
+  /// Only rows [row_begin, row_end) of `grad` are updated, so one slot can
+  /// be split across tasks by rows.
+  void AddParamGrad(size_t slot, const Tape& tape,
+                    const std::vector<size_t>& bounds, Matrix* grad,
+                    size_t row_begin = 0, size_t row_end = SIZE_MAX) const;
 
   /// d(output_0)/d(input) for each sample: runs Forward+Backward with a
   /// one-hot output gradient on a private tape and a null sink, so

@@ -1,5 +1,6 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -33,15 +34,20 @@ namespace {
 
 /// Sum of squares in no particular order (four running sums, so the loop
 /// is not one long dependency chain). Only ever used as a bound.
-double SumSquares(const Matrix& m) {
-  const Matrix::Buffer& d = m.data();
+double SumSquares(const double* begin, const double* end) {
+  const size_t n = static_cast<size_t>(end - begin);
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
-  for (; i + 4 <= d.size(); i += 4) {
-    for (size_t k = 0; k < 4; ++k) acc[k] += d[i + k] * d[i + k];
+  for (; i + 4 <= n; i += 4) {
+    for (size_t k = 0; k < 4; ++k) acc[k] += begin[i + k] * begin[i + k];
   }
-  for (; i < d.size(); ++i) acc[0] += d[i] * d[i];
+  for (; i < n; ++i) acc[0] += begin[i] * begin[i];
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+double SumSquares(const Matrix& m) {
+  const double* d = m.data().data();
+  return SumSquares(d, d + m.size());
 }
 
 bool AllZero(const Matrix& m) {
@@ -70,17 +76,44 @@ bool ClearlyBelow(const std::vector<Matrix*>& grads,
 
 }  // namespace
 
+void Optimizer::SetGrads(const std::vector<GradBlock>& blocks,
+                         const BlockFill& fill, ThreadPool* pool,
+                         std::vector<double>* slot_sq) {
+  std::vector<double> block_sq(blocks.size(), 0.0);
+  ParallelFor(pool, blocks.size(), [&](size_t i) {
+    const GradBlock& block = blocks[i];
+    Matrix* g = grads_[block.slot];
+    QCFE_CHECK(block.row_begin <= block.row_end && block.row_end <= g->rows(),
+               "Optimizer::SetGrads: block rows outside the gradient");
+    // Rows are contiguous in the padded layout (pads are zero), so the
+    // block is one flat run of the buffer.
+    double* begin = g->data().data() + block.row_begin * g->ld();
+    double* end = g->data().data() + block.row_end * g->ld();
+    std::fill(begin, end, 0.0);
+    fill(block, g);
+    block_sq[i] = SumSquares(begin, end);
+  });
+  if (slot_sq == nullptr) return;
+  slot_sq->assign(grads_.size(), 0.0);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    (*slot_sq)[blocks[i].slot] += block_sq[i];
+  }
+}
+
 void Optimizer::ReduceChunks(size_t num_chunks, const ChunkPart& part,
                              ThreadPool* pool, std::vector<double>* slot_sq) {
-  if (slot_sq != nullptr) slot_sq->assign(grads_.size(), 0.0);
-  ParallelFor(pool, grads_.size(), [&](size_t s) {
-    Matrix* g = grads_[s];
-    g->Fill(0.0);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (const Matrix* p = part(s, c)) g->Add(*p);
-    }
-    if (slot_sq != nullptr) (*slot_sq)[s] = SumSquares(*g);
-  });
+  std::vector<GradBlock> whole_slots;
+  for (size_t s = 0; s < grads_.size(); ++s) {
+    whole_slots.push_back({s, 0, grads_[s]->rows()});
+  }
+  SetGrads(
+      whole_slots,
+      [&](const GradBlock& block, Matrix* g) {
+        for (size_t c = 0; c < num_chunks; ++c) {
+          if (const Matrix* p = part(block.slot, c)) g->Add(*p);
+        }
+      },
+      pool, slot_sq);
 }
 
 SgdOptimizer::SgdOptimizer(std::vector<Matrix*> params,

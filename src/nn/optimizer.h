@@ -7,10 +7,11 @@
 /// Adam is the default for both estimators, matching the reference
 /// QPPNet/MSCN implementations.
 ///
-/// Every per-batch phase that touches all parameter slots (the chunk
-/// reduction and the optimizer step) can fan out over a ThreadPool passed
-/// per call, one slot per ParallelFor index. Each slot's arithmetic is the
-/// serial loop's, so the pool changes wall time, never bits.
+/// Every per-batch phase that touches all parameter slots (the gradient
+/// phase and the optimizer step) can fan out over a ThreadPool passed per
+/// call, one slot (or row block of a slot) per ParallelFor index. Each
+/// element's arithmetic is the serial loop's, so the pool changes wall
+/// time, never bits.
 
 #include <functional>
 #include <memory>
@@ -77,16 +78,36 @@ class Optimizer {
     for (Matrix* g : grads_) g->Fill(0.0);
   }
 
+  /// One task of the gradient phase: rows [row_begin, row_end) of
+  /// bound-gradient slot `slot`.
+  struct GradBlock {
+    size_t slot = 0;
+    size_t row_begin = 0;
+    size_t row_end = 0;
+  };
+  /// Adds the rows of `block` into the block's bound gradient `grad`.
+  /// Those rows arrive zeroed, and no other row may be touched.
+  using BlockFill = std::function<void(const GradBlock& block, Matrix* grad)>;
+
+  /// The gradient phase of data-parallel training, with ZeroGrad folded
+  /// in. `blocks` must cover every row of every bound gradient exactly
+  /// once. One task per block zeroes the block's rows and calls fill(block,
+  /// grad); with a pool, blocks run concurrently, so splitting a large
+  /// gradient into row blocks balances the phase without changing a bit.
+  /// `slot_sq` (optional) receives each slot's sum of squares, its
+  /// blocks' sums added in block order, for AdamOptimizer::Step's clip
+  /// check (which uses them only as a bound).
+  void SetGrads(const std::vector<GradBlock>& blocks, const BlockFill& fill,
+                ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
+
   /// Accumulator `chunk`'s contribution to bound-gradient slot `slot`, or
   /// null when that chunk never touched the slot.
   using ChunkPart = std::function<const Matrix*(size_t slot, size_t chunk)>;
 
-  /// The chunk reduction of data-parallel training, with ZeroGrad folded
-  /// in: sets every bound gradient to 0 + part(s, 0) + part(s, 1) + ...
-  /// over the non-null parts, in chunk order. That is exactly ZeroGrad
-  /// followed by adding each chunk's GradSink in chunk order. With a pool,
-  /// slots are reduced one per task. `slot_sq` (optional) receives each
-  /// reduced slot's sum of squares, for AdamOptimizer::Step's clip check.
+  /// The chunk reduction of sink-based training: SetGrads with every bound
+  /// gradient set to 0 + part(s, 0) + part(s, 1) + ... over the non-null
+  /// parts, in chunk order. That is exactly ZeroGrad followed by adding
+  /// each chunk's GradSink in chunk order.
   void ReduceChunks(size_t num_chunks, const ChunkPart& part,
                     ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
 

@@ -1,6 +1,7 @@
 #include "serve/async_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -288,9 +289,16 @@ void AsyncServer::set_observation_listener(ObservationListener* listener) {
 
 void AsyncServer::ReportObserved(const PlanNode& plan, int env_id,
                                  double predicted_ms, double actual_ms) {
+  // A measured latency that is not positive and finite is a broken label:
+  // it would poison the drift window's q-errors and the retrain corpus.
+  const bool valid = std::isfinite(actual_ms) && actual_ms > 0.0;
   ObservationListener* listener = nullptr;
   {
     MutexLock lock(&mu_);
+    if (!valid) {
+      ++stats_.observations_rejected;
+      return;
+    }
     if (listener_ == nullptr) {
       ++stats_.observations_dropped;
       return;

@@ -104,10 +104,12 @@ struct AsyncServeStats {
   uint64_t swaps_published = 0;   ///< successful LoadAndSwap publishes
   uint64_t swaps_rejected = 0;    ///< LoadAndSwap failures (old model kept)
   uint64_t model_version = 0;     ///< version of the last publish/flush seen
-  // Observation counters (the observe half of src/adapt); both zero until
+  // Observation counters (the observe half of src/adapt); all zero until
   // callers use ReportObserved.
   uint64_t observations = 0;          ///< observations forwarded to a listener
   uint64_t observations_dropped = 0;  ///< observations with no listener set
+  /// Observations refused because actual_ms was NaN, infinite or <= 0.
+  uint64_t observations_rejected = 0;
 };
 
 /// Request-queue front end over one CostModel. Thread-safe: any number of
@@ -170,7 +172,9 @@ class AsyncServer {
   /// for (plan, env_id) and later measured `actual_ms`. Forwards to the
   /// attached listener *outside* the queue lock (listeners may do real
   /// work) and bumps `observations`; with no listener attached the tuple is
-  /// counted in `observations_dropped` and discarded. Thread-safe.
+  /// counted in `observations_dropped` and discarded. An `actual_ms` that
+  /// is not positive and finite never reaches the listener: it is counted
+  /// in `observations_rejected` instead. Thread-safe.
   void ReportObserved(const PlanNode& plan, int env_id, double predicted_ms,
                       double actual_ms);
 

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace qcfe {
 
 double QError(double actual, double predicted, double floor) {
+  // std::max lets NaN through (every comparison with it is false), so a
+  // NaN input would poison any mean or window it reaches.
+  if (std::isnan(actual) || std::isnan(predicted)) {
+    return std::numeric_limits<double>::infinity();
+  }
   double a = std::max(actual, floor);
   double p = std::max(predicted, floor);
   return std::max(a / p, p / a);

@@ -14,7 +14,8 @@ namespace qcfe {
 ///   max(actual/predict, predict/actual), both clamped away from zero.
 /// A perfect prediction scores 1.0; the metric is symmetric in over/under
 /// estimation. Non-positive inputs are clamped to `floor` first (real query
-/// latencies are positive; learned models may emit tiny negatives).
+/// latencies are positive; learned models may emit tiny negatives). A NaN
+/// on either side scores +infinity, the worst possible q-error.
 double QError(double actual, double predicted, double floor = 1e-6);
 
 /// Element-wise q-errors for two aligned vectors.

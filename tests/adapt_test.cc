@@ -30,8 +30,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,6 +50,7 @@
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/fs.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -229,6 +232,72 @@ TEST(ObservationSinkTest, ReportObservedCountsAndForwards) {
   EXPECT_EQ(server->stats().observations_dropped, 2u);
   EXPECT_EQ(sink.TotalObservations(), 1u);
   server->Shutdown();
+}
+
+/// Counts what reaches the listener and remembers every delivered latency.
+class RecordingListener : public ObservationListener {
+ public:
+  void OnObservation(const PlanNode& /*plan*/, int /*env_id*/,
+                     double /*predicted_ms*/, double actual_ms) override {
+    MutexLock lock(&mu_);
+    delivered_.push_back(actual_ms);
+  }
+  std::vector<double> delivered() const {
+    MutexLock lock(&mu_);
+    return delivered_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::vector<double> delivered_ QCFE_GUARDED_BY(mu_);
+};
+
+TEST(ObservationSinkTest, ReportObservedRejectsBrokenLatencies) {
+  // A NaN, infinite, zero or negative measured latency must never reach
+  // the drift window or the retrain corpus. Broken and valid labels arrive
+  // interleaved in a seeded order; only the valid ones are delivered.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> labels = {nan, inf, -inf, 0.0, -1.0, -0.0};
+  const size_t broken = labels.size();
+  Rng rng(20261017);
+  for (int i = 0; i < 10; ++i) labels.push_back(rng.Uniform(0.5, 50.0));
+  rng.Shuffle(&labels);
+
+  SwappableModel models;
+  auto server = Pipeline::ServeAsync(&models, AsyncServeConfig{});
+  RecordingListener listener;
+  server->set_observation_listener(&listener);
+  PlanNode plan;
+  for (double actual : labels) server->ReportObserved(plan, 1, 10.0, actual);
+  AsyncServeStats stats = server->stats();
+  EXPECT_EQ(stats.observations_rejected, broken);
+  EXPECT_EQ(stats.observations, labels.size() - broken);
+  EXPECT_EQ(stats.observations_dropped, 0u);
+  const std::vector<double> delivered = listener.delivered();
+  ASSERT_EQ(delivered.size(), labels.size() - broken);
+  for (double actual : delivered) {
+    EXPECT_TRUE(std::isfinite(actual) && actual > 0.0) << actual;
+  }
+  // Validation comes before the listener check: a broken label is
+  // rejected, not dropped, even with nobody listening.
+  server->set_observation_listener(nullptr);
+  server->ReportObserved(plan, 1, 10.0, nan);
+  EXPECT_EQ(server->stats().observations_rejected, broken + 1);
+  EXPECT_EQ(server->stats().observations_dropped, 0u);
+  server->Shutdown();
+
+  // QError lets no NaN through: either side NaN is the worst q-error.
+  EXPECT_EQ(QError(nan, 2.0), inf);
+  EXPECT_EQ(QError(2.0, nan), inf);
+  EXPECT_EQ(QError(nan, nan), inf);
+  EXPECT_EQ(QError(inf, 2.0), inf);
+  EXPECT_EQ(QError(2.0, inf), inf);
+  // Non-positive inputs clamp to the 1e-6 floor.
+  EXPECT_DOUBLE_EQ(QError(0.0, 2.0), 2e6);
+  EXPECT_DOUBLE_EQ(QError(-1.0, 2.0), 2e6);
+  EXPECT_DOUBLE_EQ(QError(-inf, 2.0), 2e6);
+  EXPECT_EQ(QError(4.0, 2.0), 2.0);
 }
 
 // --------------------------------------------------------- drift detection

@@ -496,6 +496,96 @@ TEST(SimdTierTest, OptimizerAndColSumAreBitIdenticalAcrossTiers) {
   }
 }
 
+/// Rows [bounds[s], bounds[s + 1]) as an index list.
+std::vector<size_t> SegmentRows(const std::vector<size_t>& bounds, size_t s) {
+  std::vector<size_t> rows;
+  for (size_t r = bounds[s]; r < bounds[s + 1]; ++r) rows.push_back(r);
+  return rows;
+}
+
+TEST(SimdTierTest, SegmentedAccumulatesMatchPerSegmentSinks) {
+  // The batch-wide training contract: a segmented accumulate equals, bit
+  // for bit, one plain accumulate per segment into a zeroed temporary (a
+  // chunk's gradient sink) followed by in-order Adds (the chunk merge), in
+  // every tier and under every dispatch pin of the per-segment path. Rows
+  // mix dense, all-zero and one-hot rows; segments include empty and
+  // one-row ones.
+  std::vector<KernelIsa> tiers = AvailableSimdTiers();
+  tiers.push_back(KernelIsa::kScalar);
+  constexpr size_t kRows = 23;
+  const std::vector<std::vector<size_t>> segmentations = {
+      {0, kRows},
+      {0, 0, 1, 1, 5, 6, 12, 12, 20, 23},
+      {2, 9, 9, 10, 21},  // rows outside [2, 21) are ignored
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+       20, 21, 22, 23},
+      {7},  // zero segments
+  };
+  for (KernelIsa isa : tiers) {
+    ScopedKernelIsa tier(isa);
+    Rng rng(29);
+    for (size_t m : {1, 3, 32, 64}) {
+      for (size_t n : {1, 3, 32, 64}) {
+        Matrix a = RandomMatrix(kRows, m, 0.3, &rng);
+        Matrix b = RandomMatrix(kRows, n, 0.0, &rng);
+        for (size_t r = 0; r < kRows; r += 4) {  // all-zero rows
+          for (size_t c = 0; c < m; ++c) a.At(r, c) = 0.0;
+        }
+        for (size_t r = 1; r < kRows; r += 5) {  // one-hot rows
+          for (size_t c = 0; c < m; ++c) a.At(r, c) = c == r % m ? 1.0 : 0.0;
+        }
+        for (const std::vector<size_t>& bounds : segmentations) {
+          for (bool warm : {false, true}) {
+            Matrix seed_w(m, n), seed_b(1, n);
+            if (warm) {
+              seed_w = RandomMatrix(m, n, 0.0, &rng);
+              seed_b = RandomMatrix(1, n, 0.0, &rng);
+            }
+            for (KernelMode mode : kAllModes) {
+              Matrix want_w = seed_w, want_b = seed_b;
+              {
+                ScopedKernelMode pin(mode);
+                for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+                  const std::vector<size_t> rows = SegmentRows(bounds, s);
+                  Matrix sink_w(m, n), sink_b(1, n);
+                  kernels::GemmATAccumulate(a.SelectRows(rows),
+                                            b.SelectRows(rows), &sink_w);
+                  kernels::ColSumAccumulate(b.SelectRows(rows), &sink_b);
+                  want_w.Add(sink_w);
+                  want_b.Add(sink_b);
+                }
+              }
+              Matrix got_w = seed_w, got_b = seed_b;
+              kernels::GemmATAccumulateSegments(a, b, bounds, &got_w);
+              kernels::ColSumAccumulateSegments(b, bounds, &got_b);
+              ExpectBitEqual(want_w, got_w, "segmented GemmATAccumulate");
+              ExpectBitEqual(want_b, got_b, "segmented ColSumAccumulate");
+              // Split by output rows (how the gradient phase balances its
+              // tasks): the same bits.
+              Matrix split_w = seed_w;
+              const size_t cut = m / 2;
+              kernels::GemmATAccumulateSegments(a, b, bounds, &split_w, 0,
+                                                cut);
+              kernels::GemmATAccumulateSegments(a, b, bounds, &split_w, cut,
+                                                m);
+              ExpectBitEqual(want_w, split_w, "row-split segmented accumulate");
+              if (isa == KernelIsa::kScalar) {
+                // The reference replay of the segmented forms.
+                ScopedKernelMode pin(KernelMode::kReference);
+                Matrix ref_w = seed_w, ref_b = seed_b;
+                kernels::GemmATAccumulateSegments(a, b, bounds, &ref_w);
+                kernels::ColSumAccumulateSegments(b, bounds, &ref_b);
+                ExpectBitEqual(want_w, ref_w, "reference segmented GemmAT");
+                ExpectBitEqual(want_b, ref_b, "reference segmented ColSum");
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdTierTest, IsaStateClampsAndReportsNames) {
   // An unavailable pin clamps to the scalar tier instead of crashing in a
   // missing table.
@@ -562,6 +652,45 @@ kernels::ProbeMeasurements FakeProbes() {
   pm.scalar_gemm_ns = 300.0;
   pm.simd_gemm_ns = 100.0;
   return pm;
+}
+
+/// The dispatch probe's historical walk: a divide and a modulo per probe.
+double ZeroFractionByDivision(const Matrix& m) {
+  const size_t cols = m.cols();
+  const size_t n = m.rows() * cols;
+  if (n == 0) return 0.0;
+  const size_t stride = n > 256 ? n / 256 : 1;
+  size_t zeros = 0;
+  size_t probes = 0;
+  for (size_t i = 0; i < n; i += stride) {
+    zeros += m.At(i / cols, i % cols) == 0.0 ? 1 : 0;
+    ++probes;
+  }
+  return static_cast<double>(zeros) / static_cast<double>(probes);
+}
+
+TEST(KernelDispatchTest, ZeroFractionWalkMatchesDivisionWalk) {
+  // The running (row, col) walk must visit exactly the probes the
+  // divide-and-modulo walk did, so the fraction (and every dispatch) is
+  // unchanged: stride 1 (<= 256 elements), strides below the row width,
+  // equal to it, and above it (several rows per step, with carries).
+  struct Shape {
+    size_t rows, cols;
+  };
+  const Shape shapes[] = {
+      {0, 5},    {1, 1},   {1, 46},   {16, 16},  {3, 1000}, {2, 4099},
+      {257, 1},  {512, 1}, {500, 3},  {1000, 7}, {64, 152}, {33, 66},
+      {100, 37}, {7, 131}, {300, 11}, {1024, 1}, {513, 2},  {40, 12},
+      {256, 2},  {128, 8},
+  };
+  Rng rng(27);
+  for (const Shape& sh : shapes) {
+    for (double sparsity : {0.0, 0.3, 0.9}) {
+      Matrix m = RandomMatrix(sh.rows, sh.cols, sparsity, &rng);
+      EXPECT_EQ(kernels::ZeroFraction(m), ZeroFractionByDivision(m))
+          << sh.rows << " x " << sh.cols << " sparsity " << sparsity;
+    }
+  }
 }
 
 TEST(KernelAutotuneTest, SelectTuningIsDeterministicOnInjectedTimings) {

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 
 #include "models/cost_model.h"
 #include "models/mscn.h"
 #include "models/pg_cost_model.h"
 #include "models/qppnet.h"
+#include "nn/kernels.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workload/benchmark.h"
@@ -218,6 +221,41 @@ TEST_F(ModelsTest, MscnOperatorViewRespondsToFeatures) {
   x.SetRow(0, raw);
   double y0 = view->Predict(x).At(0, 0);
   EXPECT_TRUE(std::isfinite(y0));
+}
+
+/// CRC-32 over the logical elements of every parameter matrix, in order.
+uint32_t ParamsCrc(const std::vector<Matrix*>& params) {
+  std::vector<double> flat;
+  for (const Matrix* p : params) {
+    for (size_t r = 0; r < p->rows(); ++r) {
+      flat.insert(flat.end(), p->RowPtr(r), p->RowPtr(r) + p->cols());
+    }
+  }
+  return Crc32(flat.data(), flat.size() * sizeof(double));
+}
+
+TEST_F(ModelsTest, MscnAvx2TrainedParametersArePinned) {
+  // The AVX2 tier builds every contraction as a fused-multiply-add chain,
+  // so its trained bits differ from the scalar tier's (which the golden
+  // artifact in persist_test pins). This pin holds the fused tier to its
+  // own bits: any change to how training sums gradients, at any thread
+  // count, moves the hash. Captured once; never regenerate it.
+  if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier not available on this machine/build";
+  }
+  kernels::ScopedKernelIsa tier(kernels::KernelIsa::kAvx2);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    Mscn model(db_->catalog(), featurizer_, MscnConfig{}, 87);
+    model.set_thread_pool(threads > 1 ? &pool : nullptr);
+    TrainConfig cfg;
+    cfg.epochs = 5;
+    ASSERT_TRUE(model.Train(*train_, cfg, nullptr).ok());
+    const uint32_t crc = ParamsCrc(model.Params());
+    char hex[16];
+    std::snprintf(hex, sizeof(hex), "0x%08X", crc);
+    EXPECT_EQ(crc, 0xC3A82E04u) << "threads " << threads << ": got " << hex;
+  }
 }
 
 TEST_F(ModelsTest, SubtreeLatencySumsOperatorLatencies) {
