@@ -5,13 +5,12 @@
 ///
 /// The *Threads benchmarks sweep the thread-pool parallelism layer
 /// (Pipeline::Fit wall-time and batched serving throughput at 1/2/4/8
-/// workers), the *KernelMode benchmarks plus the KernelGemm sweep measure
-/// the register-blocked kernel layer against the historical reference
-/// loops (before/after in one binary), and the *AsyncThroughput benchmarks
-/// measure the micro-batching front end against one-at-a-time PredictMs
-/// under 8 concurrent callers. BM_BuildDatabase times one synthetic
-/// database build per benchmark at harness quick scale; BM_CollectCorpus
-/// times one single-threaded 1,500-query corpus collection on it.
+/// workers), the KernelGemm sweep times each dispatched kernel at the real
+/// layer shapes, and the *AsyncThroughput benchmarks measure the
+/// micro-batching front end against one-at-a-time PredictMs under 8
+/// concurrent callers. BM_BuildDatabase times one synthetic database build
+/// per benchmark at harness quick scale; BM_CollectCorpus times one
+/// single-threaded 1,500-query corpus collection on it.
 /// BM_ParallelForDispatch times one fork-join ParallelFor (empty and ~100 µs
 /// bodies at 4, 8 and 32 indices) on a 4-worker pool. Best observed timings
 /// are written to BENCH_parallel.json (machine-readable) when a run includes
@@ -22,24 +21,25 @@
 ///
 /// `bench_micro --smoke` skips benchmarking and instead runs the kernel
 /// parity sweep end to end, once per ISA tier available on this machine:
-/// under the scalar tier every kernel/dispatch-mode combination must match
-/// the reference loops bit for bit (plus a short two-mode training loop);
-/// under each SIMD tier the same sweep is gated at kSimdRelTolerance and
-/// the per-tier max relative error is reported, plus a three-mode training
-/// loop proving dispatch is bit-invisible *within* the tier. Exits
-/// non-zero on any violation — the CI gate for the kernel layer. (The
-/// QCFE_KERNEL_ISA pin selects the tier used by ordinary dispatch; the
-/// smoke gate still sweeps every tier the hardware and build provide.)
+/// every tier slot must agree with every other slot computing the same
+/// product bit for bit, and with the reference loops bit for bit on the
+/// scalar tier or within kSimdRelTolerance on AVX2 (the per-tier max
+/// relative error is reported); a short training loop must reproduce its
+/// per-tier pinned weights. Exits non-zero on any violation — the CI gate
+/// for the kernel layer. (The QCFE_KERNEL_ISA pin selects the tier used by
+/// ordinary dispatch; the smoke gate still sweeps every tier the hardware
+/// and build provide.)
 ///
 /// The *KernelIsa benchmarks measure the scalar tier against the detected
 /// SIMD tier (dense GEMM at the real layer shapes, plus whole-model train
 /// and batched serving) and are written to the `kernels_simd` section of
-/// BENCH_parallel.json together with the autotuned dispatch thresholds.
+/// BENCH_parallel.json.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
 #include <future>
@@ -57,12 +57,14 @@
 #include "harness/evaluate.h"
 #include "models/registry.h"
 #include "nn/kernels.h"
+#include "nn/kernels_internal.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "serve/async_server.h"
 #include "serve/model_swap.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/fs.h"
 #include "util/rng.h"
 #include "util/sync.h"
@@ -368,34 +370,11 @@ struct ParallelBenchRecorder {
     if (!inserted && seconds < it->second) it->second = seconds;
   }
 
-  /// Kernel before/after records: mode 0 = reference replay, 1 = auto
-  /// dispatch. All single-threaded (the kernel layer's own win).
-  void RecordKernelGemm(int shape_index, int mode, double ns) {
+  /// Dispatched kernel timings per shape, single-threaded.
+  void RecordKernelGemm(int shape_index, double ns) {
     MutexLock lock(&mu);
-    auto key = std::make_pair(shape_index, mode);
-    auto [it, inserted] = kernel_gemm_ns.emplace(key, ns);
+    auto [it, inserted] = kernel_gemm_ns.emplace(shape_index, ns);
     if (!inserted && ns < it->second) it->second = ns;
-  }
-
-  void RecordKernelTrain(const std::string& model, int mode, double seconds) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, mode);
-    auto [it, inserted] = kernel_train.emplace(key, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
-  }
-
-  void RecordKernelServe(const std::string& model, int mode,
-                         double plans_per_sec) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, mode);
-    auto [it, inserted] = kernel_serve.emplace(key, plans_per_sec);
-    if (!inserted && plans_per_sec > it->second) it->second = plans_per_sec;
-  }
-
-  void RecordKernelFit(int mode, double seconds) {
-    MutexLock lock(&mu);
-    auto [it, inserted] = kernel_fit.emplace(mode, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
   }
 
   /// SIMD-tier before/after records: tier 0 = scalar ISA pin, 1 = the
@@ -453,8 +432,7 @@ struct ParallelBenchRecorder {
   bool empty() {
     MutexLock lock(&mu);
     return fit_seconds.empty() && serve.empty() && train_seconds.empty() &&
-           kernel_gemm_ns.empty() && kernel_train.empty() &&
-           kernel_serve.empty() && kernel_fit.empty() && async_pps.empty() &&
+           kernel_gemm_ns.empty() && async_pps.empty() &&
            simd_gemm_ns.empty() && simd_train.empty() && simd_serve.empty() &&
            adapt_callers == 0;
   }
@@ -559,9 +537,7 @@ struct ParallelBenchRecorder {
       os << "\n  ]";
     }
     os << ",\n  \"kernels\": ";
-    if (kernel_gemm_ns.empty() && kernel_train.empty() &&
-        kernel_serve.empty() && kernel_fit.empty() &&
-        !carry("kernels").empty()) {
+    if (kernel_gemm_ns.empty() && !carry("kernels").empty()) {
       os << carry("kernels");
     } else {
       WriteKernelsSection(&os);
@@ -624,12 +600,7 @@ struct ParallelBenchRecorder {
       QCFE_GUARDED_BY(mu);
   std::map<std::pair<std::string, int>, double> serve QCFE_GUARDED_BY(mu);
   size_t serve_batch QCFE_GUARDED_BY(mu) = 0;
-  std::map<std::pair<int, int>, double> kernel_gemm_ns QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> kernel_train
-      QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> kernel_serve
-      QCFE_GUARDED_BY(mu);
-  std::map<int, double> kernel_fit QCFE_GUARDED_BY(mu);
+  std::map<int, double> kernel_gemm_ns QCFE_GUARDED_BY(mu);
   std::map<std::pair<std::string, int>, double> async_pps QCFE_GUARDED_BY(mu);
   size_t async_callers QCFE_GUARDED_BY(mu) = 0;
   std::map<std::pair<int, int>, double> simd_gemm_ns QCFE_GUARDED_BY(mu);
@@ -691,79 +662,24 @@ void ParallelBenchRecorder::WriteKernelsSection(std::ofstream* out) {
   std::ofstream& os = *out;
   os << "{\n    \"gemm\": [";
   bool first = true;
-  for (int s = 0; s < kNumKernelShapes; ++s) {
-    if (!kernel_gemm_ns.count({s, 0}) && !kernel_gemm_ns.count({s, 1})) {
-      continue;
-    }
-    const KernelShape& shape = kKernelShapes[s];
-    double ref = kernel_gemm_ns.count({s, 0}) ? kernel_gemm_ns.at({s, 0}) : 0;
-    double opt = kernel_gemm_ns.count({s, 1}) ? kernel_gemm_ns.at({s, 1}) : 0;
+  for (const auto& [index, ns] : kernel_gemm_ns) {
+    const KernelShape& shape = kKernelShapes[index];
     os << (first ? "" : ",") << "\n      {\"variant\": \"" << shape.variant
        << "\", \"m\": " << shape.m << ", \"k\": " << shape.k
        << ", \"n\": " << shape.n << ", \"sparsity\": " << shape.sparsity
-       << ", \"reference_ns\": " << ref << ", \"optimized_ns\": " << opt
-       << ", \"speedup\": " << (ref > 0 && opt > 0 ? ref / opt : 0.0) << "}";
+       << ", \"ns\": " << ns << "}";
     first = false;
   }
-  os << "\n    ],\n    \"train\": [";
-  first = true;
-  for (const auto& [key, seconds] : kernel_train) {
-    if (key.second != 1) continue;
-    double ref =
-        kernel_train.count({key.first, 0}) ? kernel_train.at({key.first, 0})
-                                           : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"reference_seconds\": " << ref
-       << ", \"optimized_seconds\": " << seconds << ", \"speedup\": "
-       << (ref > 0 && seconds > 0 ? ref / seconds : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"predict_batch\": [";
-  first = true;
-  for (const auto& [key, pps] : kernel_serve) {
-    if (key.second != 1) continue;
-    double ref =
-        kernel_serve.count({key.first, 0}) ? kernel_serve.at({key.first, 0})
-                                           : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"batch\": 256, \"reference_plans_per_sec\": " << ref
-       << ", \"optimized_plans_per_sec\": " << pps << ", \"speedup\": "
-       << (ref > 0 && pps > 0 ? pps / ref : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"fit\": ";
-  if (kernel_fit.count(0) || kernel_fit.count(1)) {
-    double ref = kernel_fit.count(0) ? kernel_fit.at(0) : 0.0;
-    double opt = kernel_fit.count(1) ? kernel_fit.at(1) : 0.0;
-    os << "{\"reference_seconds\": " << ref
-       << ", \"optimized_seconds\": " << opt << ", \"speedup\": "
-       << (ref > 0 && opt > 0 ? ref / opt : 0.0) << "}";
-  } else {
-    os << "{}";
-  }
-  os << "\n  }";
+  os << "\n    ]\n  }";
 }
 
 // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
 void ParallelBenchRecorder::WriteKernelsSimdSection(std::ofstream* out) {
   // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
   std::ofstream& os = *out;
-  const kernels::KernelIsa detected = kernels::DetectKernelIsa();
-  kernels::KernelTuning tuning;
-  {
-    // Tuning() reports the active tier's thresholds; read the detected one.
-    kernels::ScopedKernelIsa pin(detected);
-    tuning = kernels::Tuning();
-  }
-  os << "{\n    \"isa\": \"" << kernels::KernelIsaName(detected)
-     << "\",\n    \"tuning\": {\"dense_min_rows\": "
-     << (tuning.dense_min_rows == SIZE_MAX
-             ? -1
-             : static_cast<long long>(tuning.dense_min_rows))
-     << ", \"sparse_dispatch_threshold\": " << tuning.sparse_dispatch_threshold
-     << ", \"probed_gemm_speedup\": " << tuning.simd_gemm_speedup
-     << ", \"autotuned\": " << (tuning.autotuned ? "true" : "false")
-     << "},\n    \"gemm\": [";
+  os << "{\n    \"isa\": \""
+     << kernels::KernelIsaName(kernels::DetectKernelIsa())
+     << "\",\n    \"gemm\": [";
   bool first = true;
   for (int s = 0; s < kNumKernelShapes; ++s) {
     if (!simd_gemm_ns.count({s, 0}) && !simd_gemm_ns.count({s, 1})) continue;
@@ -804,13 +720,10 @@ void ParallelBenchRecorder::WriteKernelsSimdSection(std::ofstream* out) {
   os << "\n    ]\n  }";
 }
 
-/// One kernel invocation per iteration at the shape table entry
-/// state.range(0), under reference (range(1) == 0) or auto dispatch.
+/// One dispatched kernel invocation per iteration at the shape table
+/// entry state.range(0).
 void BM_KernelGemm(benchmark::State& state) {
   const KernelShape& shape = kKernelShapes[state.range(0)];
-  const int mode = static_cast<int>(state.range(1));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
   Rng rng(41);
   Matrix a, b, bias, out;
   if (std::strcmp(shape.variant, "nn") == 0) {
@@ -840,27 +753,24 @@ void BM_KernelGemm(benchmark::State& state) {
   }
   if (iters > 0) {
     ParallelBenchRecorder::Get().RecordKernelGemm(
-        static_cast<int>(state.range(0)), mode,
+        static_cast<int>(state.range(0)),
         timer.Seconds() * 1e9 / static_cast<double>(iters));
   }
   state.SetItemsProcessed(static_cast<int64_t>(iters) *
                           static_cast<int64_t>(shape.m * shape.k * shape.n));
 }
-BENCHMARK(BM_KernelGemm)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, kNumKernelShapes - 1, 1),
-                   {0, 1}});
+BENCHMARK(BM_KernelGemm)->DenseRange(0, kNumKernelShapes - 1, 1);
 
 /// Scalar tier vs the detected SIMD tier on dense GemmNN at the real layer
-/// shapes (the first six table entries are the "nn" variants). Dispatch is
-/// pinned dense so the sweep times the panel kernels themselves; on a
-/// machine with no SIMD tier both pins resolve to scalar and the recorded
-/// speedup is ~1.
+/// shapes (the first six table entries are the "nn" variants). The sweep
+/// calls each tier's register panel directly, so it times the panel
+/// kernels themselves; on a machine with no SIMD tier both legs run scalar
+/// and the recorded speedup is ~1.
 void BM_KernelIsaGemm(benchmark::State& state) {
   const KernelShape& shape = kKernelShapes[state.range(0)];
   const int tier = static_cast<int>(state.range(1));
-  kernels::ScopedKernelIsa pin_isa(tier == 0 ? kernels::KernelIsa::kScalar
-                                             : kernels::DetectKernelIsa());
-  kernels::ScopedKernelMode pin_mode(kernels::KernelMode::kDense);
+  const kernels::internal::KernelTable& table = kernels::internal::TableFor(
+      tier == 0 ? kernels::KernelIsa::kScalar : kernels::DetectKernelIsa());
   Rng rng(43);
   Matrix a = RandomWithSparsity(shape.m, shape.k, shape.sparsity, &rng);
   Matrix b = RandomWithSparsity(shape.k, shape.n, 0.0, &rng);
@@ -868,7 +778,7 @@ void BM_KernelIsaGemm(benchmark::State& state) {
   WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
-    kernels::GemmNN(a, b, &out);
+    table.dense_nn(a, b, nullptr, &out, kernels::internal::Epilogue::kNone);
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
   }
@@ -932,82 +842,6 @@ void BM_PredictBatchKernelIsa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
 }
-
-/// Before/after single-thread training: the same estimator trained under
-/// the reference kernel replay (mode 0: historical loops, temporary
-/// allocations included) and the production dispatch (mode 1). Models are
-/// bit-identical either way — the sweep isolates pure kernel-layer
-/// throughput, which BENCH_parallel.json records as the train delta.
-template <const char* kModel>
-void BM_TrainKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  TrainConfig cfg;
-  cfg.epochs = 8;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto model = EstimatorRegistry::Global()
-                     .Create(kModel, {f.ctx->db->catalog(),
-                                      f.featurizer.get(), 3})
-                     .value();
-    state.ResumeTiming();
-    WallTimer timer;
-    benchmark::DoNotOptimize(model->Train(f.train, cfg, nullptr).ok());
-    ParallelBenchRecorder::Get().RecordKernelTrain(kModel, mode,
-                                                   timer.Seconds());
-  }
-}
-
-/// Before/after single-thread batched serving at batch 256.
-template <const char* kModel>
-void BM_PredictBatchKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  const CostModel* model =
-      std::string(kModel) == "qppnet" ? f.qpp.get() : f.mscn.get();
-  std::vector<PlanSample> batch = f.BatchOf(256);
-  for (auto _ : state) {
-    WallTimer timer;
-    auto p = model->PredictBatchMs(batch, nullptr);
-    double seconds = timer.Seconds();
-    benchmark::DoNotOptimize(p.ok());
-    if (seconds > 0.0) {
-      ParallelBenchRecorder::Get().RecordKernelServe(
-          kModel, mode, static_cast<double>(batch.size()) / seconds);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.size()));
-}
-
-/// Before/after full pipeline fit (snapshot + reduction + training),
-/// single-threaded.
-void BM_PipelineFitKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  PipelineConfig cfg;
-  cfg.estimator = "qppnet";
-  cfg.train.epochs = 6;
-  cfg.pre_reduction_epochs = 4;
-  cfg.parallelism.num_threads = 1;
-  for (auto _ : state) {
-    WallTimer timer;
-    auto pipeline = f.ctx->FitPipeline(cfg, f.train);
-    double seconds = timer.Seconds();
-    benchmark::DoNotOptimize(pipeline.ok());
-    ParallelBenchRecorder::Get().RecordKernelFit(mode, seconds);
-  }
-}
-BENCHMARK(BM_PipelineFitKernelMode)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 /// Full QCFE pipeline fit (snapshot + reduction + training) at a given
 /// worker count. All thread counts produce bit-identical pipelines, so the
@@ -1139,24 +973,6 @@ BENCHMARK_TEMPLATE(BM_PredictBatchThreads, kMscnName)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8);
-BENCHMARK_TEMPLATE(BM_TrainKernelMode, kQppName)
-    ->Name("BM_QppNetTrainKernelMode")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_TrainKernelMode, kMscnName)
-    ->Name("BM_MscnTrainKernelMode")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_PredictBatchKernelMode, kQppName)
-    ->Name("BM_QppNetPredictBatchKernelMode")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_TEMPLATE(BM_PredictBatchKernelMode, kMscnName)
-    ->Name("BM_MscnPredictBatchKernelMode")
-    ->Arg(0)
-    ->Arg(1);
 BENCHMARK_TEMPLATE(BM_TrainKernelIsa, kQppName)
     ->Name("BM_QppNetTrainKernelIsa")
     ->Arg(0)
@@ -1388,14 +1204,16 @@ BENCHMARK(BM_DiffPropReduction)->Arg(16)->Arg(64);
 
 // ------------------------------------------------------------ smoke gate
 
-/// End-to-end kernel parity sweep without google-benchmark: every kernel
-/// entry point, every dispatch pin, over the real-shape table plus edge
-/// shapes, the segmented accumulates against per-segment sinks, and a
-/// short two-mode training loop. Returns false on the first bit mismatch.
-/// This is what CI runs as `bench_micro --smoke`.
+/// End-to-end kernel parity sweep without google-benchmark, once per ISA
+/// tier available on this machine: every tier slot over the real-shape
+/// table plus edge shapes against the reference loops and against every
+/// other slot computing the same product, the segmented accumulates
+/// against per-segment sinks, and a short training loop against its
+/// per-tier pinned weights. Returns false on any violation. This is what
+/// CI runs as `bench_micro --smoke`.
 bool RunKernelSmoke() {
   using kernels::KernelIsa;
-  using kernels::KernelMode;
+  using kernels::internal::Epilogue;
   size_t checks = 0;
   size_t failures = 0;
   auto expect_equal = [&](const Matrix& want, const Matrix& got,
@@ -1454,12 +1272,17 @@ bool RunKernelSmoke() {
   for (const KernelShape& s : kKernelShapes) {
     shapes.push_back({s.m, s.k, s.n, s.sparsity});
   }
-  const KernelMode modes[] = {KernelMode::kAuto, KernelMode::kDense,
-                              KernelMode::kSparse};
-  // Full kernel/mode sweep against the reference loops under whatever ISA
-  // tier is currently pinned: bit gate when `worst` is null (scalar tier),
-  // tolerance gate otherwise.
-  auto sweep = [&](double* worst) {
+  // One tier's slots against the reference loops (bit gate when `worst` is
+  // null, the scalar tier; tolerance gate otherwise) and against each other
+  // (bit gate on every tier).
+  auto sweep = [&](KernelIsa isa, double* worst) {
+    const kernels::internal::KernelTable& t =
+        kernels::internal::TableFor(isa);
+    kernels::ScopedKernelIsa tier(isa);
+    auto gate = [&](const Matrix& want, const Matrix& got, const char* what) {
+      worst ? expect_close(want, got, what, worst)
+            : expect_equal(want, got, what);
+    };
     Rng rng(53);
     for (const EdgeShape& s : shapes) {
       Matrix a = RandomWithSparsity(s.m, s.k, s.sparsity, &rng);
@@ -1468,67 +1291,70 @@ bool RunKernelSmoke() {
       Matrix at_a = RandomWithSparsity(s.k, s.m, s.sparsity, &rng);
       Matrix bt_b = RandomWithSparsity(s.n, s.k, 0.0, &rng);
       Matrix acc_seed = RandomWithSparsity(s.m, s.n, 0.0, &rng);
-      Matrix want_nn, want_relu, want_bt, got;
-      kernels::reference::GemmNNBias(a, b, bias, &want_nn);
-      kernels::reference::GemmNNBiasRelu(a, b, bias, &want_relu);
-      kernels::reference::GemmBT(a, bt_b, &want_bt);
-      Matrix want_acc = acc_seed;
-      kernels::reference::GemmATAccumulate(at_a, b, &want_acc);
-      for (KernelMode mode : modes) {
-        kernels::ScopedKernelMode pin(mode);
-        kernels::GemmNNBias(a, b, bias, &got);
-        worst ? expect_close(want_nn, got, "GemmNNBias", worst)
-              : expect_equal(want_nn, got, "GemmNNBias");
-        kernels::GemmNNBiasRelu(a, b, bias, &got);
-        worst ? expect_close(want_relu, got, "GemmNNBiasRelu", worst)
-              : expect_equal(want_relu, got, "GemmNNBiasRelu");
-        kernels::GemmBT(a, bt_b, &got);
-        worst ? expect_close(want_bt, got, "GemmBT", worst)
-              : expect_equal(want_bt, got, "GemmBT");
-        Matrix acc = acc_seed;
-        kernels::GemmATAccumulate(at_a, b, &acc);
-        worst ? expect_close(want_acc, acc, "GemmATAccumulate", worst)
-              : expect_equal(want_acc, acc, "GemmATAccumulate");
+      Matrix want, panel, other;
+      kernels::reference::GemmNNBias(a, b, bias, &want);
+      t.dense_nn(a, b, &bias, &panel, Epilogue::kBias);
+      t.sparse_nn(a, b, &other);
+      kernels::internal::BiasPass(bias, &other);
+      gate(want, panel, "dense_nn bias");
+      expect_equal(panel, other, "sparse_nn vs dense_nn bias");
+      kernels::reference::GemmNNBiasRelu(a, b, bias, &want);
+      t.dense_nn(a, b, &bias, &panel, Epilogue::kBiasRelu);
+      kernels::GemmNNBiasRelu(a, b, bias, &other);
+      gate(want, panel, "dense_nn bias+relu");
+      expect_equal(panel, other, "GemmNNBiasRelu vs dense_nn");
+      kernels::reference::GemmBT(a, bt_b, &want);
+      t.bt(a, bt_b, &panel);
+      gate(want, panel, "bt");
+      kernels::reference::GemmAT(at_a, b, &want);
+      t.at_panel(at_a, b, &panel);
+      t.at_stream(at_a, b, &other);
+      gate(want, panel, "at_panel");
+      expect_equal(panel, other, "at_stream vs at_panel");
+      want = acc_seed;
+      panel = acc_seed;
+      kernels::reference::GemmATAccumulate(at_a, b, &want);
+      const size_t whole[2] = {0, s.k};
+      t.at_acc_panel(at_a, b, whole, 1, 0, s.m, &panel);
+      gate(want, panel, "at_acc_panel");
+      if (s.k == 1) {
+        other = acc_seed;
+        t.at_acc_rank1(at_a, b, &other);
+        expect_equal(panel, other, "at_acc_rank1 vs at_acc_panel");
       }
       // Segmented accumulates, bit-gated in every tier: one plain
       // accumulate per segment into a zeroed temporary, then in-order
-      // Adds, under each dispatch pin. Segments include an empty and a
-      // one-row one.
+      // Adds. Segments include an empty and a one-row one.
       const size_t k = s.k;
       const std::vector<size_t> bounds = {0, k / 3, k / 3, k / 2,
                                           std::min(k, k / 2 + 1), k};
       Matrix bias_seed = RandomWithSparsity(1, s.n, 0.0, &rng);
-      for (KernelMode mode : modes) {
-        Matrix want_w = acc_seed;
-        Matrix want_b = bias_seed;
-        {
-          kernels::ScopedKernelMode pin(mode);
-          for (size_t g = 0; g + 1 < bounds.size(); ++g) {
-            std::vector<size_t> rows;
-            for (size_t r = bounds[g]; r < bounds[g + 1]; ++r) {
-              rows.push_back(r);
-            }
-            Matrix sink_w(s.m, s.n), sink_b(1, s.n);
-            kernels::GemmATAccumulate(at_a.SelectRows(rows),
-                                      b.SelectRows(rows), &sink_w);
-            kernels::ColSumAccumulate(b.SelectRows(rows), &sink_b);
-            want_w.Add(sink_w);
-            want_b.Add(sink_b);
-          }
-        }
-        Matrix got_w = acc_seed;
-        Matrix got_b = bias_seed;
-        kernels::GemmATAccumulateSegments(at_a, b, bounds, &got_w);
-        kernels::ColSumAccumulateSegments(b, bounds, &got_b);
-        expect_equal(want_w, got_w, "GemmATAccumulateSegments");
-        expect_equal(want_b, got_b, "ColSumAccumulateSegments");
+      Matrix want_w = acc_seed;
+      Matrix want_b = bias_seed;
+      for (size_t g = 0; g + 1 < bounds.size(); ++g) {
+        std::vector<size_t> rows;
+        for (size_t r = bounds[g]; r < bounds[g + 1]; ++r) rows.push_back(r);
+        Matrix sink_w(s.m, s.n), sink_b(1, s.n);
+        kernels::GemmATAccumulate(at_a.SelectRows(rows), b.SelectRows(rows),
+                                  &sink_w);
+        kernels::ColSumAccumulate(b.SelectRows(rows), &sink_b);
+        want_w.Add(sink_w);
+        want_b.Add(sink_b);
       }
+      Matrix got_w = acc_seed;
+      Matrix got_b = bias_seed;
+      kernels::GemmATAccumulateSegments(at_a, b, bounds, &got_w);
+      kernels::ColSumAccumulateSegments(b, bounds, &got_b);
+      expect_equal(want_w, got_w, "GemmATAccumulateSegments");
+      expect_equal(want_b, got_b, "ColSumAccumulateSegments");
     }
   };
 
-  // Two-mode training loop: byte-identical weights after 10 Adam steps.
-  auto train_flat = [](kernels::KernelMode mode) {
-    kernels::ScopedKernelMode pin(mode);
+  // Training loop: CRC-32 of the weights after 10 Adam steps, pinned per
+  // tier (captured when the scalar pin still matched the historical
+  // reference loops and every dispatch pin gave each tier's bits).
+  auto train_crc = [](KernelIsa isa) {
+    kernels::ScopedKernelIsa tier(isa);
     Rng net_rng(59);
     Mlp net({11, 16, 1}, Activation::kRelu, &net_rng);
     AdamOptimizer opt(net.Params(), net.Grads(), 1e-2);
@@ -1552,42 +1378,33 @@ bool RunKernelSmoke() {
     for (Matrix* p : net.Params()) {
       for (double v : p->data()) flat.push_back(v);
     }
-    return flat;
+    return Crc32(flat.data(), flat.size() * sizeof(double));
   };
-  // Scalar tier: everything must match the reference loops bit for bit,
-  // including a reference-vs-dispatch training run.
-  {
-    kernels::ScopedKernelIsa tier(KernelIsa::kScalar);
-    sweep(nullptr);
-    std::vector<double> ref = train_flat(KernelMode::kReference);
-    std::vector<double> opt = train_flat(KernelMode::kAuto);
-    ++checks;
-    if (ref != opt) {
-      std::cerr << "smoke: two-mode training produced different weights\n";
-      ++failures;
-    }
-    std::cout << "kernel smoke [scalar]: bit-exact against reference\n";
-  }
-
-  // Each available SIMD tier: the same sweep gated at kSimdRelTolerance,
-  // plus within-tier dispatch invisibility — training under auto/dense/
-  // sparse dispatch must produce bit-identical weights inside one tier.
-  for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kNeon}) {
-    if (!kernels::KernelIsaAvailable(isa)) continue;
-    kernels::ScopedKernelIsa tier(isa);
+  const struct {
+    KernelIsa isa;
+    uint32_t train_crc;
+  } tiers[] = {
+      {KernelIsa::kScalar, 0x58B80DFCu},
+      {KernelIsa::kAvx2, 0x9B0FA7C0u},
+  };
+  for (const auto& tier : tiers) {
+    if (!kernels::KernelIsaAvailable(tier.isa)) continue;
+    const bool scalar = tier.isa == KernelIsa::kScalar;
     double worst = 0.0;
-    sweep(&worst);
-    std::vector<double> auto_w = train_flat(KernelMode::kAuto);
+    sweep(tier.isa, scalar ? nullptr : &worst);
     ++checks;
-    if (auto_w != train_flat(KernelMode::kDense) ||
-        auto_w != train_flat(KernelMode::kSparse)) {
-      std::cerr << "smoke: dispatch modes diverged within the "
-                << kernels::KernelIsaName(isa) << " tier\n";
+    if (train_crc(tier.isa) != tier.train_crc) {
+      std::cerr << "smoke: training moved off its pinned weights on the "
+                << kernels::KernelIsaName(tier.isa) << " tier\n";
       ++failures;
     }
-    std::cout << "kernel smoke [" << kernels::KernelIsaName(isa)
-              << "]: max relative error " << worst << " (tolerance "
-              << kernels::kSimdRelTolerance << ")\n";
+    std::cout << "kernel smoke [" << kernels::KernelIsaName(tier.isa) << "]: ";
+    if (scalar) {
+      std::cout << "bit-exact against reference\n";
+    } else {
+      std::cout << "max relative error " << worst << " (tolerance "
+                << kernels::kSimdRelTolerance << ")\n";
+    }
   }
 
   std::cout << "kernel smoke: " << (checks - failures) << "/" << checks

@@ -68,8 +68,12 @@ struct DriftVerdict {
 /// Pure drift test over one q-error window (oldest sample first); see the
 /// file comment for the two criteria. Never trips on fewer than
 /// config.min_samples samples. `baseline_mean_qerror` values below 1.0
-/// (impossible for a real q-error mean) are clamped to 1.0 so a corrupt or
-/// zero baseline cannot make the mean-ratio test hair-triggered.
+/// (impossible for a real q-error mean) and NaN are clamped to 1.0 so a
+/// corrupt or zero baseline cannot make the mean-ratio test hair-triggered.
+/// Total over any window: a NaN sample reads as +inf and a sample below
+/// 1.0 as 1.0, the Page–Hinkley statistic stays finite, no verdict field
+/// is ever NaN, and an infinite window mean always trips the mean-ratio
+/// test (so one +inf or NaN sample trips a window of min_samples).
 DriftVerdict DetectDrift(const std::vector<double>& window_qerrors,
                          double baseline_mean_qerror,
                          const DriftConfig& config);

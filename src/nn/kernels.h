@@ -5,60 +5,73 @@
 /// The dedicated NN kernel layer: every forward/backward matrix product in
 /// the training and serving hot paths routes through these entry points.
 ///
-/// Two axes select an implementation:
+/// One axis selects an implementation: the **KernelIsa** (instruction
+/// tier), either the bit-exact scalar tier or the AVX2+FMA tier, chosen
+/// once per process by runtime CPU detection and pinnable with
+/// QCFE_KERNEL_ISA. Other targets (AArch64 included) run the scalar tier.
 ///
-///  * **KernelMode** (dispatch path): register-blocked dense panels vs the
-///    historical sparse row-skip loops, chosen density-adaptively under
-///    kAuto; kReference replays the exact pre-kernel-layer code paths.
-///  * **KernelIsa** (instruction tier): the bit-exact scalar tier, the
-///    AVX2+FMA tier, or the AArch64 NEON tier, selected once per process by
-///    runtime CPU detection (overridable via QCFE_KERNEL_ISA).
+/// Dispatch. Within a tier, each entry point picks a tier slot by one fixed
+/// rule, the same on every tier:
+///
+///  * The NN family (GemmNN, GemmNNBias, GemmNNBiasRelu) takes the row-skip
+///    loop when ZeroFraction(a) >= kRowSkipZeroFraction (0.8), and the
+///    register panel otherwise, at any row count.
+///  * GemmATAccumulate takes the rank-1 row-sparse update for one-row
+///    operands (QPPNet's per-node training rows) and the register panel
+///    otherwise. It has no row-skip slot: on neither benchmark workload
+///    does a production call send it a multi-row operand with 80% zeros or
+///    more (QPPNet's rows arrive one at a time, MSCN's through the
+///    segmented form).
+///  * GemmAT takes the register panel from kMr rows on and the streaming
+///    loop below that (the panel only pays once it amortises operand loads
+///    across a full register block).
+///  * GemmBT, the segmented accumulates, ColSumAccumulate and the optimizer
+///    steps have one slot each.
+///
+/// The 0.8 crossover is the AVX2 tier's measured one, and the same in every
+/// process on a 4-vCPU AVX2 host (best of three, one thread): at the
+/// 64 x 66 plan-feature shape the row-skip loop took 24.4 us against the
+/// panel's 16.0 us at 0.7 zeros, and 9.8 us against 16.0 us at 0.9 zeros;
+/// fully dense 1- to 64-row hidden products ran 1.3-3.2x faster on the
+/// panel. Measuring it at startup cost 78-94 ms per process, so it is a
+/// constant. The scalar tier's two loops time within noise of each other
+/// (repeated measurements put its crossover anywhere from 0.25 to 0.6), so
+/// it shares the rule rather than having one of its own.
 ///
 /// Determinism contract. Within one ISA tier, every kernel accumulates each
 /// output element's contraction terms in ascending-k order into a single
-/// accumulator seeded with +0.0 (a fused-multiply-add chain on the SIMD
-/// tiers, a plain multiply-add chain on the scalar tier). Skipping an
+/// accumulator seeded with +0.0 (a fused-multiply-add chain on the AVX2
+/// tier, a plain multiply-add chain on the scalar tier). Skipping an
 /// exactly-zero product term cannot change the accumulator bits, so the
-/// dense path (which includes zero terms) and the sparse path (which skips
-/// them) are bit-identical for finite inputs, at any shape, batch size and
-/// dispatch decision — *within a tier*. The `*Accumulate` forms compute the
-/// full contraction first and add it to the destination with one unfused
-/// store. Across tiers, FMA's single rounding makes contraction results
-/// differ from the scalar tier by a bounded relative error (gated at
-/// kSimdRelTolerance by the parity machinery in tests/kernels_test.cc and
-/// `bench_micro --smoke`); ColSumAccumulate, AdamStep and SgdStep use no
-/// FMA and no reductions, so they are bit-identical across every tier.
+/// register panel (which includes zero terms) and the row-skip loop (which
+/// skips them) are bit-identical for finite inputs, at any shape, batch
+/// size and dispatch decision, within a tier. The dispatch rule therefore
+/// only ever changes speed. The `*Accumulate` forms compute the full
+/// contraction first and add it to the destination with one unfused store.
+/// Across tiers, FMA's single rounding makes contraction results differ
+/// from the scalar tier by a bounded relative error (gated at
+/// kSimdRelTolerance by tests/kernels_test.cc and `bench_micro --smoke`);
+/// ColSumAccumulate, AdamStep and SgdStep use no FMA and no reductions, so
+/// they are bit-identical across tiers.
 ///
 /// Segmented accumulates. GemmATAccumulateSegments/ColSumAccumulateSegments
 /// cut the shared row dimension at caller-given bounds and, per output
 /// element, build each segment's terms as one zero-seeded chain in the
-/// tier's own arithmetic (FMA on AVX2/NEON, mul+add on scalar), then add
-/// the chains onto the destination with unfused adds in segment order.
-/// That equals, bit for bit, one zeroed gradient sink per chunk merged in
-/// chunk order: each sink takes one accumulate, and +0 + chain == chain
-/// because a chain seeded at +0 can never round to -0; the merge then adds
-/// the sinks into a zeroed gradient in chunk order. So a batch whose rows
-/// are segmented at its chunk boundaries gets the sinks' bits without any
-/// sink (MSCN trains this way). Segments must follow the chunk partition: a
+/// tier's own arithmetic (FMA on AVX2, mul+add on scalar), then add the
+/// chains onto the destination with unfused adds in segment order. That
+/// equals, bit for bit, one zeroed gradient sink per chunk merged in chunk
+/// order: each sink takes one accumulate, and +0 + chain == chain because a
+/// chain seeded at +0 can never round to -0; the merge then adds the sinks
+/// into a zeroed gradient in chunk order. So a batch whose rows are
+/// segmented at its chunk boundaries gets the sinks' bits without any sink
+/// (MSCN trains this way). Segments must follow the chunk partition: a
 /// caller that splits work into shards (one packed forward/backward per
 /// worker) must cut shards at chunk boundaries and feed the shards to the
 /// accumulate in order, because a chain that spanned a chunk boundary, or
 /// two chunks summed in a different order, would round differently. The
-/// plain GemmATAccumulate/ColSumAccumulate are the one-segment call of the
-/// same tier slot; no tier has a second accumulate kernel.
-///
-/// Autotuning. The dispatch thresholds (dense-vs-streaming row crossover,
-/// sparse-vs-dense zero-fraction crossover) are measured once per process
-/// by a lazy startup micro-probe over real layer shapes (see Autotune()),
-/// falling back to compiled defaults when QCFE_KERNEL_AUTOTUNE=0. Because
-/// dispatch is bit-safe within a tier, a different tuning never changes
-/// results — only speed.
-///
-/// KernelMode::kReference exists for parity tests and before/after
-/// benchmarking: it replays the exact pre-kernel-layer code paths
-/// (including their temporary allocations), so "reference vs auto"
-/// measures this layer's end-to-end win while tests assert the results
-/// stay bit-equal (under the scalar tier) or within tolerance (SIMD).
+/// plain GemmATAccumulate's register panel and ColSumAccumulate are the
+/// one-segment call of the same tier slot; no tier has a second panel
+/// accumulate kernel.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,62 +82,32 @@
 namespace qcfe {
 namespace kernels {
 
-/// Process-wide dispatch override. kAuto is the production setting;
-/// kReference replays the historical unblocked loops (and temporary
-/// allocations) for parity tests and before/after benchmarks; kDense and
-/// kSparse pin one dispatch path so tests can cover both on any input.
-enum class KernelMode {
-  kAuto,
-  kReference,
-  kDense,
-  kSparse,
-};
-
-/// Sets/reads the process-wide kernel mode (atomic; safe to flip between
-/// parallel regions, not during one).
-void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
-
-/// RAII mode pin for tests and benchmarks.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(KernelMode mode) : saved_(GetKernelMode()) {
-    SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { SetKernelMode(saved_); }
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  KernelMode saved_;
-};
-
 // ------------------------------------------------------------- ISA tiers
 
 /// Instruction-set tier backing the kernel implementations. kScalar is the
-/// bit-exact reference arithmetic, always available; the SIMD tiers are
-/// available when both compiled in and supported by the running CPU.
+/// bit-exact reference arithmetic, always available; kAvx2 is available
+/// when both compiled in and supported by the running CPU.
 enum class KernelIsa {
   kScalar,
   kAvx2,
-  kNeon,
 };
 
 /// True when `isa` is both compiled into this binary and supported by the
-/// running CPU (runtime detection: CPUID on x86, baseline on AArch64).
+/// running CPU (CPUID detection).
 bool KernelIsaAvailable(KernelIsa isa);
 
-/// The best available tier on this machine (kAvx2 > kNeon > kScalar).
+/// The best available tier on this machine (kAvx2 > kScalar).
 KernelIsa DetectKernelIsa();
 
 /// Sets/reads the process-wide kernel ISA tier (atomic; safe to flip
 /// between parallel regions, not during one). Setting an unavailable tier
 /// clamps to kScalar. The initial value honours QCFE_KERNEL_ISA
-/// (scalar|avx2|neon|auto; unavailable pins clamp, auto = detection).
+/// (scalar|avx2|auto): an unavailable pin clamps to kScalar, and auto or
+/// any other value takes the detected tier.
 void SetKernelIsa(KernelIsa isa);
 KernelIsa GetKernelIsa();
 
-/// Lower-case tier name ("scalar", "avx2", "neon") for logs and JSON.
+/// Lower-case tier name ("scalar", "avx2") for logs and JSON.
 const char* KernelIsaName(KernelIsa isa);
 
 /// RAII ISA pin for tests and benchmarks.
@@ -147,90 +130,16 @@ class ScopedKernelIsa {
 /// tests/kernels_test.cc and `bench_micro --smoke` enforce it.
 constexpr double kSimdRelTolerance = 1e-12;
 
-// ------------------------------------------------------------ autotuning
-
-/// The dispatch thresholds one ISA tier runs with. Published into
-/// BENCH_parallel.json by bench_micro so tuned values are visible.
-struct KernelTuning {
-  KernelIsa isa = KernelIsa::kScalar;
-  /// Minimum a.rows() before the kAuto NN dispatch considers the blocked
-  /// dense kernel; below it the streaming row-skip loop wins. SIZE_MAX
-  /// means the probe never saw the panel win (always stream by row count).
-  size_t dense_min_rows = 0;
-  /// Zero-fraction threshold at/above which kAuto dispatch prefers the
-  /// sparse row-skip path. 0.0 = always sparse; > 1.0 = never sparse.
-  double sparse_dispatch_threshold = 0.0;
-  /// Probe-measured dense GemmNN speedup of this tier over the scalar tier
-  /// on a real layer shape (scalar_ns / tier_ns); 1.0 for the scalar tier.
-  double simd_gemm_speedup = 1.0;
-  /// True when the thresholds came from the startup micro-probe; false for
-  /// the compiled defaults (QCFE_KERNEL_AUTOTUNE=0, unavailable tier, or
-  /// malformed probe data).
-  bool autotuned = false;
-};
-
-/// Raw micro-probe timings feeding SelectTuning(). Exposed (and
-/// injectable) so tests can assert threshold selection deterministically
-/// without depending on wall-clock behaviour.
-struct ProbeMeasurements {
-  /// Row-count grid for the dense-vs-streaming NN crossover (ascending),
-  /// with per-point best-of timings for each path on fully dense input.
-  std::vector<size_t> rows;
-  std::vector<double> sparse_ns;
-  std::vector<double> dense_ns;
-  /// Zero-fraction grid for the sparse-vs-dense crossover (ascending),
-  /// with per-point timings at a fixed plan-feature-like shape.
-  std::vector<double> zero_fractions;
-  std::vector<double> sparse_zf_ns;
-  std::vector<double> dense_zf_ns;
-  /// Dense GemmNN on a real layer shape: scalar tier vs the probed tier.
-  double scalar_gemm_ns = 0.0;
-  double simd_gemm_ns = 0.0;
-};
-
-/// Runs the startup micro-probe for `isa` (which must be available):
-/// times the tier's kernels directly over real layer shapes with
-/// deterministic inputs. Timing noise only moves thresholds — dispatch is
-/// bit-safe within a tier, so results never change.
-ProbeMeasurements MeasureProbes(KernelIsa isa);
-
-/// Pure threshold selection from probe data — deterministic and monotone
-/// in the timings (unit-tested with injected measurements):
-///  * dense_min_rows = the smallest grid row count from which the dense
-///    panel wins for the entire remaining suffix (SIZE_MAX when none);
-///  * sparse_dispatch_threshold = the midpoint between the last
-///    dense-winning and first suffix-wide sparse-winning zero fraction
-///    (0.0 when sparse wins everywhere, > 1.0 when nowhere);
-///  * simd_gemm_speedup = scalar_gemm_ns / simd_gemm_ns.
-/// Malformed measurements (empty/mismatched grids, non-positive timings)
-/// yield the compiled defaults with autotuned=false.
-KernelTuning SelectTuning(KernelIsa isa, const ProbeMeasurements& probes);
-
-/// The active tier's tuning. Lazily runs the micro-probe for every
-/// available tier on first use (honouring QCFE_KERNEL_AUTOTUNE=0, which
-/// pins the compiled defaults); the result is fixed for the process.
-const KernelTuning& Tuning();
-
-/// Forces the lazy micro-probe to run now (e.g. before entering a timed
-/// region). Idempotent.
-void Autotune();
-
 /// Fraction of exactly-zero entries in a deterministic strided sample of
 /// `m`'s logical elements: logical index i = row * cols + col for i = 0,
 /// stride, 2 * stride, ... with stride = max(1, size / 256), so at most a
-/// few hundred probes and never the row padding. Exposed for tests; the
-/// dispatch heuristic.
+/// few hundred probes and never the row padding. The dispatch rule's
+/// input; exposed for tests.
 double ZeroFraction(const Matrix& m);
 
-/// Compiled-default zero-fraction threshold above which dispatch prefers
-/// the sparse row-skip path (used verbatim when autotuning is disabled).
-/// The row-skip's saving scales linearly with the zero fraction while the
-/// blocked panel's register-reuse win on fully dense inputs is bounded, so
-/// the crossover sits well below half: plan-feature and one-hot set inputs
-/// (>=50% zeros) go sparse, standardized activations (exactly 0% zeros) go
-/// dense, and mildly padded inputs like wave-batched unit rows (~25%
-/// zeros) still favour the skip.
-constexpr double kSparseDispatchThreshold = 0.2;
+/// Zero fraction of the left operand at and above which the NN family takes
+/// the row-skip loop (see "Dispatch").
+constexpr double kRowSkipZeroFraction = 0.8;
 
 // ------------------------------------------------------------- products
 // All Into-forms reshape `out` reusing its allocation; `out` must not alias
@@ -274,8 +183,7 @@ void ColSumAccumulate(const Matrix& a, Matrix* acc);
 /// ascend and end at or before a.rows(); rows outside it are ignored.
 /// Only acc rows [row_begin, min(row_end, a.cols())) are updated, so one
 /// accumulate can be split across tasks by output rows without changing
-/// any element. Always runs the tier's register panel (kReference replays
-/// the temporaries).
+/// any element. Always runs the tier's register panel.
 void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
                               const std::vector<size_t>& bounds, Matrix* acc,
                               size_t row_begin = 0,
@@ -310,29 +218,11 @@ void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
 void SgdStep(Matrix* p, const Matrix& g, Matrix* v, double lr,
              double momentum);
 
-// ------------------------------------------------------------------ simd
-// Direct entry points into the active ISA tier's dense register-panel
-// kernels: no KernelMode consultation, no density dispatch. Benchmarks and
-// the per-tier parity gates use these to measure/validate one tier's
-// vectorized path in isolation; production code should call the dispatched
-// forms above.
-namespace simd {
-void GemmNN(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,
-                Matrix* out);
-void GemmNNBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
-                    Matrix* out);
-void GemmBT(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmAT(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
-void ColSumAccumulate(const Matrix& a, Matrix* acc);
-}  // namespace simd
-
 // ------------------------------------------------------------- reference
 // The historical unblocked loops, self-contained (no dispatch, scalar
-// arithmetic). Parity tests compare every blocked/sparse kernel against
-// these bit for bit under the scalar tier, and within kSimdRelTolerance
-// under the SIMD tiers.
+// arithmetic): the per-kernel test oracle. Parity tests compare every tier
+// slot against these bit for bit on the scalar tier, and within
+// kSimdRelTolerance on the AVX2 tier.
 namespace reference {
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* out);
 void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,

@@ -4,11 +4,13 @@
 /// \file kernels_internal.h
 /// The tier dispatch table shared between the public kernel front end
 /// (kernels.cc) and the per-ISA implementation translation units
-/// (kernels_scalar.cc, kernels_simd_avx2.cc, kernels_simd_neon.cc). Not a
-/// public header: include kernels.h instead.
+/// (kernels_scalar.cc, kernels_simd_avx2.cc). Production code includes
+/// kernels.h instead; tests include this header to check every tier's
+/// slots directly.
 ///
 /// Every tier fills one KernelTable with the same set of operations; the
-/// front end picks a table once per call from the process-wide active ISA.
+/// front end picks a table once per call from the process-wide active ISA
+/// and a slot by the fixed dispatch rule (kernels.h "Dispatch").
 /// The within-tier determinism contract (kernels.h "Determinism contract")
 /// binds every implementation slot: each output element's value may depend
 /// only on its own mathematical inputs and the tier — never on batch size,
@@ -16,6 +18,7 @@
 
 #include <cstddef>
 
+#include "nn/kernels.h"
 #include "nn/matrix.h"
 
 namespace qcfe {
@@ -43,7 +46,7 @@ struct KernelTable {
   void (*bt)(const Matrix& a, const Matrix& b, Matrix* out);
   /// a^T * b, register-panel form (overwrite).
   void (*at_panel)(const Matrix& a, const Matrix& b, Matrix* out);
-  /// a^T * b, streaming zero-skip form (overwrite; wins on few rows).
+  /// a^T * b, streaming zero-skip form (overwrite; wins below kMr rows).
   void (*at_stream)(const Matrix& a, const Matrix& b, Matrix* out);
   /// acc += a^T * b over row segments, for acc rows [i_begin, i_end) only:
   /// the rows [bounds[s], bounds[s+1]) of segment s = 0 .. num_segments-1
@@ -53,8 +56,6 @@ struct KernelTable {
   void (*at_acc_panel)(const Matrix& a, const Matrix& b, const size_t* bounds,
                        size_t num_segments, size_t i_begin, size_t i_end,
                        Matrix* acc);
-  /// acc += a^T * b via a thread-local zero-skip temporary then one Add.
-  void (*at_acc_sparse)(const Matrix& a, const Matrix& b, Matrix* acc);
   /// acc += a^T * b for single-row a/b (rank-1, row-sparse).
   void (*at_acc_rank1)(const Matrix& a, const Matrix& b, Matrix* acc);
   /// acc (1 x n) += column sums of a over row segments, with the same
@@ -73,7 +74,7 @@ struct KernelTable {
                    double lr, double momentum);
 };
 
-/// The bit-exact scalar tier (always available; also the reference tier's
+/// The bit-exact scalar tier (always available; the reference loops'
 /// arithmetic).
 const KernelTable& ScalarTable();
 
@@ -81,11 +82,11 @@ const KernelTable& ScalarTable();
 /// (QCFE_ENABLE_AVX2=OFF or a non-x86 target).
 const KernelTable* Avx2Table();
 
-/// The NEON tier; null when the build does not compile it in.
-const KernelTable* NeonTable();
+/// The table of an available tier.
+const KernelTable& TableFor(KernelIsa isa);
 
 /// Separate bias / ReLU passes for paths that accumulate in memory (the
-/// sparse product and the reference replay): identical per-element
+/// row-skip product and the reference loops): identical per-element
 /// arithmetic to the fused epilogues in every tier (one IEEE add / one
 /// compare-select per element).
 void BiasPass(const Matrix& bias, Matrix* out);

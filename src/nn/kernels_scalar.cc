@@ -3,8 +3,8 @@
 /// Every accumulation here is a plain mul-then-add chain in ascending
 /// contraction order (the determinism contract in kernels.h); this
 /// translation unit is compiled with -ffp-contract=off so the compiler can
-/// never fuse those chains into FMAs behind the contract's back. The SIMD
-/// tiers (kernels_simd_*.cc) are gated against this tier at a documented
+/// never fuse those chains into FMAs behind the contract's back. The AVX2
+/// tier (kernels_simd_avx2.cc) is gated against this tier at a documented
 /// tolerance; the scalar tier itself is gated against `reference` bit for
 /// bit.
 
@@ -212,30 +212,6 @@ void StreamAT(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-/// Sparse-aware a^T * b accumulate for multi-row contractions: replays the
-/// historical "zero-skip product into a temporary, then Add()" chains with
-/// a thread-local temporary, so warm steady-state calls never allocate.
-/// The zero-skip makes cost proportional to a's non-zeros — the winning
-/// shape for one-hot feature inputs — while the full-sum-then-add order
-/// keeps results bit-identical to the reference.
-void SparseTempATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  thread_local Matrix tmp;
-  tmp.ResetShape(a.cols(), b.cols());
-  const size_t rows = a.rows();
-  const size_t n = b.cols();
-  for (size_t r = 0; r < rows; ++r) {
-    const double* arow = a.RowPtr(r);
-    const double* __restrict brow = b.RowPtr(r);
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* __restrict trow = tmp.RowPtr(i);
-      for (size_t j = 0; j < n; ++j) trow[j] += av * brow[j];
-    }
-  }
-  acc->Add(tmp);
-}
-
 /// Register-blocked a * b^T: for each row of a, kNr dot products build
 /// concurrently — kNr independent ascending-k accumulator chains (the
 /// reference loop's exact chains, but with the FMA-latency serialisation of
@@ -316,7 +292,7 @@ void ColSumAccumulateImpl(const Matrix& a, const size_t* bounds,
 }
 
 /// Scalar Adam update: two muls + one add per moment, IEEE sqrt/div. The
-/// SIMD tiers replay exactly these operations lane-wise (each a single
+/// AVX2 tier replays exactly these operations lane-wise (each a single
 /// rounding), so the optimizer step is bit-identical across tiers.
 void AdamStepImpl(double* __restrict p, const double* __restrict g,
                   double* __restrict m, double* __restrict v, size_t n,
@@ -365,7 +341,6 @@ const KernelTable& ScalarTable() {
       DenseATOverwrite,      // at_panel
       StreamAT,              // at_stream
       DenseATAccumulate,     // at_acc_panel
-      SparseTempATAccumulate,  // at_acc_sparse
       Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step

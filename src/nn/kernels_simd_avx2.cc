@@ -372,12 +372,6 @@ void StreamAT(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-void SparseTempATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  thread_local Matrix tmp;
-  StreamAT(a, b, &tmp);
-  acc->Add(tmp);
-}
-
 void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   const double* arow = a.RowPtr(0);
   const double* __restrict brow = b.RowPtr(0);
@@ -503,7 +497,6 @@ const KernelTable* Avx2Table() {
       DenseATOverwrite,      // at_panel
       StreamAT,              // at_stream
       DenseATAccumulate,     // at_acc_panel
-      SparseTempATAccumulate,  // at_acc_sparse
       Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step

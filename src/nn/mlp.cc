@@ -47,19 +47,6 @@ const Matrix& Mlp::Forward(const Matrix& input, Tape* tape) const {
   if (tape->grads.size() != layers_.size() + 1) {
     tape->grads.resize(layers_.size() + 1);
   }
-  if (kernels::GetKernelMode() == kernels::KernelMode::kReference) {
-    // Historical replay for before/after benchmarks: fresh activation
-    // matrices every call (same values, allocator included).
-    tape->activations.clear();
-    tape->activations.reserve(layers_.size() + 1);
-    Matrix x = input;
-    for (const auto& layer : layers_) {
-      tape->activations.push_back(std::move(x));
-      x = layer->Forward(tape->activations.back());
-    }
-    tape->activations.push_back(std::move(x));
-    return tape->activations.back();
-  }
   // Reuse the tape's activation matrices across calls (reshaped in place),
   // so a steady-shape training loop never allocates on the forward pass.
   auto& acts = tape->activations;
@@ -84,8 +71,6 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
   }
   const Matrix* src = &input;
   Matrix* dst = &scratch->ping;
-  const bool fuse =
-      kernels::GetKernelMode() != kernels::KernelMode::kReference;
   size_t i = 0;
   while (i < layers_.size()) {
     const Layer& layer = *layers_[i];
@@ -93,7 +78,7 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
     // collapses into one fused kernel: the ReLU applies while the output
     // panel is still in registers and one whole intermediate write+read
     // pass disappears.
-    if (fuse && layer.kind() == LayerKind::kLinear &&
+    if (layer.kind() == LayerKind::kLinear &&
         i + 1 < layers_.size() &&
         layers_[i + 1]->kind() == LayerKind::kRelu) {
       static_cast<const LinearLayer&>(layer).ForwardReluInto(*src, dst);

@@ -369,6 +369,85 @@ TEST(DriftDetectTest, CorruptBaselineIsClampedToPerfect) {
   EXPECT_FALSE(v.drifted);
 }
 
+TEST(DriftDetectTest, InfiniteQErrorTripsAndKeepsTheStatisticFinite) {
+  // ReportObserved accepts actual_ms = 1e303 with predicted_ms = 0, and
+  // QError gives +inf for that pair. One such sample used to make the
+  // Page–Hinkley statistic NaN (inf - inf) for as long as it stayed in the
+  // window, which silently disabled that test.
+  adapt::DriftConfig cfg;
+  const double inf_qerror = QError(1e303, 0.0);
+  ASSERT_TRUE(std::isinf(inf_qerror));
+  std::vector<double> window(40, 1.1);
+  window[5] = inf_qerror;
+  adapt::DriftVerdict v = adapt::DetectDrift(window, 1.2, cfg);
+  EXPECT_FALSE(std::isnan(v.page_hinkley_stat));
+  EXPECT_TRUE(std::isfinite(v.page_hinkley_stat));
+  EXPECT_TRUE(v.mean_trip);
+  EXPECT_TRUE(v.drifted);
+  // A healthy window after the bad sample is evicted reads as before.
+  std::vector<double> healthy(40, 1.1);
+  EXPECT_FALSE(adapt::DetectDrift(healthy, 1.2, cfg).drifted);
+}
+
+TEST(DriftDetectTest, VerdictIsTotalOverHostileWindows) {
+  // Seeded property test: windows mixing ordinary q-errors with +inf, NaN,
+  // -inf, denormals, 0, negatives and huge finite values (plus empty
+  // windows and hostile baselines). No verdict field may be NaN, the
+  // Page–Hinkley statistic stays finite, the trip bits stay consistent,
+  // and any +inf or NaN sample trips a window of at least min_samples.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {kInf,
+                             kNaN,
+                             -kInf,
+                             std::numeric_limits<double>::denorm_min(),
+                             0.0,
+                             -0.0,
+                             -3.5,
+                             std::numeric_limits<double>::max(),
+                             1e303,
+                             1.0};
+  const double baselines[] = {1.2, 0.0, -1.0, kNaN, kInf, 1e303};
+  constexpr size_t kNumSpecials = sizeof(specials) / sizeof(specials[0]);
+  constexpr size_t kNumBaselines = sizeof(baselines) / sizeof(baselines[0]);
+  Rng rng(4242);
+  for (int trial = 0; trial < 2000; ++trial) {
+    adapt::DriftConfig cfg;
+    cfg.min_samples = static_cast<size_t>(1 + rng.UniformInt(0, 40));
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 96));
+    std::vector<double> window;
+    bool has_inf_or_nan = false;
+    for (size_t i = 0; i < n; ++i) {
+      double q = rng.Uniform(1.0, 3.0);
+      if (rng.Uniform(0.0, 1.0) < 0.15) {
+        q = specials[rng.UniformInt(0, kNumSpecials - 1)];
+      }
+      has_inf_or_nan = has_inf_or_nan || std::isnan(q) || q == kInf;
+      window.push_back(q);
+    }
+    const double baseline = baselines[rng.UniformInt(0, kNumBaselines - 1)];
+    const adapt::DriftVerdict v = adapt::DetectDrift(window, baseline, cfg);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n);
+    EXPECT_EQ(v.samples, n);
+    EXPECT_FALSE(std::isnan(v.window_mean_qerror));
+    EXPECT_FALSE(std::isnan(v.baseline_mean_qerror));
+    EXPECT_GE(v.baseline_mean_qerror, 1.0);
+    EXPECT_TRUE(std::isfinite(v.page_hinkley_stat));
+    EXPECT_GE(v.page_hinkley_stat, 0.0);
+    EXPECT_EQ(v.drifted, v.mean_trip || v.page_hinkley_trip);
+    if (n == 0) {
+      EXPECT_EQ(v.window_mean_qerror, 0.0);
+    } else {
+      EXPECT_GE(v.window_mean_qerror, 1.0);
+    }
+    if (n < cfg.min_samples) {
+      EXPECT_FALSE(v.drifted);
+    } else if (has_inf_or_nan) {
+      EXPECT_TRUE(v.drifted);
+    }
+  }
+}
+
 TEST(DriftDetectorTest, BaselinesAndPerEnvOverrides) {
   adapt::DriftConfig d;
   d.min_samples = 4;

@@ -258,6 +258,29 @@ TEST_F(ModelsTest, MscnAvx2TrainedParametersArePinned) {
   }
 }
 
+TEST_F(ModelsTest, QppNetAvx2TrainedParametersArePinned) {
+  // QPPNet's counterpart of the MSCN pin above: per-node training runs on
+  // one-row accumulates and the per-chunk gradient merge, so this holds
+  // that path to the AVX2 tier's bits at one and four threads. Captured
+  // once; never regenerate it.
+  if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier not available on this machine/build";
+  }
+  kernels::ScopedKernelIsa tier(kernels::KernelIsa::kAvx2);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    QppNet model(featurizer_, QppNetConfig{}, 87);
+    model.set_thread_pool(threads > 1 ? &pool : nullptr);
+    TrainConfig cfg;
+    cfg.epochs = 5;
+    ASSERT_TRUE(model.Train(*train_, cfg, nullptr).ok());
+    const uint32_t crc = ParamsCrc(model.Params());
+    char hex[16];
+    std::snprintf(hex, sizeof(hex), "0x%08X", crc);
+    EXPECT_EQ(crc, 0xC14029BEu) << "threads " << threads << ": got " << hex;
+  }
+}
+
 TEST_F(ModelsTest, SubtreeLatencySumsOperatorLatencies) {
   const PlanNode* plan = (*train_)[0].plan;
   double total = 0.0;

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/feature_reduction.h"
@@ -25,9 +27,12 @@
 #include "core/qcfe.h"
 #include "harness/context.h"
 #include "harness/evaluate.h"
+#include "models/mscn.h"
+#include "models/qppnet.h"
 #include "models/registry.h"
 #include "nn/kernels.h"
 #include "sql/data_abstract.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -312,73 +317,102 @@ TEST_F(ParallelTest, ShardedBatchedServingMatchesScalarLoop) {
   }
 }
 
-// ----------------------------------------------------------- kernel modes
+// ------------------------------------------------------- scalar-tier pins
 
-TEST_F(ParallelTest, KernelDispatchKeepsModelsBitIdentical) {
-  // The register-blocked/fused kernel suite must be invisible to results:
-  // training, serving and reduction under the production dispatch (kAuto)
-  // must match the historical reference loops (kReference — the pre-kernel
-  // code paths, replayed) bit for bit. The reference loops are scalar by
-  // definition, so the comparison runs under the scalar ISA tier; the SIMD
-  // tiers are parity-gated separately (kernels_test, bench_micro --smoke).
+/// CRC-32 over the bytes of a run of values.
+template <typename T>
+uint32_t VectorCrc(const std::vector<T>& v) {
+  return Crc32(v.data(), v.size() * sizeof(T));
+}
+
+/// The trained parameters of a registry-built neural estimator, flattened
+/// over logical elements in Params() order.
+std::vector<double> FlatParams(CostModel* model) {
+  std::vector<Matrix*> params;
+  if (auto* qpp = dynamic_cast<QppNet*>(model)) params = qpp->Params();
+  if (auto* mscn = dynamic_cast<Mscn*>(model)) params = mscn->Params();
+  std::vector<double> flat;
+  for (const Matrix* p : params) {
+    for (size_t r = 0; r < p->rows(); ++r) {
+      flat.insert(flat.end(), p->RowPtr(r), p->RowPtr(r) + p->cols());
+    }
+  }
+  return flat;
+}
+
+TEST_F(ParallelTest, ScalarTierTrainingServingAndReductionArePinned) {
+  // The scalar tier is the bit-exact reference arithmetic. These values
+  // were captured while the kernel layer could still replay the historical
+  // pre-kernel loops, and the production dispatch reproduced them bit for
+  // bit; they now hold every later dispatch rule to those bits. Any change
+  // to kernel dispatch, gradient summation or reduction scoring that moves
+  // a bit fails here. Never regenerate them.
+  struct Pin {
+    const char* name;
+    std::vector<double> loss_curve;  // exact, as hex-float literals
+    uint32_t params_crc;
+    uint32_t served_crc;
+    uint32_t kept_crc;
+    uint32_t scores_crc;
+  };
+  const Pin pins[] = {
+      {"qppnet",
+       {0x1.a825d6720c4ecp-1, 0x1.1843de562f44ep-1, 0x1.546ac68e9187fp-2,
+        0x1.675e5b71275afp-3},
+       0x266BBBABu, 0x67F64FAFu, 0x506BDEEAu, 0x23497095u},
+      {"mscn",
+       {0x1.2f8e846b953d6p+0, 0x1.294a780e85987p-2, 0x1.52cce3883adcep-5,
+        0x1.b6532c4febf97p-5},
+       0x1F2DFC28u, 0xBF03228Fu, 0x506BDEEAu, 0xB1FC1B6Au},
+  };
   kernels::ScopedKernelIsa tier(kernels::KernelIsa::kScalar);
-  for (const char* name : {"qppnet", "mscn"}) {
-    std::vector<TrainStats> stats(2);
-    std::vector<std::unique_ptr<CostModel>> models;
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-      kernels::ScopedKernelMode pin(mode);
-      BaseFeaturizer* featurizer = new BaseFeaturizer(ctx_->db->catalog());
-      featurizers_.emplace_back(featurizer);
-      auto model = EstimatorRegistry::Global().Create(
-          name, {ctx_->db->catalog(), featurizer, 83});
-      ASSERT_TRUE(model.ok()) << name;
-      TrainConfig cfg;
-      cfg.epochs = 4;
-      ASSERT_TRUE(
-          (*model)->Train(train_, cfg, &stats[models.size()]).ok())
-          << name;
-      models.push_back(std::move(model.value()));
+  for (const Pin& pin : pins) {
+    BaseFeaturizer* featurizer = new BaseFeaturizer(ctx_->db->catalog());
+    featurizers_.emplace_back(featurizer);
+    auto model = EstimatorRegistry::Global().Create(
+        pin.name, {ctx_->db->catalog(), featurizer, 83});
+    ASSERT_TRUE(model.ok()) << pin.name;
+    TrainConfig cfg;
+    cfg.epochs = 4;
+    TrainStats stats;
+    ASSERT_TRUE((*model)->Train(train_, cfg, &stats).ok()) << pin.name;
+    std::string curve;
+    for (double loss : stats.loss_curve) {
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%a, ", loss);
+      curve += buf;
     }
-    ASSERT_EQ(stats[0].loss_curve.size(), stats[1].loss_curve.size());
-    for (size_t e = 0; e < stats[0].loss_curve.size(); ++e) {
-      EXPECT_EQ(stats[0].loss_curve[e], stats[1].loss_curve[e])
-          << name << " epoch " << e;
-    }
-    // Batch predictions: reference-mode model served under auto kernels
-    // and vice versa — all four combinations must agree bitwise.
-    std::vector<std::vector<double>> served;
-    for (auto& model : models) {
-      for (kernels::KernelMode mode :
-           {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-        kernels::ScopedKernelMode pin(mode);
-        auto p = model->PredictBatchMs(test_, nullptr);
-        ASSERT_TRUE(p.ok()) << name;
-        served.push_back(std::move(p.value()));
-      }
-    }
-    for (size_t v = 1; v < served.size(); ++v) {
-      ASSERT_EQ(served[0].size(), served[v].size());
-      for (size_t i = 0; i < served[0].size(); ++i) {
-        EXPECT_EQ(served[0][i], served[v][i])
-            << name << " sample " << i << " variant " << v;
-      }
-    }
-    // Reduction kept-sets through the kernels must not move either.
+    EXPECT_EQ(stats.loss_curve, pin.loss_curve)
+        << pin.name << " loss curve: got {" << curve << "}";
+    const uint32_t params_crc = VectorCrc(FlatParams(model->get()));
+    auto served = (*model)->PredictBatchMs(test_, nullptr);
+    ASSERT_TRUE(served.ok()) << pin.name;
+    const uint32_t served_crc = VectorCrc(*served);
+    // Diff-prop kept-sets, as (operator, count, kept indices...) runs, and
+    // the scores that chose them.
     ReductionConfig rcfg;
     rcfg.algorithm = ReductionAlgorithm::kDiffProp;
     rcfg.num_references = 16;
-    std::vector<ReductionResult> reductions;
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-      kernels::ScopedKernelMode pin(mode);
-      auto r = ReduceFeatures(*models[0], train_, rcfg, nullptr);
-      ASSERT_TRUE(r.ok()) << name;
-      reductions.push_back(std::move(r.value()));
+    auto reduction = ReduceFeatures(**model, train_, rcfg, nullptr);
+    ASSERT_TRUE(reduction.ok()) << pin.name;
+    std::vector<uint64_t> kept;
+    std::vector<double> scores;
+    for (const auto& [op, r] : reduction->per_op) {
+      kept.push_back(static_cast<uint64_t>(op));
+      kept.push_back(r.kept.size());
+      kept.insert(kept.end(), r.kept.begin(), r.kept.end());
+      scores.insert(scores.end(), r.scores.begin(), r.scores.end());
     }
-    for (const auto& [op, a] : reductions[0].per_op) {
-      EXPECT_EQ(a.kept, reductions[1].per_op.at(op).kept) << name;
-    }
+    const uint32_t kept_crc = VectorCrc(kept);
+    const uint32_t scores_crc = VectorCrc(scores);
+    char got[128];
+    std::snprintf(got, sizeof(got),
+                  "params 0x%08X served 0x%08X kept 0x%08X scores 0x%08X",
+                  params_crc, served_crc, kept_crc, scores_crc);
+    EXPECT_EQ(params_crc, pin.params_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(served_crc, pin.served_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(kept_crc, pin.kept_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(scores_crc, pin.scores_crc) << pin.name << ": got " << got;
   }
 }
 

@@ -308,6 +308,19 @@ RULES = [
         fix_hint="add the vector path to the matching kernels_simd_*.cc "
                  "tier (or extend the KernelTable with a new slot)",
     ),
+    Rule(
+        "no-getenv",
+        "environment variables are hidden configuration: each one is a "
+        "knob that changes behaviour outside every config struct, test and "
+        "artifact; src/ reads them only through util/env_config (plus "
+        "QCFE_KERNEL_ISA, the kernel layer's one dispatch axis, in "
+        "nn/kernels.cc)",
+        [r"\bstd::(secure_)?getenv\s*\(", r"(?<![\w:.])(secure_)?getenv\s*\("],
+        dirs=("src/",),
+        exempt_files=("src/util/env_config.", "src/nn/kernels.cc"),
+        fix_hint="add a field to the relevant config struct, or read the "
+                 "variable in util/env_config",
+    ),
     StatusDiscardRule(
         "unannotated-status-discard",
         "a `(void)` cast on a call silently swallows its Status/Result; "
