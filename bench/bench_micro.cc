@@ -635,7 +635,7 @@ constexpr KernelShape kKernelShapes[] = {
     {"nn", 80, 96, 64, 0.00},   // MSCN final module over the 3h concat
     {"bt", 1, 48, 66, 0.00},    // dX = dY * W^T, per-node backward row
     {"bt", 64, 48, 48, 0.00},   // batched hidden-layer backward
-    {"at", 66, 1, 48, 0.90},    // dW += x^T dY, QPPNet rank-1 (k = 1 row)
+    {"at", 66, 1, 48, 0.90},    // dW += x^T dY, one row (k = 1)
     {"at", 58, 16, 32, 0.95},   // dW += X^T dY, MSCN chunk (one-hot rows)
     {"at", 48, 64, 48, 0.00},   // dense batched accumulate
 };
@@ -738,6 +738,7 @@ void BM_KernelGemm(benchmark::State& state) {
     b = RandomWithSparsity(shape.k, shape.n, 0.0, &rng);
     out.ResetShape(shape.m, shape.n);
   }
+  const std::vector<size_t> whole = {0, shape.k};
   WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
@@ -746,7 +747,7 @@ void BM_KernelGemm(benchmark::State& state) {
     } else if (std::strcmp(shape.variant, "bt") == 0) {
       kernels::GemmBT(a, b, &out);
     } else {
-      kernels::GemmATAccumulate(a, b, &out);
+      kernels::GemmATAccumulateSegments(a, b, whole, &out);
     }
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
@@ -872,7 +873,7 @@ BENCHMARK(BM_PipelineFitThreads)
 /// Chunk-parallel gradient training at a given worker count: a fresh
 /// estimator per iteration, trained for a fixed epoch budget through the
 /// attached pool. All thread counts produce bit-identical models (fixed
-/// chunk partition + chunk-order sink reduction), so the sweep isolates
+/// chunk partition + chunk-order gradient sums), so the sweep isolates
 /// pure wall-clock scaling of Train itself.
 template <const char* kModel>
 void BM_TrainThreads(benchmark::State& state) {
@@ -1208,8 +1209,8 @@ BENCHMARK(BM_DiffPropReduction)->Arg(16)->Arg(64);
 /// tier available on this machine: every tier slot over the real-shape
 /// table plus edge shapes against the reference loops and against every
 /// other slot computing the same product, the segmented accumulates
-/// against per-segment sinks, and a short training loop against its
-/// per-tier pinned weights. Returns false on any violation. This is what
+/// against one one-segment call per segment, and a short training loop
+/// against its per-tier pinned weights. Returns false on any violation. This is what
 /// CI runs as `bench_micro --smoke`.
 bool RunKernelSmoke() {
   using kernels::KernelIsa;
@@ -1317,12 +1318,7 @@ bool RunKernelSmoke() {
       const size_t whole[2] = {0, s.k};
       t.at_acc_panel(at_a, b, whole, 1, 0, s.m, &panel);
       gate(want, panel, "at_acc_panel");
-      if (s.k == 1) {
-        other = acc_seed;
-        t.at_acc_rank1(at_a, b, &other);
-        expect_equal(panel, other, "at_acc_rank1 vs at_acc_panel");
-      }
-      // Segmented accumulates, bit-gated in every tier: one plain
+      // Segmented accumulates, bit-gated in every tier: one one-segment
       // accumulate per segment into a zeroed temporary, then in-order
       // Adds. Segments include an empty and a one-row one.
       const size_t k = s.k;
@@ -1334,12 +1330,13 @@ bool RunKernelSmoke() {
       for (size_t g = 0; g + 1 < bounds.size(); ++g) {
         std::vector<size_t> rows;
         for (size_t r = bounds[g]; r < bounds[g + 1]; ++r) rows.push_back(r);
-        Matrix sink_w(s.m, s.n), sink_b(1, s.n);
-        kernels::GemmATAccumulate(at_a.SelectRows(rows), b.SelectRows(rows),
-                                  &sink_w);
-        kernels::ColSumAccumulate(b.SelectRows(rows), &sink_b);
-        want_w.Add(sink_w);
-        want_b.Add(sink_b);
+        const std::vector<size_t> one = {0, rows.size()};
+        Matrix part_w(s.m, s.n), part_b(1, s.n);
+        kernels::GemmATAccumulateSegments(at_a.SelectRows(rows),
+                                          b.SelectRows(rows), one, &part_w);
+        kernels::ColSumAccumulateSegments(b.SelectRows(rows), one, &part_b);
+        want_w.Add(part_w);
+        want_b.Add(part_b);
       }
       Matrix got_w = acc_seed;
       Matrix got_b = bias_seed;
@@ -1361,17 +1358,19 @@ bool RunKernelSmoke() {
     Matrix x(20, 11);
     x.RandomizeGaussian(&net_rng, 1.0);
     Mlp::Tape tape;
-    GradSink sink;
+    const std::vector<size_t> whole = {0, x.rows()};
     for (int step = 0; step < 10; ++step) {
       opt.ZeroGrad();
-      sink.InitLike(net.Grads());
       const Matrix& out = net.Forward(x, &tape);
       Matrix grad(out.rows(), 1);
       for (size_t r = 0; r < grad.rows(); ++r) {
         grad.At(r, 0) = out.At(r, 0) - 1.0;
       }
-      net.Backward(grad, &tape, &sink);
-      sink.AddTo(net.Grads());
+      net.Backward(grad, &tape);
+      std::vector<Matrix*> grads = net.Grads();
+      for (size_t s = 0; s < grads.size(); ++s) {
+        net.AddParamGrad(s, tape, whole, grads[s]);
+      }
       QCFE_CHECK_OK(opt.Step());
     }
     std::vector<double> flat;

@@ -169,7 +169,7 @@ std::vector<double> DiffPropScores(const Mlp& view, const OpDataset& data,
 /// partition depends only on the row count, never on the worker count) and
 /// the per-chunk partial sums combine in chunk order, so scores are
 /// bit-identical at any thread count. InputGradient runs on a private tape
-/// with a null gradient sink, so the view's parameter grads stay untouched.
+/// and writes nothing else, so the view's parameter grads stay untouched.
 std::vector<double> GradientScores(const Mlp& view, const OpDataset& data,
                                    ThreadPool* pool) {
   constexpr size_t kRowChunk = 64;
@@ -185,8 +185,8 @@ std::vector<double> GradientScores(const Mlp& view, const OpDataset& data,
           for (size_t k = 0; k < dim; ++k) rows.At(r - cs, k) = data.x.At(r, k);
         }
         // Tape-backed probe: the forward/backward sweep reuses one scratch
-        // arena instead of allocating per layer, and the null sink keeps
-        // the view's parameter grads byte-identical.
+        // arena instead of allocating per layer, and backprop never writes
+        // the view's parameter grads.
         Mlp::Tape tape;
         Matrix grads = view.InputGradient(rows, &tape);
         std::vector<double> p(dim, 0.0);

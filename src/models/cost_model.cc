@@ -133,7 +133,7 @@ size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double per_sample_cost_elems) {
   if (config.chunk_size > 0) return config.chunk_size;
   const size_t batch = std::max<size_t>(1, config.batch_size);
-  // Keep per-chunk sink overhead under 1/16 of the chunk's backprop work:
+  // Keep per-chunk overhead under 1/16 of the chunk's backprop work:
   // chunk >= merge / (target * per_sample). Degenerate inputs (no measured
   // compute) fall back to single-sample chunks.
   constexpr double kTargetOverheadFraction = 1.0 / 16.0;

@@ -40,24 +40,19 @@ struct TrainConfig {
   double learning_rate = 1e-3;
   uint64_t seed = 1;
   /// Samples per data-parallel gradient chunk. Each optimizer batch is cut
-  /// into fixed chunks of this width, and each chunk's parameter gradient
-  /// is summed on its own before the chunks are added in chunk index
-  /// order: QPPNet backprops chunks concurrently into private GradSinks,
-  /// MSCN runs chunk-aligned shards and sums per chunk with segmented
-  /// accumulates. The partition depends only on batch_size and the
-  /// resolved chunk_size — never on the worker count — so the fitted model
-  /// is bit-identical at any thread count; chunk_size only trades
-  /// scheduling granularity against per-chunk accumulator overhead (and,
-  /// as a summation order, is part of the trained bits).
+  /// into fixed chunks of this width, and the chunks are the segmentation
+  /// of every gradient sum: each chunk's rows form one zero-seeded chain
+  /// per parameter element, and the chains are added in chunk index order
+  /// (Mlp::AddParamGrad). QPPNet runs the chunks concurrently, one plan
+  /// node per tape; MSCN runs chunk-aligned shards. The partition depends
+  /// only on batch_size and the resolved chunk_size — never on the worker
+  /// count — so the fitted model is bit-identical at any thread count. As
+  /// a summation order, chunk_size is part of the trained bits.
   ///
-  /// 0 (the default) autotunes: models derive the width from batch_size and
-  /// the measured per-chunk sink-merge cost — the exact count of gradient
-  /// elements a chunk zeroes and merges versus the per-sample backprop
-  /// element count (see ResolveTrainChunkSize). Element counts rather than
-  /// wall timings keep the partition deterministic, so autotuned training
-  /// stays bit-identical across runs and thread counts; small models whose
-  /// merge cost rivals their per-sample compute get wider chunks instead
-  /// of over-chunking at a fixed width.
+  /// 0 (the default) autotunes from exact element counts (see
+  /// ResolveTrainChunkSize) rather than wall timings, so the partition is
+  /// deterministic and autotuned training stays bit-identical across runs
+  /// and thread counts.
   size_t chunk_size = 0;
   /// If > 0, evaluate mean q-error on `eval_set` every `eval_every` epochs
   /// (drives the paper's Figure 8 convergence curves).
@@ -188,19 +183,22 @@ double SubtreeLatencyMs(const PlanNode& node);
 constexpr double kTrainFlopsPerParam = 6.0;
 
 /// Resolves TrainConfig::chunk_size. Explicit widths pass through; 0
-/// (auto) picks the smallest chunk whose per-chunk sink overhead
-/// (`merge_cost_elems`, the gradient elements zeroed + merged per chunk)
-/// stays under a fixed fraction of the chunk's compute
-/// (`per_sample_cost_elems` per sample), clamped to [1, batch_size]. All
-/// inputs are deterministic element counts, so the resolved width — and
-/// with it the chunk partition and the trained model — is identical across
-/// runs and thread counts.
+/// (auto) picks the smallest chunk whose per-chunk overhead
+/// (`merge_cost_elems`) stays under a fixed fraction of the chunk's
+/// compute (`per_sample_cost_elems` per sample), clamped to [1,
+/// batch_size]. The overhead is still counted as the gradient elements a
+/// chunk's own accumulator would zero and merge, as when every chunk owned
+/// one: the resolved width is the segmentation of every gradient sum, so
+/// changing the formula would change the trained bits. All inputs are
+/// deterministic element counts, so the resolved width — and with it the
+/// chunk partition and the trained model — is identical across runs and
+/// thread counts.
 size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double merge_cost_elems,
                              double per_sample_cost_elems);
 
 /// One optimizer step of data-parallel training (`slot_sq` as returned by
-/// Optimizer::SetGrads or ReduceChunks), refused when the batch went
+/// Optimizer::SetGrads), refused when the batch went
 /// numerically bad:
 /// a non-finite `batch_loss` (a NaN or infinite label, say) or a
 /// non-finite gradient norm returns kNumericError naming `epoch` and

@@ -311,23 +311,23 @@ void Mscn::BackwardPacked(Shard* shard) const {
   size_t h = config_.set_hidden;
   const Packed& packed = shard->packed;
   NetTapes& tapes = shard->tapes;
-  const Matrix& grad_concat = final_net_->Backward(
-      tapes.final_net.grads.back(), &tapes.final_net, /*sink=*/nullptr);
+  const Matrix& grad_concat =
+      final_net_->Backward(tapes.final_net.grads.back(), &tapes.final_net);
   // Each set module's output gradient is its slice of the concat gradient
   // expanded over the module's element rows, built in place as the
   // module tape's output gradient. Nobody reads a set module's input
   // gradient, so its first layer skips that product.
   SegmentExpandInto(grad_concat, 0, packed.join_offsets, packed.joins.rows(),
                     h, &tapes.join.grads.back());
-  join_net_->Backward(tapes.join.grads.back(), &tapes.join, nullptr,
+  join_net_->Backward(tapes.join.grads.back(), &tapes.join,
                       /*input_grad=*/false);
   SegmentExpandInto(grad_concat, h, packed.pred_offsets, packed.preds.rows(),
                     h, &tapes.pred.grads.back());
-  pred_net_->Backward(tapes.pred.grads.back(), &tapes.pred, nullptr,
+  pred_net_->Backward(tapes.pred.grads.back(), &tapes.pred,
                       /*input_grad=*/false);
   SegmentExpandInto(grad_concat, 2 * h, packed.op_offsets, packed.ops.rows(),
                     h, &tapes.op.grads.back());
-  op_net_->Backward(tapes.op.grads.back(), &tapes.op, nullptr,
+  op_net_->Backward(tapes.op.grads.back(), &tapes.op,
                     /*input_grad=*/false);
 }
 

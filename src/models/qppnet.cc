@@ -155,26 +155,48 @@ void QppNet::ForwardPlan(const EncodedPlan& plan,
   }
 }
 
+void QppNet::LayoutBatch(const std::vector<EncodedPlan>& encoded,
+                         const std::vector<size_t>& order, size_t begin,
+                         size_t end, size_t chunk_size,
+                         BatchRows* rows) const {
+  std::array<size_t, kNumOpTypes> count{};
+  for (UnitRows& unit : *rows) unit.bounds.assign(1, 0);
+  for (size_t cs = begin; cs < end; cs += chunk_size) {
+    for (size_t i = cs; i < std::min(cs + chunk_size, end); ++i) {
+      for (const EncodedNode& node : encoded[order[i]].nodes) {
+        ++count[static_cast<size_t>(node.op)];
+      }
+    }
+    for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+      (*rows)[oi].bounds.push_back(count[oi]);
+    }
+  }
+  for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+    units_[oi]->ShapeParamRows(count[oi], &(*rows)[oi].tape);
+  }
+}
+
 double QppNet::TrainPlan(const EncodedPlan& plan, double inv_node_count,
-                         ChunkAccum* accum) const {
+                         ChunkScratch* scratch, BatchRows* rows,
+                         std::array<size_t, kNumOpTypes>* next_row) const {
   size_t d = config_.data_vector_dim;
   size_t n = plan.nodes.size();
   // Bottom-up forward recording one reused tape per node (children always
   // have larger pre-order indices, so reverse order computes leaves first).
   // Tapes, per-node gradients and the unit-input row all live in the
-  // chunk's scratch arena, so a warm accumulator runs the whole
-  // forward/backward without allocating.
-  if (accum->tapes.size() < n) accum->tapes.resize(n);
-  if (accum->node_grads.size() < n) accum->node_grads.resize(n);
-  std::vector<Mlp::Tape>& tapes = accum->tapes;
+  // chunk's scratch arena, so a warm arena runs the whole forward/backward
+  // without allocating.
+  if (scratch->tapes.size() < n) scratch->tapes.resize(n);
+  if (scratch->node_grads.size() < n) scratch->node_grads.resize(n);
+  std::vector<Mlp::Tape>& tapes = scratch->tapes;
   for (size_t ii = n; ii > 0; --ii) {
     size_t i = ii - 1;
-    UnitInputInto(plan, i, tapes, &accum->unit_input);
-    units_[static_cast<size_t>(plan.nodes[i].op)]->Forward(accum->unit_input,
-                                                           &tapes[i]);
+    UnitInputInto(plan, i, tapes, &scratch->unit_input);
+    units_[static_cast<size_t>(plan.nodes[i].op)]->Forward(
+        scratch->unit_input, &tapes[i]);
   }
 
-  std::vector<Matrix>& grads = accum->node_grads;
+  std::vector<Matrix>& grads = scratch->node_grads;
   for (size_t i = 0; i < n; ++i) grads[i].ResetShape(1, d);
   double loss = 0.0;
   // Pre-order: parents first, so parent-propagated gradients are complete
@@ -186,12 +208,8 @@ double QppNet::TrainPlan(const EncodedPlan& plan, double inv_node_count,
     grads[i].At(0, 0) += 2.0 * err * inv_node_count;
 
     size_t oi = static_cast<size_t>(node.op);
-    if (!accum->touched[oi]) {
-      accum->sinks[oi].InitLike(units_[oi]->Grads());
-      accum->touched[oi] = true;
-    }
-    const Matrix& gx =
-        units_[oi]->Backward(grads[i], &tapes[i], &accum->sinks[oi]);
+    const Matrix& gx = units_[oi]->Backward(grads[i], &tapes[i]);
+    units_[oi]->PackParamRow(tapes[i], (*next_row)[oi]++, &(*rows)[oi].tape);
     size_t feat_dim = node.feats.size();
     for (size_t c = 0; c < node.children.size() && c < config_.max_children;
          ++c) {
@@ -201,6 +219,20 @@ double QppNet::TrainPlan(const EncodedPlan& plan, double inv_node_count,
     }
   }
   return loss;
+}
+
+void QppNet::AddBatchGrad(size_t slot, const BatchRows& rows,
+                          Matrix* grad) const {
+  // Every unit has the same layer stack, so the same number of slots.
+  size_t per_unit = 0;
+  for (const auto& layer : units_[0]->layers()) {
+    per_unit += layer->num_param_grads();
+  }
+  const UnitRows& unit = rows[slot / per_unit];
+  // A unit no node of the batch reached keeps its zeroed (+0) gradient.
+  if (unit.bounds.back() == 0) return;
+  units_[slot / per_unit]->AddParamGrad(slot % per_unit, unit.tape,
+                                        unit.bounds, grad);
 }
 
 Status QppNet::Train(const std::vector<PlanSample>& train,
@@ -220,11 +252,14 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
 
   Rng train_rng(config.seed);
   std::vector<size_t> order(encoded.size());
-  // Chunk autotuning (chunk_size == 0): per-chunk overhead is the gradient
-  // elements zeroed and merged for the unit types a chunk touches; per-plan
-  // compute is proportional to plan nodes x unit parameter elements. Both
-  // are exact element counts over the encoded training set — deterministic,
-  // so the partition stays thread-count- and run-independent.
+  // Chunk autotuning (chunk_size == 0). The chunk width decides where each
+  // batch's gradient sums are cut, so it is part of the trained bits and
+  // keeps the derivation it had when every chunk owned a gradient sink:
+  // per-chunk overhead is the gradient elements zeroed and merged for the
+  // unit types a chunk touches; per-plan compute is proportional to plan
+  // nodes x unit parameter elements. Both are exact element counts over the
+  // encoded training set — deterministic, so the partition stays
+  // thread-count- and run-independent.
   double merge_elems = 0.0;
   double plan_elems = 0.0;
   {
@@ -248,25 +283,22 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   }
   const size_t chunk_size =
       ResolveTrainChunkSize(config, merge_elems, plan_elems);
-  // Per-chunk gradient state, reused across batches. The chunk partition
-  // depends only on batch_size and the resolved chunk_size — never on the
-  // worker count — and chunk results merge in chunk index order below,
-  // which keeps the fitted model bit-identical at any thread count.
-  std::vector<ChunkAccum> accums;
+  // The chunk partition depends only on batch_size and the resolved
+  // chunk_size, never on the worker count, and each gradient is summed one
+  // chain per chunk in chunk order, which keeps the fitted model
+  // bit-identical at any thread count. Scratch and packed rows are reused
+  // across batches.
+  std::vector<ChunkScratch> scratch;
+  BatchRows rows;
   std::vector<double> chunk_losses;
   std::vector<double> slot_sq;
-  // Optimizer gradient slot -> (operator unit, slot within that unit), in
-  // Grads() order, for the per-slot chunk reduction.
-  std::vector<std::pair<size_t, size_t>> slot_units;
-  for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
-    for (size_t k = 0; k < units_[oi]->Grads().size(); ++k) {
-      slot_units.emplace_back(oi, k);
+  std::vector<Optimizer::GradBlock> grad_blocks;
+  {
+    const std::vector<Matrix*> grads = Grads();
+    for (size_t s = 0; s < grads.size(); ++s) {
+      grad_blocks.push_back({s, 0, grads[s]->rows()});
     }
   }
-  const Optimizer::ChunkPart part = [&](size_t slot, size_t c) {
-    const auto [oi, k] = slot_units[slot];
-    return accums[c].touched[oi] ? &accums[c].sinks[oi].slot(k) : nullptr;
-  };
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Per-epoch order from an epoch-keyed Split stream: epoch e's shuffle
@@ -279,34 +311,41 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
     size_t epoch_nodes = 0;
     for (size_t start = 0; start < order.size(); start += config.batch_size) {
       size_t end = std::min(start + config.batch_size, order.size());
+      LayoutBatch(encoded, order, start, end, chunk_size, &rows);
       size_t batch_nodes = 0;
-      for (size_t i = start; i < end; ++i) {
-        batch_nodes += encoded[order[i]].nodes.size();
-      }
+      for (const UnitRows& unit : rows) batch_nodes += unit.bounds.back();
       double inv = batch_nodes > 0 ? 1.0 / static_cast<double>(batch_nodes)
                                    : 1.0;
       size_t num_chunks = (end - start + chunk_size - 1) / chunk_size;
-      if (accums.size() < num_chunks) accums.resize(num_chunks);
+      if (scratch.size() < num_chunks) scratch.resize(num_chunks);
       chunk_losses.assign(num_chunks, 0.0);
       ParallelFor(pool, num_chunks, [&](size_t c) {
-        ChunkAccum& accum = accums[c];
-        accum.BeginBatch();
+        std::array<size_t, kNumOpTypes> next_row{};
+        for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+          next_row[oi] = rows[oi].bounds[c];
+        }
         size_t cs = start + c * chunk_size;
         size_t ce = std::min(cs + chunk_size, end);
         double loss = 0.0;
         for (size_t i = cs; i < ce; ++i) {
-          loss += TrainPlan(encoded[order[i]], inv, &accum);
+          loss += TrainPlan(encoded[order[i]], inv, &scratch[c], &rows,
+                            &next_row);
         }
         chunk_losses[c] = loss;
       });
       // Fixed-order reductions: losses in chunk order, and each gradient
-      // slot over its touching chunks in chunk order.
+      // slot over its unit's chunks in chunk order.
       double batch_loss = 0.0;
       for (size_t c = 0; c < num_chunks; ++c) {
         batch_loss += chunk_losses[c];
         epoch_loss += chunk_losses[c];
       }
-      optimizer_->ReduceChunks(num_chunks, part, pool, &slot_sq);
+      optimizer_->SetGrads(
+          grad_blocks,
+          [&](const Optimizer::GradBlock& block, Matrix* grad) {
+            AddBatchGrad(block.slot, rows, grad);
+          },
+          pool, &slot_sq);
       epoch_nodes += batch_nodes;
       QCFE_RETURN_IF_ERROR(StepBatch(optimizer_.get(), batch_loss, slot_sq,
                                      epoch, start / config.batch_size, pool));
@@ -355,13 +394,21 @@ Result<double> QppNet::TrainingLoss(const std::vector<PlanSample>& samples,
   }
   if (total_nodes == 0) return Status::InvalidArgument("no plan nodes");
   double inv = 1.0 / static_cast<double>(total_nodes);
-  ChunkAccum accum;
-  accum.BeginBatch();
+  // The whole sample set is one chunk.
+  std::vector<size_t> order(encoded.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  BatchRows rows;
+  LayoutBatch(encoded, order, 0, order.size(), order.size(), &rows);
+  std::array<size_t, kNumOpTypes> next_row{};
+  ChunkScratch scratch;
   double loss = 0.0;
-  for (const auto& plan : encoded) loss += TrainPlan(plan, inv, &accum);
+  for (const auto& plan : encoded) {
+    loss += TrainPlan(plan, inv, &scratch, &rows, &next_row);
+  }
   if (accumulate_gradients) {
-    for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
-      if (accum.touched[oi]) accum.sinks[oi].AddTo(units_[oi]->Grads());
+    std::vector<Matrix*> grads = Grads();
+    for (size_t s = 0; s < grads.size(); ++s) {
+      AddBatchGrad(s, rows, grads[s]);
     }
   }
   return loss * inv;

@@ -37,11 +37,13 @@ class QppNet : public CostModel {
   std::string name() const override { return "QPPNet"; }
   /// Chunk-parallel training: each epoch's sample order (drawn from an
   /// epoch-keyed Rng::Split stream) is cut into fixed-width chunks
-  /// (TrainConfig::chunk_size) independent of the worker count; chunks of
-  /// one optimizer batch backprop concurrently into private GradSinks via
-  /// the attached thread pool, and sinks merge into the optimizer-bound
-  /// gradients in chunk order — so the trained model is bit-identical at
-  /// any thread count.
+  /// (TrainConfig::chunk_size) independent of the worker count. Chunks of
+  /// one optimizer batch forward and backprop their plans concurrently on
+  /// per-node tapes via the attached thread pool, packing each node's
+  /// layer inputs and output gradients into its unit's batch rows. The
+  /// gradient phase then sums each unit's rows with one zero-seeded chain
+  /// per chunk, added in chunk order — so the trained model is
+  /// bit-identical at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
   Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
@@ -111,29 +113,47 @@ class QppNet : public CostModel {
   void ForwardPlan(const EncodedPlan& plan,
                    std::vector<Matrix>* node_outputs) const;
 
-  /// One training chunk's private gradient state: a sink per neural unit,
-  /// lazily (re)zeroed on first touch within a batch so untouched units
-  /// cost nothing to reset or merge. Doubles as the chunk's scratch arena:
-  /// per-node tapes, per-node output gradients and the unit-input row are
-  /// reshaped in place across plans and batches, so steady-state training
-  /// never touches the allocator.
-  struct ChunkAccum {
-    std::array<GradSink, kNumOpTypes> sinks;
-    std::array<bool, kNumOpTypes> touched{};
+  /// One training chunk's scratch arena: per-node tapes, per-node output
+  /// gradients and the unit-input row are reshaped in place across plans
+  /// and batches, so steady-state training never touches the allocator.
+  struct ChunkScratch {
     /// Reusable per-node forward/backward state (grown to the widest plan).
     std::vector<Mlp::Tape> tapes;
     std::vector<Matrix> node_grads;
     Matrix unit_input;
-
-    void BeginBatch() { touched.fill(false); }
   };
 
-  /// Forward + backward for one plan on per-node tapes, accumulating
-  /// parameter gradients (seeded with 2 * err * inv_node_count per node)
-  /// into `accum`. Returns the plan's summed squared error. Const and
-  /// state-free: concurrent calls only share the read-only units.
+  /// One neural unit's share of an optimizer batch: every linear layer's
+  /// input and output gradient for each batch node of the unit's operator
+  /// type, one row per node on a packed tape, in (chunk, plan, pre-order)
+  /// order. Chunk c owns rows [bounds[c], bounds[c + 1]), known from the
+  /// encoded plans before any chunk runs, so chunks fill disjoint rows
+  /// concurrently and each chunk is one segment of Mlp::AddParamGrad.
+  struct UnitRows {
+    Mlp::Tape tape;
+    std::vector<size_t> bounds;
+  };
+  using BatchRows = std::array<UnitRows, kNumOpTypes>;
+
+  /// Lays out `rows` for the plans encoded[order[begin]], ...,
+  /// encoded[order[end - 1]] cut into chunks of `chunk_size` plans:
+  /// per-unit chunk bounds and packed-tape shapes.
+  void LayoutBatch(const std::vector<EncodedPlan>& encoded,
+                   const std::vector<size_t>& order, size_t begin, size_t end,
+                   size_t chunk_size, BatchRows* rows) const;
+
+  /// Forward + backward for one plan on per-node tapes (each node's loss
+  /// gradient seeded with 2 * err * inv_node_count), writing each node's
+  /// rows into its unit's packed tape at next_row[op], which advances.
+  /// Returns the plan's summed squared error. Const: concurrent calls
+  /// share only the read-only units and disjoint rows of `rows`.
   double TrainPlan(const EncodedPlan& plan, double inv_node_count,
-                   ChunkAccum* accum) const;
+                   ChunkScratch* scratch, BatchRows* rows,
+                   std::array<size_t, kNumOpTypes>* next_row) const;
+
+  /// Adds the batch gradient of parameter slot `slot` (Grads() order) from
+  /// `rows` into `grad`: one chain per chunk, in chunk order.
+  void AddBatchGrad(size_t slot, const BatchRows& rows, Matrix* grad) const;
 
   /// Fits feature scalers and the label scaler on first training.
   void FitScalers(const std::vector<PlanSample>& train);

@@ -180,38 +180,18 @@ void GemmAT(const Matrix& a, const Matrix& b, Matrix* out) {
   t.at_panel(a, b, out);
 }
 
-void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  QCFE_CHECK(a.rows() == b.rows(), "GemmATAccumulate: row-count mismatch");
-  QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
-             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  const KernelTable& t = ActiveTable();
-  // Rank-1 contractions (per-node training rows) have a single term per
-  // output element, so they accumulate straight into the sink row-sparsely.
-  if (a.rows() == 1) {
-    t.at_acc_rank1(a, b, acc);
-    return;
-  }
-  const size_t whole[2] = {0, a.rows()};
-  t.at_acc_panel(a, b, whole, 1, 0, a.cols(), acc);
-}
-
-void ColSumAccumulate(const Matrix& a, Matrix* acc) {
-  QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
-             "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
-  const size_t whole[2] = {0, a.rows()};
-  ActiveTable().colsum_acc(a, whole, 1, acc);
-}
-
 void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
                               const std::vector<size_t>& bounds, Matrix* acc,
                               size_t row_begin, size_t row_end) {
-  QCFE_CHECK(a.rows() == b.rows(), "GemmATAccumulate: row-count mismatch");
+  QCFE_CHECK(a.rows() == b.rows(),
+             "GemmATAccumulateSegments: row-count mismatch");
   QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
-             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+             "GemmATAccumulateSegments: acc must be pre-shaped to a.cols x "
+             "b.cols");
   CheckSegmentBounds(bounds, a.rows());
   row_end = std::min(row_end, a.cols());
   QCFE_CHECK(row_begin <= row_end,
-             "GemmATAccumulate: output row range must ascend");
+             "GemmATAccumulateSegments: output row range must ascend");
   ActiveTable().at_acc_panel(a, b, bounds.data(), bounds.size() - 1,
                              row_begin, row_end, acc);
 }
@@ -219,7 +199,8 @@ void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
 void ColSumAccumulateSegments(const Matrix& a,
                               const std::vector<size_t>& bounds, Matrix* acc) {
   QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
-             "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
+             "ColSumAccumulateSegments: acc must be a pre-shaped 1 x a.cols "
+             "row");
   CheckSegmentBounds(bounds, a.rows());
   ActiveTable().colsum_acc(a, bounds.data(), bounds.size() - 1, acc);
 }

@@ -16,17 +16,13 @@
 ///  * The NN family (GemmNN, GemmNNBias, GemmNNBiasRelu) takes the row-skip
 ///    loop when ZeroFraction(a) >= kRowSkipZeroFraction (0.8), and the
 ///    register panel otherwise, at any row count.
-///  * GemmATAccumulate takes the rank-1 row-sparse update for one-row
-///    operands (QPPNet's per-node training rows) and the register panel
-///    otherwise. It has no row-skip slot: on neither benchmark workload
-///    does a production call send it a multi-row operand with 80% zeros or
-///    more (QPPNet's rows arrive one at a time, MSCN's through the
-///    segmented form).
 ///  * GemmAT takes the register panel from kMr rows on and the streaming
 ///    loop below that (the panel only pays once it amortises operand loads
 ///    across a full register block).
-///  * GemmBT, the segmented accumulates, ColSumAccumulate and the optimizer
-///    steps have one slot each.
+///  * GemmBT, the segmented accumulates and the optimizer steps have one
+///    slot each. The weight-gradient accumulate always runs the register
+///    panel, zero inputs included: both estimators hand it a whole batch's
+///    rows per network at once.
 ///
 /// The 0.8 crossover is the AVX2 tier's measured one, and the same in every
 /// process on a 4-vCPU AVX2 host (best of three, one thread): at the
@@ -51,27 +47,27 @@
 /// Across tiers, FMA's single rounding makes contraction results differ
 /// from the scalar tier by a bounded relative error (gated at
 /// kSimdRelTolerance by tests/kernels_test.cc and `bench_micro --smoke`);
-/// ColSumAccumulate, AdamStep and SgdStep use no FMA and no reductions, so
-/// they are bit-identical across tiers.
+/// ColSumAccumulateSegments, AdamStep and SgdStep use no FMA and no
+/// cross-lane reductions, so they are bit-identical across tiers.
 ///
 /// Segmented accumulates. GemmATAccumulateSegments/ColSumAccumulateSegments
 /// cut the shared row dimension at caller-given bounds and, per output
 /// element, build each segment's terms as one zero-seeded chain in the
 /// tier's own arithmetic (FMA on AVX2, mul+add on scalar), then add the
-/// chains onto the destination with unfused adds in segment order. That
-/// equals, bit for bit, one zeroed gradient sink per chunk merged in chunk
-/// order: each sink takes one accumulate, and +0 + chain == chain because a
-/// chain seeded at +0 can never round to -0; the merge then adds the sinks
-/// into a zeroed gradient in chunk order. So a batch whose rows are
-/// segmented at its chunk boundaries gets the sinks' bits without any sink
-/// (MSCN trains this way). Segments must follow the chunk partition: a
-/// caller that splits work into shards (one packed forward/backward per
-/// worker) must cut shards at chunk boundaries and feed the shards to the
-/// accumulate in order, because a chain that spanned a chunk boundary, or
-/// two chunks summed in a different order, would round differently. The
-/// plain GemmATAccumulate's register panel and ColSumAccumulate are the
-/// one-segment call of the same tier slot; no tier has a second panel
-/// accumulate kernel.
+/// chains onto the destination with unfused adds in segment order.
+/// Training makes each chunk of an optimizer batch one segment, so a
+/// gradient is 0 + chain(chunk 0) + chain(chunk 1) + ... at any thread
+/// count. A chain seeded at +0 never rounds to -0, so neither does a
+/// gradient built this way, and an empty segment (a network that no row of
+/// a chunk reached) adds +0 and changes nothing. Segments must follow the
+/// chunk partition: a caller that splits work into shards (MSCN: one packed
+/// forward/backward per worker) must cut shards at chunk boundaries and
+/// feed them to the accumulate in order, and a caller that packs rows
+/// (QPPNet, per neural unit) must keep each chunk's rows contiguous and in
+/// the chunk's own order, because a chain that spanned a chunk boundary,
+/// or rows summed in another order, would round differently. `{0, rows}` is
+/// the plain one-segment accumulate; no tier has a second accumulate
+/// kernel.
 
 #include <cstddef>
 #include <cstdint>
@@ -165,22 +161,15 @@ void GemmBT(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a^T * b. (k x m) * (k x n) -> (m x n).
 void GemmAT(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// acc += a^T * b with each output element's contraction summed in a
-/// register before the single add: the dW += X^T * dY backward product,
-/// matching `acc->Add(MatMulAT(a, b))` without the temporary.
-void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
-
-/// acc (1 x n) += column sums of a: the db += colsum(dY) backward product,
-/// bit-identical to `acc->Add(a.ColSum())` without the temporary (in every
-/// tier — column sums are vertical and never reduce across lanes).
-void ColSumAccumulate(const Matrix& a, Matrix* acc);
-
-/// Segmented GemmATAccumulate: for s = 0, 1, ..., the rows [bounds[s],
-/// bounds[s + 1]) of a and b contribute one zero-seeded contraction that is
-/// added onto acc before the next segment's (see "Segmented accumulates"
-/// above). Equals one GemmATAccumulate per segment into a zeroed temporary
-/// followed by in-order Adds, bit for bit, in every tier. `bounds` must
-/// ascend and end at or before a.rows(); rows outside it are ignored.
+/// acc += a^T * b over row segments (the dW += X^T * dY backward product):
+/// for s = 0, 1, ..., the rows [bounds[s], bounds[s + 1]) of a and b
+/// contribute one zero-seeded contraction, summed in registers and then
+/// added onto acc with one unfused add before the next segment's (see
+/// "Segmented accumulates" above). Equals one one-segment call per segment
+/// into a zeroed temporary followed by in-order Adds, bit for bit, in every
+/// tier; on the scalar tier each segment's sum is the reference
+/// GemmATAccumulate's. `bounds` must ascend and end at or before a.rows();
+/// rows outside it are ignored.
 /// Only acc rows [row_begin, min(row_end, a.cols())) are updated, so one
 /// accumulate can be split across tasks by output rows without changing
 /// any element. Always runs the tier's register panel.
@@ -189,7 +178,9 @@ void GemmATAccumulateSegments(const Matrix& a, const Matrix& b,
                               size_t row_begin = 0,
                               size_t row_end = SIZE_MAX);
 
-/// Segmented ColSumAccumulate, with the same segment semantics.
+/// acc (1 x n) += column sums of a over row segments (the db += colsum(dY)
+/// backward product), with the same segment semantics. Bit-identical in
+/// every tier: column sums are vertical and never reduce across lanes.
 void ColSumAccumulateSegments(const Matrix& a,
                               const std::vector<size_t>& bounds, Matrix* acc);
 

@@ -51,13 +51,10 @@ struct KernelTable {
   /// acc += a^T * b over row segments, for acc rows [i_begin, i_end) only:
   /// the rows [bounds[s], bounds[s+1]) of segment s = 0 .. num_segments-1
   /// each form one zero-seeded register-panel contraction, added onto acc
-  /// with one unfused add, in segment order. GemmATAccumulate is the
-  /// one-segment call over every acc row.
+  /// with one unfused add, in segment order.
   void (*at_acc_panel)(const Matrix& a, const Matrix& b, const size_t* bounds,
                        size_t num_segments, size_t i_begin, size_t i_end,
                        Matrix* acc);
-  /// acc += a^T * b for single-row a/b (rank-1, row-sparse).
-  void (*at_acc_rank1)(const Matrix& a, const Matrix& b, Matrix* acc);
   /// acc (1 x n) += column sums of a over row segments, with the same
   /// per-segment chain and in-order add as at_acc_panel.
   void (*colsum_acc)(const Matrix& a, const size_t* bounds,

@@ -133,9 +133,10 @@ void DenseATAccumulate(const Matrix& a, const Matrix& b, const size_t* bounds,
   QCFE_CHECK(a.rows() == b.rows(), "GemmAT: a.rows() must equal b.rows()");
   QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
   QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
-             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+             "GemmATAccumulateSegments: acc must be pre-shaped to a.cols x "
+             "b.cols");
   QCFE_CHECK(i_begin <= i_end && i_end <= a.cols(),
-             "GemmATAccumulate: output row range outside acc");
+             "GemmATAccumulateSegments: output row range outside acc");
   const size_t n = b.cols();
   for (size_t i0 = i_begin; i0 < i_end; i0 += kMr) {
     const size_t mr = std::min(kMr, i_end - i0);
@@ -247,26 +248,6 @@ void DenseBT(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-/// Rank-1 a^T * b accumulate (a and b both single rows): dst(i, :) +=
-/// a(0, i) * b(0, :), skipping zero a entries. With one contraction term
-/// per element, "sum in a register, then add" and "add the product" are
-/// the same single addition, so this stays bit-identical to the reference
-/// temporary+Add — while touching only the rows a actually activates
-/// (plan-structured training backprops one node row at a time, so this is
-/// the dW kernel QPPNet runs almost exclusively).
-void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  const double* arow = a.RowPtr(0);
-  const double* __restrict brow = b.RowPtr(0);
-  const size_t m = a.cols();
-  const size_t n = b.cols();
-  for (size_t i = 0; i < m; ++i) {
-    const double av = arow[i];
-    if (av == 0.0) continue;
-    double* __restrict dst = acc->RowPtr(i);
-    for (size_t j = 0; j < n; ++j) dst[j] += av * brow[j];
-  }
-}
-
 /// Column-blocked stack buffer: each segment's column sums are built
 /// zero-seeded in ascending row order, then added to the destination once,
 /// segment by segment — the exact "ColSum() then Add()" chains per segment
@@ -341,7 +322,6 @@ const KernelTable& ScalarTable() {
       DenseATOverwrite,      // at_panel
       StreamAT,              // at_stream
       DenseATAccumulate,     // at_acc_panel
-      Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step

@@ -14,11 +14,10 @@
 /// keeps batched-vs-single, sharded-vs-serial and async-vs-direct serving
 /// bit-identical under a pinned ISA. The *Accumulate kernels finish the
 /// full chain first and then apply exactly one *unfused* add to the
-/// destination (fma(a, b, 0) rounds identically to a*b, so the rank-1 path
-/// composes with the panel path). GemmBT reduces its chain across four
+/// destination. GemmBT reduces its chain across four
 /// lanes with a fixed-shape horizontal sum — reordered relative to the
 /// scalar tier (hence the cross-tier tolerance gate) but per-element
-/// deterministic. ColSumAccumulate and the optimizer steps use no FMA and
+/// deterministic. The column sums and the optimizer steps use no FMA and
 /// no cross-lane reductions at all, so they are bit-identical to the
 /// scalar tier.
 
@@ -270,9 +269,10 @@ void DenseATAccumulate(const Matrix& a, const Matrix& b, const size_t* bounds,
   QCFE_CHECK(a.rows() == b.rows(), "GemmAT: a.rows() must equal b.rows()");
   QCFE_CHECK(out != &a && out != &b, "GemmAT: out must not alias an input");
   QCFE_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
-             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+             "GemmATAccumulateSegments: acc must be pre-shaped to a.cols x "
+             "b.cols");
   QCFE_CHECK(i_begin <= i_end && i_end <= a.cols(),
-             "GemmATAccumulate: output row range outside acc");
+             "GemmATAccumulateSegments: output row range outside acc");
   const size_t n = b.cols();
   for (size_t i0 = i_begin; i0 < i_end; i0 += kMr) {
     const size_t mr = std::min(kMr, i_end - i0);
@@ -369,28 +369,6 @@ void StreamAT(const Matrix& a, const Matrix& b, Matrix* out) {
       }
       for (; j < n; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
     }
-  }
-}
-
-void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  const double* arow = a.RowPtr(0);
-  const double* __restrict brow = b.RowPtr(0);
-  const size_t m = a.cols();
-  const size_t n = b.cols();
-  for (size_t i = 0; i < m; ++i) {
-    const double av = arow[i];
-    if (av == 0.0) continue;
-    double* __restrict dst = acc->RowPtr(i);
-    const __m256d avv = _mm256_set1_pd(av);
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      // mul then unfused add: a single-term chain rounds like fma(a, b, 0),
-      // and the destination add stays a separate rounding — exactly the
-      // panel-accumulate semantics.
-      const __m256d t = _mm256_mul_pd(avv, _mm256_loadu_pd(brow + j));
-      _mm256_storeu_pd(dst + j, _mm256_add_pd(_mm256_loadu_pd(dst + j), t));
-    }
-    for (; j < n; ++j) dst[j] += av * brow[j];
   }
 }
 
@@ -497,7 +475,6 @@ const KernelTable* Avx2Table() {
       DenseATOverwrite,      // at_panel
       StreamAT,              // at_stream
       DenseATAccumulate,     // at_acc_panel
-      Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step

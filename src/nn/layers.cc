@@ -32,17 +32,12 @@ void LinearLayer::ForwardReluInto(const Matrix& input, Matrix* output) const {
   kernels::GemmNNBiasRelu(input, w_, b_, output);
 }
 
-void LinearLayer::BackwardInto(const Matrix& grad_output, const Matrix& input,
+void LinearLayer::BackwardInto(const Matrix& grad_output,
+                               const Matrix& /*input*/,
                                const Matrix& /*output*/,
-                               Matrix* const* param_grads,
                                Matrix* grad_input) const {
-  // dW += X^T * dY ; db += colsum(dY) ; dX = dY * W^T — all allocation-free:
-  // the accumulate kernels build each contraction in registers and add it
-  // to the sink slot once, and dX lands in the caller's scratch buffer.
-  if (param_grads != nullptr) {
-    kernels::GemmATAccumulate(input, grad_output, param_grads[0]);
-    kernels::ColSumAccumulate(grad_output, param_grads[1]);
-  }
+  // dX = dY * W^T, into the caller's scratch buffer. dW and db are summed
+  // later from the tape (Mlp::AddParamGrad).
   if (grad_input != nullptr) kernels::GemmBT(grad_output, w_, grad_input);
 }
 
@@ -63,7 +58,6 @@ void ReluLayer::ForwardInto(const Matrix& input, Matrix* output) const {
 
 void ReluLayer::BackwardInto(const Matrix& grad_output, const Matrix& input,
                              const Matrix& /*output*/,
-                             Matrix* const* /*param_grads*/,
                              Matrix* grad_input) const {
   if (grad_input == nullptr) return;
   // Fused ReLU-mask backward: one pass that copies and masks (or masks in
@@ -95,7 +89,6 @@ void SigmoidLayer::ForwardInto(const Matrix& input, Matrix* output) const {
 
 void SigmoidLayer::BackwardInto(const Matrix& grad_output,
                                 const Matrix& /*input*/, const Matrix& output,
-                                Matrix* const* /*param_grads*/,
                                 Matrix* grad_input) const {
   if (grad_input == nullptr) return;
   if (grad_input != &grad_output) {
@@ -128,7 +121,6 @@ void TanhLayer::ForwardInto(const Matrix& input, Matrix* output) const {
 
 void TanhLayer::BackwardInto(const Matrix& grad_output,
                              const Matrix& /*input*/, const Matrix& output,
-                             Matrix* const* /*param_grads*/,
                              Matrix* grad_input) const {
   if (grad_input == nullptr) return;
   if (grad_input != &grad_output) {

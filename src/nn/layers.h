@@ -5,10 +5,12 @@
 /// Minimal layer zoo with hand-derived backprop. Layers are stateless with
 /// respect to activations: Forward() is const and side-effect free, and
 /// Backward() consumes the forward input/output the caller recorded on an
-/// Mlp::Tape instead of per-layer caches. That makes backprop reentrant —
-/// any number of threads can run forward/backward through the same layer
-/// concurrently, each with its own tape and gradient sink — which is what
-/// chunk-parallel training relies on.
+/// Mlp::Tape instead of per-layer caches, and writes only the caller's
+/// input-gradient buffer. That makes backprop reentrant — any number of
+/// threads can run forward/backward through the same layer concurrently,
+/// each with its own tape — which is what chunk-parallel training relies
+/// on. Layers compute no parameter gradients: Mlp::AddParamGrad builds
+/// them from the tape afterwards.
 
 #include <memory>
 #include <vector>
@@ -50,28 +52,25 @@ class Layer {
   /// Given dL/d(output) plus this layer's forward input and output (both
   /// recorded on the caller's tape), writes dL/d(input) into `grad_input`
   /// (reshaped reusing its buffer — allocation-free on steady shapes).
-  /// When `param_grads` is non-null it points at num_param_grads()
-  /// accumulator matrices (Grads() order) into which the parameter
-  /// gradients are added; null skips parameter accumulation entirely
-  /// (input-gradient probes). For elementwise layers (everything but
-  /// Linear) `grad_input` may alias `grad_output`; for Linear it must not
-  /// alias any operand. A null `grad_input` skips dL/d(input) (a network's
-  /// first layer when nobody reads its input gradient).
+  /// For elementwise layers (everything but Linear) `grad_input` may alias
+  /// `grad_output`; for Linear it must not alias any operand. A null
+  /// `grad_input` skips dL/d(input) (a network's first layer when nobody
+  /// reads its input gradient).
   virtual void BackwardInto(const Matrix& grad_output, const Matrix& input,
-                            const Matrix& output, Matrix* const* param_grads,
+                            const Matrix& output,
                             Matrix* grad_input) const = 0;
 
   /// Allocating convenience form of BackwardInto (tests, one-off probes).
   Matrix Backward(const Matrix& grad_output, const Matrix& input,
-                  const Matrix& output, Matrix* const* param_grads) const {
+                  const Matrix& output) const {
     Matrix grad_input;
-    BackwardInto(grad_output, input, output, param_grads, &grad_input);
+    BackwardInto(grad_output, input, output, &grad_input);
     return grad_input;
   }
 
   /// Parameter/gradient pairs for the optimizer (empty for activations).
   /// The gradient matrices are plain optimizer-bound accumulators; Backward
-  /// never touches them implicitly.
+  /// never touches them.
   virtual std::vector<Matrix*> Params() { return {}; }
   virtual std::vector<Matrix*> Grads() { return {}; }
 
@@ -97,8 +96,7 @@ class LinearLayer : public Layer {
   /// followed by a ReLU pass.
   void ForwardReluInto(const Matrix& input, Matrix* output) const;
   void BackwardInto(const Matrix& grad_output, const Matrix& input,
-                    const Matrix& output, Matrix* const* param_grads,
-                    Matrix* grad_input) const override;
+                    const Matrix& output, Matrix* grad_input) const override;
   std::vector<Matrix*> Params() override { return {&w_, &b_}; }
   std::vector<Matrix*> Grads() override { return {&dw_, &db_}; }
   size_t num_param_grads() const override { return 2; }
@@ -126,8 +124,7 @@ class ReluLayer : public Layer {
   Matrix Forward(const Matrix& input) const override;
   void ForwardInto(const Matrix& input, Matrix* output) const override;
   void BackwardInto(const Matrix& grad_output, const Matrix& input,
-                    const Matrix& output, Matrix* const* param_grads,
-                    Matrix* grad_input) const override;
+                    const Matrix& output, Matrix* grad_input) const override;
 };
 
 /// Logistic sigmoid.
@@ -137,8 +134,7 @@ class SigmoidLayer : public Layer {
   Matrix Forward(const Matrix& input) const override;
   void ForwardInto(const Matrix& input, Matrix* output) const override;
   void BackwardInto(const Matrix& grad_output, const Matrix& input,
-                    const Matrix& output, Matrix* const* param_grads,
-                    Matrix* grad_input) const override;
+                    const Matrix& output, Matrix* grad_input) const override;
 };
 
 /// Hyperbolic tangent.
@@ -148,8 +144,7 @@ class TanhLayer : public Layer {
   Matrix Forward(const Matrix& input) const override;
   void ForwardInto(const Matrix& input, Matrix* output) const override;
   void BackwardInto(const Matrix& grad_output, const Matrix& input,
-                    const Matrix& output, Matrix* const* param_grads,
-                    Matrix* grad_input) const override;
+                    const Matrix& output, Matrix* grad_input) const override;
 };
 
 }  // namespace qcfe

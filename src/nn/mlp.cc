@@ -1,12 +1,12 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 
 #include "nn/kernels.h"
 #include "nn/matrix_io.h"
-#include "nn/optimizer.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -94,7 +94,7 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
 }
 
 const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
-                            GradSink* sink, bool input_grad) const {
+                            bool input_grad) const {
   // Tape-reuse contract: Backward consumes the activation record of a
   // Forward() on this same network. A stale or foreign tape would read
   // mismatched activations and silently corrupt every gradient.
@@ -104,10 +104,6 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
   QCFE_DCHECK(grad_output.rows() == tape->activations.back().rows() &&
                   grad_output.cols() == tape->activations.back().cols(),
               "Mlp::Backward gradient shape does not match the taped output");
-  // Sink slots are laid out in Grads() order (layer by layer); walk layers
-  // in reverse while keeping the running offset past the current layer.
-  size_t offset = sink == nullptr ? 0 : sink->size();
-  Matrix* const* slots = sink == nullptr ? nullptr : sink->slots();
   std::vector<Matrix>& grads = tape->grads;  // sized by Forward()
   if (&grad_output != &grads.back()) grads.back() = grad_output;
   // Every layer writes its input gradient into its own tape slot (reshaped
@@ -115,15 +111,9 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
   // leaves each linear layer's output gradient on the tape for
   // AddParamGrad.
   for (size_t i = layers_.size(); i > 0; --i) {
-    const Layer& layer = *layers_[i - 1];
-    Matrix* const* param_grads = nullptr;
-    if (sink != nullptr) {
-      offset -= layer.num_param_grads();
-      if (layer.num_param_grads() > 0) param_grads = slots + offset;
-    }
     Matrix* grad_input = (i == 1 && !input_grad) ? nullptr : &grads[i - 1];
-    layer.BackwardInto(grads[i], tape->activations[i - 1],
-                       tape->activations[i], param_grads, grad_input);
+    layers_[i - 1]->BackwardInto(grads[i], tape->activations[i - 1],
+                                 tape->activations[i], grad_input);
   }
   return grads.front();
 }
@@ -157,6 +147,33 @@ void Mlp::AddParamGrad(size_t slot, const Tape& tape,
   QCFE_CHECK(false, "Mlp::AddParamGrad: gradient slot out of range");
 }
 
+void Mlp::ShapeParamRows(size_t rows, Tape* packed) const {
+  packed->activations.resize(layers_.size() + 1);
+  packed->grads.resize(layers_.size() + 1);
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    if (layers_[i]->kind() != LayerKind::kLinear) continue;
+    const auto& lin = static_cast<const LinearLayer&>(*layers_[i]);
+    packed->activations[i].ResetShapeUninitialized(rows, lin.in_dim());
+    packed->grads[i + 1].ResetShapeUninitialized(rows, lin.out_dim());
+  }
+}
+
+void Mlp::PackParamRow(const Tape& tape, size_t row, Tape* packed) const {
+  // Whole padded rows: the pad columns copied are zero, which keeps the
+  // packed matrices' layout invariant.
+  auto copy = [row](const Matrix& src, Matrix* dst) {
+    QCFE_DCHECK(src.rows() == 1 && src.ld() == dst->ld(),
+                "Mlp::PackParamRow: source is not one row of the packed "
+                "shape");
+    std::copy(src.RowPtr(0), src.RowPtr(0) + src.ld(), dst->RowPtr(row));
+  };
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    if (layers_[i]->kind() != LayerKind::kLinear) continue;
+    copy(tape.activations[i], &packed->activations[i]);
+    copy(tape.grads[i + 1], &packed->grads[i + 1]);
+  }
+}
+
 Matrix Mlp::InputGradient(const Matrix& input) const {
   Tape tape;
   return InputGradient(input, &tape);
@@ -166,7 +183,7 @@ Matrix Mlp::InputGradient(const Matrix& input, Tape* tape) const {
   const Matrix& out = Forward(input, tape);
   tape->seed.ResetShape(out.rows(), out.cols());
   for (size_t r = 0; r < tape->seed.rows(); ++r) tape->seed.At(r, 0) = 1.0;
-  return Backward(tape->seed, tape, /*sink=*/nullptr);
+  return Backward(tape->seed, tape);
 }
 
 void Mlp::ZeroGrad() {

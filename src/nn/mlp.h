@@ -21,7 +21,6 @@ namespace qcfe {
 
 class ByteReader;
 class ByteWriter;
-class GradSink;
 class Rng;
 
 /// Activation used between hidden layers.
@@ -46,8 +45,8 @@ class Mlp {
   /// activations[num_layers] the output. A tape is what Backward() reads
   /// instead of per-layer caches, so forward/backward is reentrant: any
   /// number of threads may run Forward/Backward through the same Mlp
-  /// concurrently as long as each owns its tape (and gradient sink). The
-  /// difference-propagation walker in src/core consumes the same record.
+  /// concurrently as long as each owns its tape. The difference-propagation
+  /// walker in src/core consumes the same record.
   ///
   /// A tape also keeps the gradient record of the last Backward():
   /// grads[i] is dL/d(activations[i]), so grads[i + 1] is layer i's output
@@ -91,34 +90,46 @@ class Mlp {
 
   /// Backprop from dL/d(output) through the activations recorded on `tape`
   /// (which must come from a Forward() on this network with the matching
-  /// input), recording every dL/d(activations[i]) in tape->grads.
-  /// Parameter gradients are added into `sink` (layout = Grads(); shape it
-  /// with GradSink::InitLike); a null sink adds none, which is how gradient
-  /// probes stay side-effect free and how batch-wide training defers them
-  /// to AddParamGrad. Returns dL/d(input), a reference into the tape
-  /// (invalidated by the next Backward on it); with `input_grad` false that
-  /// last product is skipped and the returned matrix is stale.
-  /// `grad_output` may be the tape's own grads.back().
+  /// input), recording every dL/d(activations[i]) in tape->grads. Nothing
+  /// outside the tape is written: parameter gradients come afterwards from
+  /// AddParamGrad, and gradient probes stay side-effect free. Returns
+  /// dL/d(input), a reference into the tape (invalidated by the next
+  /// Backward on it); with `input_grad` false that last product is skipped
+  /// and the returned matrix is stale. `grad_output` may be the tape's own
+  /// grads.back().
   const Matrix& Backward(const Matrix& grad_output, Tape* tape,
-                         GradSink* sink, bool input_grad = true) const;
+                         bool input_grad = true) const;
 
   /// Adds the gradient of parameter slot `slot` (Grads() order) from the
   /// Backward() recorded on `tape` into `grad`, with the tape's rows cut at
   /// `bounds` into segments (kernels::GemmATAccumulateSegments and
   /// ColSumAccumulateSegments): each segment is one zero-seeded sum added
-  /// with one unfused add, in order. Calls for several tapes in sequence
-  /// continue the same ordered chain of adds, so a batch backpropagated in
-  /// chunk-aligned shards and segmented at its chunk boundaries gets the
-  /// bits of one gradient sink per chunk merged in chunk order.
+  /// with one unfused add, in order; `{0, rows}` is the plain one-segment
+  /// gradient. Calls for several tapes in sequence continue the same
+  /// ordered chain of adds, so training that cuts each batch into chunks
+  /// gets one chain per chunk, added in chunk order, however the rows were
+  /// spread over tapes. Only the layer's input and output-gradient records
+  /// are read, so `tape` may be one built by PackParamRow.
   /// Only rows [row_begin, row_end) of `grad` are updated, so one slot can
   /// be split across tasks by rows.
   void AddParamGrad(size_t slot, const Tape& tape,
                     const std::vector<size_t>& bounds, Matrix* grad,
                     size_t row_begin = 0, size_t row_end = SIZE_MAX) const;
 
+  /// Shapes `packed` to hold `rows` rows of what AddParamGrad reads: each
+  /// linear layer's input and output-gradient records. The rows' contents
+  /// are unspecified until PackParamRow writes them.
+  void ShapeParamRows(size_t rows, Tape* packed) const;
+
+  /// Copies the AddParamGrad records of the one-row Backward() on `tape`
+  /// into row `row` of `packed` (shaped by ShapeParamRows), so many
+  /// single-row passes are summed as one batch. Calls for distinct rows
+  /// may run concurrently.
+  void PackParamRow(const Tape& tape, size_t row, Tape* packed) const;
+
   /// d(output_0)/d(input) for each sample: runs Forward+Backward with a
-  /// one-hot output gradient on a private tape and a null sink, so
-  /// optimizer-bound parameter grads are untouched (byte-for-byte).
+  /// one-hot output gradient on a private tape, so optimizer-bound
+  /// parameter grads are untouched (byte-for-byte).
   /// Returns a (batch x in_dim) matrix.
   Matrix InputGradient(const Matrix& input) const;
 

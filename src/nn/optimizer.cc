@@ -13,23 +13,6 @@
 
 namespace qcfe {
 
-void GradSink::InitLike(const std::vector<Matrix*>& grads) {
-  if (grads_.size() != grads.size()) grads_.resize(grads.size());
-  // ResetShape reuses each slot's allocation whenever the new shape fits,
-  // so re-initialising a warm sink (every batch) is a pure zeroing pass.
-  for (size_t i = 0; i < grads.size(); ++i) {
-    grads_[i].ResetShape(grads[i]->rows(), grads[i]->cols());
-  }
-  slot_ptrs_.clear();
-  slot_ptrs_.reserve(grads_.size());
-  for (Matrix& g : grads_) slot_ptrs_.push_back(&g);
-}
-
-void GradSink::AddTo(const std::vector<Matrix*>& grads) const {
-  assert(grads.size() == grads_.size());
-  for (size_t i = 0; i < grads_.size(); ++i) grads[i]->Add(grads_[i]);
-}
-
 namespace {
 
 /// Sum of squares in no particular order (four running sums, so the loop
@@ -98,22 +81,6 @@ void Optimizer::SetGrads(const std::vector<GradBlock>& blocks,
   for (size_t i = 0; i < blocks.size(); ++i) {
     (*slot_sq)[blocks[i].slot] += block_sq[i];
   }
-}
-
-void Optimizer::ReduceChunks(size_t num_chunks, const ChunkPart& part,
-                             ThreadPool* pool, std::vector<double>* slot_sq) {
-  std::vector<GradBlock> whole_slots;
-  for (size_t s = 0; s < grads_.size(); ++s) {
-    whole_slots.push_back({s, 0, grads_[s]->rows()});
-  }
-  SetGrads(
-      whole_slots,
-      [&](const GradBlock& block, Matrix* g) {
-        for (size_t c = 0; c < num_chunks; ++c) {
-          if (const Matrix* p = part(block.slot, c)) g->Add(*p);
-        }
-      },
-      pool, slot_sq);
 }
 
 SgdOptimizer::SgdOptimizer(std::vector<Matrix*> params,

@@ -2,19 +2,19 @@
 #define QCFE_NN_OPTIMIZER_H_
 
 /// \file optimizer.h
-/// First-order optimizers over (param, grad) pairs, plus the caller-owned
-/// gradient accumulator (GradSink) that tape-based backprop writes into.
-/// Adam is the default for both estimators, matching the reference
-/// QPPNet/MSCN implementations.
+/// First-order optimizers over (param, grad) pairs. Adam is the default for
+/// both estimators, matching the reference QPPNet/MSCN implementations.
 ///
 /// Every per-batch phase that touches all parameter slots (the gradient
 /// phase and the optimizer step) can fan out over a ThreadPool passed per
 /// call, one slot (or row block of a slot) per ParallelFor index. Each
 /// element's arithmetic is the serial loop's, so the pool changes wall
-/// time, never bits.
+/// time, never bits. Training writes its gradients inside the gradient
+/// phase (SetGrads), straight from the backward tapes with the segmented
+/// accumulates (Mlp::AddParamGrad): one zero-seeded chain per training
+/// chunk, added in chunk order.
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -25,39 +25,6 @@ namespace qcfe {
 class ByteReader;
 class ByteWriter;
 class ThreadPool;
-
-/// A caller-owned set of parameter-gradient accumulators, shaped like some
-/// network's Grads() list. Tape-based Mlp::Backward adds into a sink
-/// instead of mutating shared state, so each training chunk can own one:
-/// chunks backprop concurrently into private sinks, and the reduction adds
-/// the sinks into the optimizer-bound gradients in fixed chunk order —
-/// which is what makes chunk-parallel training bit-identical at any thread
-/// count.
-class GradSink {
- public:
-  /// Shapes one zeroed accumulator per entry of `grads` (typically
-  /// Mlp::Grads()). Reuses existing allocations whenever the shapes fit,
-  /// so per-batch reinitialisation of a warm sink is a pure zeroing pass —
-  /// the sink-backed half of the allocation-free backward (the register-
-  /// resident accumulate kernels in nn/kernels.h add straight into these
-  /// slots).
-  void InitLike(const std::vector<Matrix*>& grads);
-
-  /// Adds the accumulators into `grads` (same layout as InitLike). This is
-  /// the chunk-order reduction into the optimizer-bound gradients.
-  void AddTo(const std::vector<Matrix*>& grads) const;
-
-  size_t size() const { return grads_.size(); }
-  Matrix& slot(size_t i) { return grads_[i]; }
-  const Matrix& slot(size_t i) const { return grads_[i]; }
-  /// Contiguous accumulator pointers (size() entries), rebuilt by
-  /// InitLike; lets backprop slice per-layer views without allocating.
-  Matrix* const* slots() { return slot_ptrs_.data(); }
-
- private:
-  std::vector<Matrix> grads_;
-  std::vector<Matrix*> slot_ptrs_;
-};
 
 /// Base optimizer bound to a fixed set of parameter/gradient pairs.
 class Optimizer {
@@ -100,17 +67,6 @@ class Optimizer {
   void SetGrads(const std::vector<GradBlock>& blocks, const BlockFill& fill,
                 ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
 
-  /// Accumulator `chunk`'s contribution to bound-gradient slot `slot`, or
-  /// null when that chunk never touched the slot.
-  using ChunkPart = std::function<const Matrix*(size_t slot, size_t chunk)>;
-
-  /// The chunk reduction of sink-based training: SetGrads with every bound
-  /// gradient set to 0 + part(s, 0) + part(s, 1) + ... over the non-null
-  /// parts, in chunk order. That is exactly ZeroGrad followed by adding
-  /// each chunk's GradSink in chunk order.
-  void ReduceChunks(size_t num_chunks, const ChunkPart& part,
-                    ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
-
  protected:
   std::vector<Matrix*> params_;
   std::vector<Matrix*> grads_;
@@ -145,7 +101,7 @@ class AdamOptimizer : public Optimizer {
   /// chain when they prove the norm inside the clip radius.
   Status Step(ThreadPool* pool = nullptr) override;
   /// Step for gradients whose per-slot sums of squares are already known
-  /// (ReduceChunks returns them), saving a pass over the gradients.
+  /// (SetGrads returns them), saving a pass over the gradients.
   Status Step(ThreadPool* pool, const std::vector<double>& slot_sq);
 
   void set_lr(double lr) { lr_ = lr; }

@@ -289,9 +289,11 @@ void AsyncServer::set_observation_listener(ObservationListener* listener) {
 
 void AsyncServer::ReportObserved(const PlanNode& plan, int env_id,
                                  double predicted_ms, double actual_ms) {
-  // A measured latency that is not positive and finite is a broken label:
-  // it would poison the drift window's q-errors and the retrain corpus.
-  const bool valid = std::isfinite(actual_ms) && actual_ms > 0.0;
+  // A measured latency outside (0, kMaxObservedMs] (NaN and +inf
+  // included) or a non-finite prediction is a broken observation: it would
+  // poison the drift window's q-errors and the retrain corpus.
+  const bool valid = actual_ms > 0.0 && actual_ms <= kMaxObservedMs &&
+                     std::isfinite(predicted_ms);
   ObservationListener* listener = nullptr;
   {
     MutexLock lock(&mu_);

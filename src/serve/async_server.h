@@ -108,9 +108,17 @@ struct AsyncServeStats {
   // callers use ReportObserved.
   uint64_t observations = 0;          ///< observations forwarded to a listener
   uint64_t observations_dropped = 0;  ///< observations with no listener set
-  /// Observations refused because actual_ms was NaN, infinite or <= 0.
+  /// Observations refused as broken (see AsyncServer::ReportObserved).
   uint64_t observations_rejected = 0;
 };
+
+/// Largest measured latency, in milliseconds, that ReportObserved accepts.
+/// 1e9 ms is about 11.6 days: no query this system executes or prices
+/// comes near it (the benchmark workloads run in milliseconds to seconds),
+/// so a larger `actual_ms` is a broken measurement, not a slow query. Left
+/// in, such a label makes the drift window's q-error +inf and is rescaled
+/// into every node of its plan in the retrain corpus.
+constexpr double kMaxObservedMs = 1e9;
 
 /// Request-queue front end over one CostModel. Thread-safe: any number of
 /// caller threads may Submit concurrently. The model, clock and pool are
@@ -172,9 +180,11 @@ class AsyncServer {
   /// for (plan, env_id) and later measured `actual_ms`. Forwards to the
   /// attached listener *outside* the queue lock (listeners may do real
   /// work) and bumps `observations`; with no listener attached the tuple is
-  /// counted in `observations_dropped` and discarded. An `actual_ms` that
-  /// is not positive and finite never reaches the listener: it is counted
-  /// in `observations_rejected` instead. Thread-safe.
+  /// counted in `observations_dropped` and discarded. A broken
+  /// observation never reaches the listener and is counted in
+  /// `observations_rejected` instead: an `actual_ms` that is NaN, not
+  /// positive or above kMaxObservedMs, or a `predicted_ms` that is not
+  /// finite. Thread-safe.
   void ReportObserved(const PlanNode& plan, int env_id, double predicted_ms,
                       double actual_ms);
 

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <cstdint>
 #include <cmath>
 #include <cstring>
@@ -238,9 +239,14 @@ TEST(ObservationSinkTest, ReportObservedCountsAndForwards) {
 class RecordingListener : public ObservationListener {
  public:
   void OnObservation(const PlanNode& /*plan*/, int /*env_id*/,
-                     double /*predicted_ms*/, double actual_ms) override {
+                     double predicted_ms, double actual_ms) override {
     MutexLock lock(&mu_);
+    predicted_.push_back(predicted_ms);
     delivered_.push_back(actual_ms);
+  }
+  std::vector<double> predicted() const {
+    MutexLock lock(&mu_);
+    return predicted_;
   }
   std::vector<double> delivered() const {
     MutexLock lock(&mu_);
@@ -249,20 +255,27 @@ class RecordingListener : public ObservationListener {
 
  private:
   mutable Mutex mu_;
+  std::vector<double> predicted_ QCFE_GUARDED_BY(mu_);
   std::vector<double> delivered_ QCFE_GUARDED_BY(mu_);
 };
 
 TEST(ObservationSinkTest, ReportObservedRejectsBrokenLatencies) {
-  // A NaN, infinite, zero or negative measured latency must never reach
-  // the drift window or the retrain corpus. Broken and valid labels arrive
-  // interleaved in a seeded order; only the valid ones are delivered.
+  // A NaN, infinite, zero, negative or absurdly large measured latency,
+  // or a non-finite prediction, must never reach the drift window or the
+  // retrain corpus. Broken and valid labels arrive interleaved in a seeded
+  // order; only the valid ones are delivered.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> labels = {nan, inf, -inf, 0.0, -1.0, -0.0};
-  const size_t broken = labels.size();
+  std::vector<double> labels = {nan,  inf,   -inf,    0.0,
+                                -1.0, -0.0,  1e303,   DBL_MAX,
+                                std::nextafter(kMaxObservedMs, inf)};
+  const size_t broken_labels = labels.size();
   Rng rng(20261017);
   for (int i = 0; i < 10; ++i) labels.push_back(rng.Uniform(0.5, 50.0));
+  labels.push_back(kMaxObservedMs);  // the ceiling itself is a valid label
   rng.Shuffle(&labels);
+  const std::vector<double> broken_predictions = {nan, inf, -inf};
+  const size_t broken = broken_labels + broken_predictions.size();
 
   SwappableModel models;
   auto server = Pipeline::ServeAsync(&models, AsyncServeConfig{});
@@ -270,15 +283,19 @@ TEST(ObservationSinkTest, ReportObservedRejectsBrokenLatencies) {
   server->set_observation_listener(&listener);
   PlanNode plan;
   for (double actual : labels) server->ReportObserved(plan, 1, 10.0, actual);
+  for (double predicted : broken_predictions) {
+    server->ReportObserved(plan, 1, predicted, 5.0);
+  }
   AsyncServeStats stats = server->stats();
   EXPECT_EQ(stats.observations_rejected, broken);
-  EXPECT_EQ(stats.observations, labels.size() - broken);
+  EXPECT_EQ(stats.observations, labels.size() - broken_labels);
   EXPECT_EQ(stats.observations_dropped, 0u);
   const std::vector<double> delivered = listener.delivered();
-  ASSERT_EQ(delivered.size(), labels.size() - broken);
+  ASSERT_EQ(delivered.size(), labels.size() - broken_labels);
   for (double actual : delivered) {
-    EXPECT_TRUE(std::isfinite(actual) && actual > 0.0) << actual;
+    EXPECT_TRUE(actual > 0.0 && actual <= kMaxObservedMs) << actual;
   }
+  for (double predicted : listener.predicted()) EXPECT_EQ(predicted, 10.0);
   // Validation comes before the listener check: a broken label is
   // rejected, not dropped, even with nobody listening.
   server->set_observation_listener(nullptr);

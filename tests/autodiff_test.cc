@@ -4,7 +4,8 @@
 /// plan-structured per-node loss, MSCN's pooled set-module loss) against
 /// central differences of TrainingLoss over real workload corpora. These
 /// suites pin the contract chunk-parallel training rests on: backprop reads
-/// only the caller's tape and writes only the caller's sink.
+/// and writes only the caller's tape, and parameter gradients are summed
+/// from the tape afterwards (Mlp::AddParamGrad).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,16 @@ namespace qcfe {
 namespace {
 
 constexpr double kEps = 1e-5;
+
+/// Adds the parameter gradients of the Backward() recorded on `tape`, one
+/// segment over all its rows, into net->Grads().
+void AddParamGrads(Mlp* net, const Mlp::Tape& tape) {
+  const std::vector<size_t> whole = {0, tape.activations.front().rows()};
+  std::vector<Matrix*> grads = net->Grads();
+  for (size_t s = 0; s < grads.size(); ++s) {
+    net->AddParamGrad(s, tape, whole, grads[s]);
+  }
+}
 
 /// Scalar probe loss L = sum_ij weight_ij * out_ij with fixed random
 /// weights, so grad_output = weight and dL/d(anything) is checkable by
@@ -55,16 +66,17 @@ void CheckLayerGradients(Layer* layer, Matrix input, double tol) {
                               layer->Forward(input).cols(), 99);
   Matrix output = layer->Forward(input);
 
-  // Sink slots shaped like the layer's grads (empty for activations).
-  std::vector<Matrix> sink_storage;
-  std::vector<Matrix*> sink;
-  for (Matrix* g : layer->Grads()) {
-    sink_storage.emplace_back(g->rows(), g->cols());
-  }
-  for (Matrix& m : sink_storage) sink.push_back(&m);
+  Matrix gin = layer->Backward(probe, input, output);
 
-  Matrix gin = layer->Backward(probe, input, output,
-                               sink.empty() ? nullptr : sink.data());
+  // Parameter gradients come from the tape of a one-layer network holding
+  // a copy of the layer (empty for activations).
+  Mlp net;
+  net.AppendLayer(Mlp::CloneLayer(*layer));
+  Mlp::Tape tape;
+  net.Forward(input, &tape);
+  net.Backward(probe, &tape);
+  AddParamGrads(&net, tape);
+  const std::vector<Matrix*> param_grads = net.Grads();
 
   // Input gradient.
   for (size_t r = 0; r < input.rows(); ++r) {
@@ -90,7 +102,7 @@ void CheckLayerGradients(Layer* layer, Matrix input, double tol) {
       params[p]->data()[k] = save - kEps;
       double lm = ProbeLoss(*layer, input, probe);
       params[p]->data()[k] = save;
-      EXPECT_NEAR(sink[p]->data()[k], (lp - lm) / (2 * kEps), tol)
+      EXPECT_NEAR(param_grads[p]->data()[k], (lp - lm) / (2 * kEps), tol)
           << "d(param " << p << ") entry " << k;
     }
   }
@@ -152,9 +164,9 @@ TEST(LayerAutodiffTest, FusedEpilogueGradientsMatchFiniteDifferences) {
   Matrix out = net.Forward(x, &tape);
   Matrix grad(out.rows(), out.cols());
   grad.Fill(1.0);  // L = sum(out)
-  GradSink sink;
-  sink.InitLike(net.Grads());
-  Matrix gin = net.Backward(grad, &tape, &sink);
+  Matrix gin = net.Backward(grad, &tape);
+  AddParamGrads(&net, tape);
+  const std::vector<Matrix*> param_grads = net.Grads();
 
   auto loss = [&]() {
     Matrix o = net.Predict(x);
@@ -186,23 +198,23 @@ TEST(LayerAutodiffTest, FusedEpilogueGradientsMatchFiniteDifferences) {
       params[p]->data()[k] = save - kEps;
       double lm = loss();
       params[p]->data()[k] = save;
-      EXPECT_NEAR(sink.slot(p).data()[k], (lp - lm) / (2 * kEps), 1e-5)
+      EXPECT_NEAR(param_grads[p]->data()[k], (lp - lm) / (2 * kEps), 1e-5)
           << "d(param " << p << ") entry " << k;
     }
   }
 }
 
-TEST(LayerAutodiffTest, NullSinkSkipsParameterAccumulation) {
+TEST(LayerAutodiffTest, BackwardLeavesParameterGradientsUntouched) {
   Rng rng(11);
   LinearLayer layer(3, 2, &rng);
   Matrix x(2, 3);
   x.RandomizeGaussian(&rng, 1.0);
   Matrix out = layer.Forward(x);
   Matrix probe = ProbeWeights(2, 2, 12);
-  // Null param_grads must still produce the input gradient and must not
-  // touch the optimizer-bound accumulators.
+  // Backward produces the input gradient and never touches the
+  // optimizer-bound accumulators.
   layer.ZeroGrad();
-  Matrix gin = layer.Backward(probe, x, out, nullptr);
+  Matrix gin = layer.Backward(probe, x, out);
   EXPECT_GT(gin.Norm(), 0.0);
   for (Matrix* g : layer.Grads()) EXPECT_EQ(g->Norm(), 0.0);
 }

@@ -60,7 +60,7 @@ TEST(CheckDeathTest, BackwardWithoutMatchingForwardAborts) {
   Mlp net({4, 8, 1}, Activation::kRelu, &rng);
   Matrix grad(1, 1);
   Mlp::Tape stale_tape;  // never produced by Forward() on this net
-  EXPECT_DEATH(net.Backward(grad, &stale_tape, nullptr),
+  EXPECT_DEATH(net.Backward(grad, &stale_tape),
                "tape does not match a Forward");
 }
 

@@ -51,7 +51,7 @@ const GemmCase kCases[] = {
     {3, 0, 4, 0.0},    // empty contraction
     {1, 1, 1, 0.0},    // scalars
     {1, 48, 8, 0.0},   // training row, exact j-panel
-    {66, 1, 48, 0.9},  // one-row contraction: QPPNet's rank-1 dW shape
+    {66, 1, 48, 0.9},  // one-row contraction (a lone node's dW)
     {2, 7, 5, 0.3},    // sub-panel ragged
     {4, 8, 8, 0.0},    // exact register panel
     {5, 9, 17, 0.5},   // ragged everything
@@ -161,21 +161,16 @@ SlotResults RunSlots(KernelIsa isa, const GemmCase& c, Rng* rng) {
   r.at.emplace_back("at_stream", out);
   kernels::GemmAT(at_a, at_b, &out);
   r.at.emplace_back("GemmAT", out);
-  // Accumulate onto a warm, non-zero sink: the contract is
+  // Accumulate onto a warm, non-zero destination: the contract is
   // full-contraction-sum first, then one add per element.
   const Matrix seed = RandomMatrix(c.m, c.n, 0.0, rng);
   const size_t whole[2] = {0, c.k};
   out = seed;
   t.at_acc_panel(at_a, at_b, whole, 1, 0, c.m, &out);
   r.at_acc.emplace_back("at_acc_panel", out);
-  if (c.k == 1) {
-    out = seed;
-    t.at_acc_rank1(at_a, at_b, &out);
-    r.at_acc.emplace_back("at_acc_rank1", out);
-  }
   out = seed;
-  kernels::GemmATAccumulate(at_a, at_b, &out);
-  r.at_acc.emplace_back("GemmATAccumulate", out);
+  kernels::GemmATAccumulateSegments(at_a, at_b, {0, c.k}, &out);
+  r.at_acc.emplace_back("GemmATAccumulateSegments", out);
   const Matrix col_seed = RandomMatrix(1, c.n, 0.0, rng);
   const size_t rows[2] = {0, c.m};
   Matrix sums = RandomMatrix(c.m, c.n, c.sparsity, rng);
@@ -183,8 +178,8 @@ SlotResults RunSlots(KernelIsa isa, const GemmCase& c, Rng* rng) {
   t.colsum_acc(sums, rows, 1, &out);
   r.colsum.emplace_back("colsum_acc", out);
   out = col_seed;
-  kernels::ColSumAccumulate(sums, &out);
-  r.colsum.emplace_back("ColSumAccumulate", out);
+  kernels::ColSumAccumulateSegments(sums, {0, c.m}, &out);
+  r.colsum.emplace_back("ColSumAccumulateSegments", out);
   // The reference oracle for each group, on the same inputs, goes last.
   kernels::reference::GemmNN(a, b, &out);
   r.nn.emplace_back("reference", out);
@@ -347,17 +342,19 @@ TEST(MlpKernelParityTest, ScalarTierMlpTrainingIsPinned) {
   std::vector<double> y(24);
   for (size_t i = 0; i < y.size(); ++i) y[i] = rng.Gaussian(0.0, 1.0);
   Mlp::Tape tape;
-  GradSink sink;
+  const std::vector<size_t> whole = {0, x.rows()};
   for (int step = 0; step < 20; ++step) {
     opt.ZeroGrad();
-    sink.InitLike(net.Grads());
     const Matrix& out = net.Forward(x, &tape);
     Matrix grad(out.rows(), 1);
     for (size_t r = 0; r < out.rows(); ++r) {
       grad.At(r, 0) = 2.0 * (out.At(r, 0) - y[r]) / 24.0;
     }
-    net.Backward(grad, &tape, &sink);
-    sink.AddTo(net.Grads());
+    net.Backward(grad, &tape);
+    std::vector<Matrix*> grads = net.Grads();
+    for (size_t s = 0; s < grads.size(); ++s) {
+      net.AddParamGrad(s, tape, whole, grads[s]);
+    }
     EXPECT_TRUE(opt.Step().ok());
   }
   // Over each parameter's whole buffer, row padding included.
@@ -405,8 +402,8 @@ TEST(MlpKernelParityTest, TapeReuseDoesNotChangeForwardBackward) {
     }
     Matrix grad(out_snapshot.rows(), 1);
     for (size_t r = 0; r < grad.rows(); ++r) grad.At(r, 0) = 1.0;
-    Matrix gin_reused = net.Backward(grad, &reused, nullptr);
-    Matrix gin_fresh = net.Backward(grad, &fresh, nullptr);
+    Matrix gin_reused = net.Backward(grad, &reused);
+    Matrix gin_fresh = net.Backward(grad, &fresh);
     for (size_t i = 0; i < gin_fresh.data().size(); ++i) {
       EXPECT_EQ(gin_fresh.data()[i], gin_reused.data()[i]);
     }
@@ -416,8 +413,9 @@ TEST(MlpKernelParityTest, TapeReuseDoesNotChangeForwardBackward) {
 // ---------------------------------------------------------- SIMD tiers
 
 TEST(SimdTierTest, OptimizerAndColSumAreBitIdenticalAcrossTiers) {
-  // AdamStep/SgdStep/ColSumAccumulate use single-rounding lane arithmetic
-  // only (no FMA, no reductions): every tier must produce the scalar bits.
+  // AdamStep/SgdStep/ColSumAccumulateSegments use single-rounding lane
+  // arithmetic only (no FMA, no reductions): every tier must produce the
+  // scalar bits.
   for (KernelIsa isa : AvailableTiers()) {
     Rng rng(25);
     Matrix p0 = RandomMatrix(13, 11, 0.0, &rng);
@@ -456,13 +454,13 @@ TEST(SimdTierTest, OptimizerAndColSumAreBitIdenticalAcrossTiers) {
     Matrix acc_v = acc_s;
     {
       ScopedKernelIsa tier(KernelIsa::kScalar);
-      kernels::ColSumAccumulate(g, &acc_s);
+      kernels::ColSumAccumulateSegments(g, {0, g.rows()}, &acc_s);
     }
     {
       ScopedKernelIsa tier(isa);
-      kernels::ColSumAccumulate(g, &acc_v);
+      kernels::ColSumAccumulateSegments(g, {0, g.rows()}, &acc_v);
     }
-    ExpectBitEqual(acc_s, acc_v, "ColSumAccumulate");
+    ExpectBitEqual(acc_s, acc_v, "ColSumAccumulateSegments");
   }
 }
 
@@ -475,9 +473,9 @@ std::vector<size_t> SegmentRows(const std::vector<size_t>& bounds, size_t s) {
 
 TEST(SimdTierTest, SegmentedAccumulatesMatchPerSegmentSinks) {
   // The batch-wide training contract: a segmented accumulate equals, bit
-  // for bit, one plain accumulate per segment into a zeroed temporary (a
-  // chunk's gradient sink) followed by in-order Adds (the chunk merge), in
-  // every tier, whichever slot the per-segment accumulate dispatches to.
+  // for bit, one one-segment accumulate per segment into a zeroed
+  // temporary (a chunk's gradient on its own) followed by in-order Adds
+  // (the chunk merge), in every tier.
   // Rows mix dense, all-zero and one-hot rows; segments include empty and
   // one-row ones.
   constexpr size_t kRows = 23;
@@ -515,21 +513,22 @@ TEST(SimdTierTest, SegmentedAccumulatesMatchPerSegmentSinks) {
               const std::vector<size_t> rows = SegmentRows(bounds, s);
               const Matrix seg_a = a.SelectRows(rows);
               const Matrix seg_b = b.SelectRows(rows);
-              Matrix sink_w(m, n), sink_b(1, n);
-              kernels::GemmATAccumulate(seg_a, seg_b, &sink_w);
-              kernels::ColSumAccumulate(seg_b, &sink_b);
-              want_w.Add(sink_w);
-              want_b.Add(sink_b);
-              Matrix ref_sink_w(m, n), ref_sink_b(1, n);
-              kernels::reference::GemmATAccumulate(seg_a, seg_b, &ref_sink_w);
-              kernels::reference::ColSumAccumulate(seg_b, &ref_sink_b);
-              ref_w.Add(ref_sink_w);
-              ref_b.Add(ref_sink_b);
+              const std::vector<size_t> whole = {0, rows.size()};
+              Matrix part_w(m, n), part_b(1, n);
+              kernels::GemmATAccumulateSegments(seg_a, seg_b, whole, &part_w);
+              kernels::ColSumAccumulateSegments(seg_b, whole, &part_b);
+              want_w.Add(part_w);
+              want_b.Add(part_b);
+              Matrix ref_part_w(m, n), ref_part_b(1, n);
+              kernels::reference::GemmATAccumulate(seg_a, seg_b, &ref_part_w);
+              kernels::reference::ColSumAccumulate(seg_b, &ref_part_b);
+              ref_w.Add(ref_part_w);
+              ref_b.Add(ref_part_b);
             }
             if (isa == KernelIsa::kScalar) {
-              // The per-segment sinks are the reference loops' own bits.
-              ExpectBitEqual(ref_w, want_w, "reference segment sinks");
-              ExpectBitEqual(ref_b, want_b, "reference colsum sinks");
+              // The per-segment parts are the reference loops' own bits.
+              ExpectBitEqual(ref_w, want_w, "reference segment parts");
+              ExpectBitEqual(ref_b, want_b, "reference colsum parts");
             }
             Matrix got_w = seed_w, got_b = seed_b;
             kernels::GemmATAccumulateSegments(a, b, bounds, &got_w);

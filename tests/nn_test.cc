@@ -1,8 +1,8 @@
 /// Unit tests for src/nn: matrix algebra, layer forward/backward consistency
 /// against numerical gradients, MLP training convergence, optimizers, least
 /// squares, scalers, serialization and input shrinking. The optimizer
-/// suite also pins the pool-parallel chunk reduction and Step to their
-/// serial loops, bit for bit.
+/// suite also pins the pool-parallel gradient phase (chunk-segmented
+/// parameter gradients) and Step to their serial loops, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,16 @@
 
 namespace qcfe {
 namespace {
+
+/// Adds the parameter gradients of the Backward() recorded on `tape`, one
+/// segment over all its rows, into net->Grads().
+void AddParamGrads(Mlp* net, const Mlp::Tape& tape) {
+  const std::vector<size_t> whole = {0, tape.activations.front().rows()};
+  std::vector<Matrix*> grads = net->Grads();
+  for (size_t s = 0; s < grads.size(); ++s) {
+    net->AddParamGrad(s, tape, whole, grads[s]);
+  }
+}
 
 TEST(MatrixTest, MatMulKnownValues) {
   Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
@@ -145,14 +155,15 @@ TEST(MlpTest, WeightGradientMatchesNumerical) {
   x.RandomizeGaussian(&rng, 1.0);
   std::vector<double> y{1, 2, 3, 4, 5};
 
-  // Analytic: dL/dW for L = 0.5 * sum((out - y)^2), via a tape + sink.
+  // Analytic: dL/dW for L = 0.5 * sum((out - y)^2), via a tape and the
+  // tape's parameter gradients.
   Mlp::Tape tape;
   Matrix out = net.Forward(x, &tape);
   Matrix grad(out.rows(), out.cols());
   for (size_t r = 0; r < out.rows(); ++r) grad.At(r, 0) = out.At(r, 0) - y[r];
-  GradSink sink;
-  sink.InitLike(net.Grads());
-  net.Backward(grad, &tape, &sink);
+  net.Backward(grad, &tape);
+  AddParamGrads(&net, tape);
+  const std::vector<Matrix*> analytic = net.Grads();
 
   auto loss = [&]() {
     Matrix o = net.Predict(x);
@@ -173,7 +184,7 @@ TEST(MlpTest, WeightGradientMatchesNumerical) {
       params[p]->data()[k] = save - eps;
       double lm = loss();
       params[p]->data()[k] = save;
-      EXPECT_NEAR(sink.slot(p).data()[k], (lp - lm) / (2 * eps), 1e-4);
+      EXPECT_NEAR(analytic[p]->data()[k], (lp - lm) / (2 * eps), 1e-4);
     }
   }
 }
@@ -188,11 +199,9 @@ TEST(MlpTest, LearnsLinearFunction) {
   for (size_t i = 0; i < 64; ++i) y[i] = 3.0 * x.At(i, 0) - 2.0 * x.At(i, 1) + 1.0;
 
   Mlp::Tape tape;
-  GradSink sink;
   double last = 1e18;
   for (int epoch = 0; epoch < 400; ++epoch) {
     opt.ZeroGrad();
-    sink.InitLike(net.Grads());
     Matrix out = net.Forward(x, &tape);
     Matrix grad(out.rows(), 1);
     double loss = 0.0;
@@ -201,8 +210,8 @@ TEST(MlpTest, LearnsLinearFunction) {
       loss += d * d;
       grad.At(r, 0) = 2.0 * d / static_cast<double>(out.rows());
     }
-    net.Backward(grad, &tape, &sink);
-    sink.AddTo(net.Grads());
+    net.Backward(grad, &tape);
+    AddParamGrads(&net, tape);
     ASSERT_TRUE(opt.Step().ok());
     last = loss / 64.0;
   }
@@ -232,9 +241,9 @@ TEST(MlpTest, TapeRecordsAllLayerInputs) {
 
 TEST(MlpTest, InputGradientLeavesAccumulatedGradsUntouched) {
   // Regression for the documented InputGradient contract: the probe must
-  // not disturb optimizer-bound parameter grads. With tape-based backprop
-  // and a null sink they are never written at all, so the comparison is
-  // byte-for-byte, not approximate.
+  // not disturb optimizer-bound parameter grads. Tape-based backprop never
+  // writes them at all, so the comparison is byte-for-byte, not
+  // approximate.
   Rng rng(54);
   Mlp net({3, 8, 1}, Activation::kRelu, &rng);
   Matrix x(6, 3);
@@ -245,10 +254,8 @@ TEST(MlpTest, InputGradientLeavesAccumulatedGradsUntouched) {
   Matrix out = net.Forward(x, &tape);
   Matrix grad(out.rows(), 1);
   for (size_t r = 0; r < out.rows(); ++r) grad.At(r, 0) = 1.0 + out.At(r, 0);
-  GradSink sink;
-  sink.InitLike(net.Grads());
-  net.Backward(grad, &tape, &sink);
-  sink.AddTo(net.Grads());
+  net.Backward(grad, &tape);
+  AddParamGrads(&net, tape);
 
   std::vector<Matrix> before;
   for (Matrix* g : net.Grads()) before.push_back(*g);
@@ -475,23 +482,29 @@ TEST(OptimizerTest, AdamRejectsNonFiniteGradientNorm) {
   EXPECT_TRUE(SameBits(p, before));
 }
 
-TEST(OptimizerTest, ReduceChunksMatchesSerialChunkOrderMerge) {
-  // Three units of two slots each; five chunks, each touching a subset of
-  // the units. Untouched (unit, chunk) pairs contribute nothing at all.
+TEST(OptimizerTest, SetGradsSumsChunkSegmentsInChunkOrder) {
+  // Three units on packed tapes, five chunks. A chunk that reaches no row
+  // of a unit is an empty segment of it, and unit 1 is reached by no chunk.
   constexpr size_t kChunks = 5;
-  const bool touched[kChunks][3] = {{true, false, true},
-                                    {false, false, true},
-                                    {true, false, false},
-                                    {true, false, true},
-                                    {false, false, true}};
-  std::vector<Matrix> shapes = OddSlots();
-  std::vector<std::array<GradSink, 3>> sinks(kChunks);
+  constexpr size_t kUnits = 3;
+  const size_t rows_per[kChunks][kUnits] = {
+      {2, 0, 3}, {0, 0, 1}, {4, 0, 0}, {1, 0, 2}, {0, 0, 5}};
   Rng rng(91);
-  for (size_t c = 0; c < kChunks; ++c) {
-    for (size_t u = 0; u < 3; ++u) {
-      sinks[c][u].InitLike({&shapes[2 * u], &shapes[2 * u + 1]});
-      for (size_t k = 0; k < 2; ++k) {
-        Matrix& m = sinks[c][u].slot(k);
+  std::vector<Mlp> units;
+  std::vector<Mlp::Tape> tapes(kUnits);
+  std::vector<std::vector<size_t>> bounds(kUnits, std::vector<size_t>{0});
+  for (size_t u = 0; u < kUnits; ++u) {
+    // Odd widths: no operand is a multiple of the 8-double row padding.
+    units.emplace_back(std::vector<size_t>{5 + u, 9, 3}, Activation::kRelu,
+                       &rng);
+    for (size_t c = 0; c < kChunks; ++c) {
+      bounds[u].push_back(bounds[u].back() + rows_per[c][u]);
+    }
+    // The packed operands AddParamGrad reads, filled with random values.
+    units[u].ShapeParamRows(bounds[u].back(), &tapes[u]);
+    for (std::vector<Matrix>* records :
+         {&tapes[u].activations, &tapes[u].grads}) {
+      for (Matrix& m : *records) {
         for (size_t r = 0; r < m.rows(); ++r) {
           for (size_t col = 0; col < m.cols(); ++col) {
             // Include negative zeros: 0 + (-0) is +0, a copy would be -0.
@@ -501,39 +514,69 @@ TEST(OptimizerTest, ReduceChunksMatchesSerialChunkOrderMerge) {
       }
     }
   }
-
-  // Reference: ZeroGrad, then each touched sink in chunk order.
-  std::vector<Matrix> expected = OddSlots();
-  for (Matrix& m : expected) m.Fill(7.0);  // stale values must not survive
-  std::vector<Matrix*> expected_ptrs = Ptrs(&expected);
-  {
-    SgdOptimizer opt(Ptrs(&shapes), expected_ptrs, 0.1);
-    opt.ZeroGrad();
-    for (size_t c = 0; c < kChunks; ++c) {
-      for (size_t u = 0; u < 3; ++u) {
-        if (touched[c][u]) {
-          sinks[c][u].AddTo({expected_ptrs[2 * u], expected_ptrs[2 * u + 1]});
-        }
-      }
+  std::vector<Matrix*> params, grads;
+  std::vector<std::pair<size_t, size_t>> slot_unit;  // (unit, unit slot)
+  for (size_t u = 0; u < kUnits; ++u) {
+    for (Matrix* p : units[u].Params()) params.push_back(p);
+    const std::vector<Matrix*> unit_grads = units[u].Grads();
+    for (size_t k = 0; k < unit_grads.size(); ++k) {
+      slot_unit.emplace_back(u, k);
+      grads.push_back(unit_grads[k]);
     }
   }
 
-  const Optimizer::ChunkPart part = [&](size_t slot,
-                                        size_t c) -> const Matrix* {
-    const size_t u = slot / 2;
-    return touched[c][u] ? &sinks[c][u].slot(slot % 2) : nullptr;
-  };
+  // Reference: ZeroGrad, then each reaching chunk's gradient, built alone
+  // in a zeroed temporary, added in chunk order.
+  std::vector<Matrix> expected;
+  for (size_t s = 0; s < grads.size(); ++s) {
+    const auto [u, k] = slot_unit[s];
+    Matrix want(grads[s]->rows(), grads[s]->cols());
+    for (size_t c = 0; c < kChunks; ++c) {
+      if (rows_per[c][u] == 0) continue;
+      Matrix part(want.rows(), want.cols());
+      units[u].AddParamGrad(k, tapes[u], {bounds[u][c], bounds[u][c + 1]},
+                            &part);
+      want.Add(part);
+    }
+    expected.push_back(want);
+  }
+
+  // Whole slots, plus the multi-row slots cut in two by rows.
+  std::vector<Optimizer::GradBlock> blocks;
+  for (size_t s = 0; s < grads.size(); ++s) {
+    const size_t rows = grads[s]->rows();
+    if (rows < 2) {
+      blocks.push_back({s, 0, rows});
+    } else {
+      blocks.push_back({s, 0, rows / 2});
+      blocks.push_back({s, rows / 2, rows});
+    }
+  }
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    std::vector<Matrix> got = OddSlots();
-    for (Matrix& m : got) m.Fill(7.0);
-    SgdOptimizer opt(Ptrs(&shapes), Ptrs(&got), 0.1);
+    for (Matrix* g : grads) g->Fill(7.0);  // stale values must not survive
+    SgdOptimizer opt(params, grads, 0.1);
     std::vector<double> slot_sq;
-    opt.ReduceChunks(kChunks, part, p, &slot_sq);
-    EXPECT_TRUE(SameBits(got, expected)) << (p == nullptr ? "serial" : "pool");
-    // Unit 1 was never touched: its slots are exactly +0.
-    for (size_t k = 2; k < 4; ++k) {
-      for (double v : got[k].data()) EXPECT_FALSE(std::signbit(v) || v != 0.0);
+    opt.SetGrads(
+        blocks,
+        [&](const Optimizer::GradBlock& block, Matrix* grad) {
+          const auto [u, k] = slot_unit[block.slot];
+          units[u].AddParamGrad(k, tapes[u], bounds[u], grad,
+                                block.row_begin, block.row_end);
+        },
+        p, &slot_sq);
+    std::vector<Matrix> got;
+    for (Matrix* g : grads) got.push_back(*g);
+    const char* where = p == nullptr ? "serial" : "pool";
+    EXPECT_TRUE(SameBits(got, expected)) << where;
+    for (size_t s = 0; s < got.size(); ++s) {
+      for (double v : got[s].data()) {
+        // No gradient element is -0, and unit 1's are all exactly +0.
+        EXPECT_FALSE(v == 0.0 && std::signbit(v)) << where << " slot " << s;
+        if (slot_unit[s].first == 1) {
+          EXPECT_TRUE(v == 0.0 && !std::signbit(v)) << where << " slot " << s;
+        }
+      }
     }
     // The per-slot sums of squares agree with a plain loop up to rounding.
     ASSERT_EQ(slot_sq.size(), got.size());
