@@ -276,7 +276,8 @@ BENCHMARK(BM_MscnInference);
 
 // Batched vs per-plan serving throughput. items_per_second is served
 // requests/sec: compare BM_*PredictScalar/N against BM_*PredictBatch/N at
-// the same batch size. Batch sizes 1 and 32 are fully-distinct plans and
+// the same batch size. PredictMs is a one-element batch through the same
+// PredictBatchEach, so the scalar loop times that wrapper N times. Batch sizes 1 and 32 are fully-distinct plans and
 // isolate the matrix-batching/allocation win; 256 exceeds the 80-query
 // workload (see BatchOf) and additionally measures request deduplication —
 // the dominant effect for template-heavy serving traffic, where it pushes
@@ -302,7 +303,7 @@ void BM_QppNetPredictBatch(benchmark::State& state) {
   std::vector<PlanSample> batch =
       f.BatchOf(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto p = f.qpp->PredictBatchMs(batch);
+    auto p = f.qpp->PredictBatchMs(batch, nullptr);
     benchmark::DoNotOptimize(p.ok());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -330,7 +331,7 @@ void BM_MscnPredictBatch(benchmark::State& state) {
   std::vector<PlanSample> batch =
       f.BatchOf(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto p = f.mscn->PredictBatchMs(batch);
+    auto p = f.mscn->PredictBatchMs(batch, nullptr);
     benchmark::DoNotOptimize(p.ok());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -130,7 +130,7 @@ Result<double> Pipeline::PredictMs(const PlanNode& plan, int env_id) const {
 
 Result<std::vector<double>> Pipeline::PredictBatch(
     const std::vector<PlanSample>& samples) const {
-  return model_->PredictBatchMs(samples);
+  return model_->PredictBatchMs(samples, pool_.get());
 }
 
 std::unique_ptr<AsyncServer> Pipeline::ServeAsync(Clock* clock) const {

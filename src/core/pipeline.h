@@ -98,8 +98,9 @@ class Pipeline {
   /// Predicted latency (ms) of one plan under one environment.
   Result<double> PredictMs(const PlanNode& plan, int env_id) const;
 
-  /// Batched prediction, positionally aligned with `samples` and
-  /// bit-identical to per-plan PredictMs. This is the serving hot path.
+  /// Batched prediction on the pipeline's worker pool, positionally aligned
+  /// with `samples` and bit-identical to per-plan PredictMs. This is the
+  /// serving hot path.
   Result<std::vector<double>> PredictBatch(
       const std::vector<PlanSample>& samples) const;
 

@@ -12,21 +12,16 @@ EvalResult EvaluateWithPool(const CostModel& model,
   actual.reserve(test.size());
   for (const auto& s : test) actual.push_back(s.label_ms);
 
-  std::vector<double> predicted;
   WallTimer timer;
-  Result<std::vector<double>> batch = model.PredictBatchMs(test, pool);
-  if (batch.ok()) {
-    predicted = std::move(batch.value());
-  } else {
-    // Whole-batch failure (e.g. an untrained model): fall back to the
-    // per-plan loop and score unpredictable samples as 0.
-    predicted.reserve(test.size());
-    for (const auto& s : test) {
-      Result<double> p = model.PredictMs(*s.plan, s.env_id);
-      predicted.push_back(p.ok() ? *p : 0.0);
-    }
-  }
+  std::vector<CostModel::BatchPrediction> each =
+      model.PredictBatchEach(test, pool);
   result.inference_seconds = timer.Seconds();
+  // A sample the model cannot predict (an untrained model, say) scores 0.
+  std::vector<double> predicted;
+  predicted.reserve(each.size());
+  for (const CostModel::BatchPrediction& p : each) {
+    predicted.push_back(p.status.ok() ? p.ms : 0.0);
+  }
   result.summary = Summarize(actual, predicted);
   return result;
 }

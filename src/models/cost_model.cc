@@ -15,6 +15,10 @@ BatchRequestDedup::BatchRequestDedup(const std::vector<PlanSample>& batch) {
   std::map<std::pair<const PlanNode*, int>, size_t> seen;
   slot.reserve(batch.size());
   for (const PlanSample& s : batch) {
+    if (s.plan == nullptr) {
+      slot.push_back(kNullPlan);
+      continue;
+    }
     auto [it, inserted] =
         seen.emplace(std::make_pair(s.plan, s.env_id), unique.size());
     if (inserted) unique.push_back(s);
@@ -22,58 +26,33 @@ BatchRequestDedup::BatchRequestDedup(const std::vector<PlanSample>& batch) {
   }
 }
 
-std::vector<double> BatchRequestDedup::Expand(
-    const std::vector<double>& unique_results) const {
-  std::vector<double> out;
-  out.reserve(slot.size());
-  for (size_t s : slot) out.push_back(unique_results[s]);
-  return out;
-}
-
-namespace {
-
-/// Deduped per-request prediction loop shared by the base PredictBatchMs
-/// and the PredictBatchEach fallback: one PredictMs task per distinct
-/// request across the pool (each writing only its own slot, so results
-/// match the serial loop exactly), expanded back to batch order. Requests
-/// must have non-null plans.
-std::vector<CostModel::BatchPrediction> PredictEachByRequest(
-    const CostModel& model, const std::vector<PlanSample>& batch,
-    ThreadPool* pool) {
+std::vector<CostModel::BatchPrediction> CostModel::PredictBatchEach(
+    const std::vector<PlanSample>& batch, ThreadPool* pool) const {
+  // One PredictShard per contiguous block of distinct requests, each
+  // writing only its own slots, then expanded back to batch order.
   BatchRequestDedup dedup(batch);
-  std::vector<CostModel::BatchPrediction> unique_results =
-      ParallelMap<CostModel::BatchPrediction>(
-          pool, dedup.unique.size(), [&](size_t u) {
-            CostModel::BatchPrediction p;
-            Result<double> r =
-                model.PredictMs(*dedup.unique[u].plan, dedup.unique[u].env_id);
-            if (r.ok()) {
-              p.ms = *r;
-            } else {
-              p.status = r.status();
-            }
-            return p;
-          });
-  std::vector<CostModel::BatchPrediction> out;
-  out.reserve(dedup.slot.size());
-  for (size_t s : dedup.slot) out.push_back(unique_results[s]);
+  std::vector<BatchPrediction> unique(dedup.unique.size());
+  std::vector<std::pair<size_t, size_t>> shards = PartitionBlocks(
+      unique.size(), pool == nullptr ? 1 : pool->num_workers());
+  ParallelFor(pool, shards.size(), [&](size_t b) {
+    PredictShard(dedup.unique, shards[b].first, shards[b].second, &unique);
+  });
+  std::vector<BatchPrediction> out;
+  out.reserve(batch.size());
+  for (size_t s : dedup.slot) {
+    if (s == BatchRequestDedup::kNullPlan) {
+      out.push_back(
+          {Status::InvalidArgument("null plan in prediction batch"), 0.0});
+    } else {
+      out.push_back(unique[s]);
+    }
+  }
   return out;
 }
-
-}  // namespace
 
 Result<std::vector<double>> CostModel::PredictBatchMs(
     const std::vector<PlanSample>& batch, ThreadPool* pool) const {
-  for (const PlanSample& s : batch) {
-    if (s.plan == nullptr) {
-      return Status::InvalidArgument("null plan in prediction batch");
-    }
-  }
-  // Fallback batched path (all-or-nothing contract): the shared per-request
-  // loop, collapsed to the first error in batch order — which is also the
-  // first failing distinct request, since unique order is first-appearance
-  // order.
-  std::vector<BatchPrediction> each = PredictEachByRequest(*this, batch, pool);
+  std::vector<BatchPrediction> each = PredictBatchEach(batch, pool);
   std::vector<double> out;
   out.reserve(each.size());
   for (const BatchPrediction& p : each) {
@@ -83,47 +62,11 @@ Result<std::vector<double>> CostModel::PredictBatchMs(
   return out;
 }
 
-std::vector<CostModel::BatchPrediction> CostModel::PredictBatchEach(
-    const std::vector<PlanSample>& batch, ThreadPool* pool) const {
-  std::vector<BatchPrediction> out(batch.size());
-  // Null plans fail individually up front; the all-or-nothing batched path
-  // below then only ever sees servable-looking requests.
-  std::vector<PlanSample> valid;
-  std::vector<size_t> valid_pos;
-  valid.reserve(batch.size());
-  valid_pos.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].plan == nullptr) {
-      out[i].status = Status::InvalidArgument("null plan in prediction batch");
-    } else {
-      valid.push_back(batch[i]);
-      valid_pos.push_back(i);
-    }
-  }
-  if (valid.empty()) return out;
-
-  Result<std::vector<double>> whole = PredictBatchMs(valid, pool);
-  if (whole.ok()) {
-    for (size_t j = 0; j < valid_pos.size(); ++j) {
-      out[valid_pos[j]].ms = (*whole)[j];
-    }
-    return out;
-  }
-
-  // Some request poisoned the whole batch. Retry per distinct request so
-  // the error reaches only its own slot(s); per-request results are
-  // bit-identical to the batched forward (parity contract), so the healthy
-  // requests lose nothing by taking this path. For estimators without a
-  // batched override the failed attempt above already ran this loop once —
-  // accepted cost: it is paid only on batches that contain a bad request,
-  // and keeping the fast path a single virtual PredictBatchMs call is what
-  // lets the healthy path match the all-or-nothing API's throughput.
-  std::vector<BatchPrediction> fallback =
-      PredictEachByRequest(*this, valid, pool);
-  for (size_t j = 0; j < valid_pos.size(); ++j) {
-    out[valid_pos[j]] = fallback[j];
-  }
-  return out;
+Result<double> CostModel::PredictMs(const PlanNode& plan, int env_id) const {
+  BatchPrediction p =
+      std::move(PredictBatchEach({{&plan, env_id, 0.0}}, nullptr)[0]);
+  if (!p.status.ok()) return p.status;
+  return p.ms;
 }
 
 double SubtreeLatencyMs(const PlanNode& node) { return node.TotalActualMs(); }
@@ -160,21 +103,15 @@ Status StepBatch(AdamOptimizer* optimizer, double batch_loss,
 double EvalMeanQError(const CostModel& model,
                       const std::vector<PlanSample>& eval_set,
                       ThreadPool* pool) {
+  std::vector<CostModel::BatchPrediction> each =
+      model.PredictBatchEach(eval_set, pool);
   std::vector<double> actual, predicted;
-  Result<std::vector<double>> batch = model.PredictBatchMs(eval_set, pool);
-  if (batch.ok()) {
-    actual.reserve(eval_set.size());
-    for (const auto& s : eval_set) actual.push_back(s.label_ms);
-    predicted = std::move(batch.value());
-  } else {
-    // Whole-batch failure: fall back to the per-plan loop, skipping
-    // individually failing samples (historical eval semantics).
-    for (const auto& s : eval_set) {
-      Result<double> p = model.PredictMs(*s.plan, s.env_id);
-      if (!p.ok()) continue;
-      actual.push_back(s.label_ms);
-      predicted.push_back(*p);
-    }
+  actual.reserve(eval_set.size());
+  predicted.reserve(eval_set.size());
+  for (size_t i = 0; i < eval_set.size(); ++i) {
+    if (!each[i].status.ok()) continue;
+    actual.push_back(eval_set[i].label_ms);
+    predicted.push_back(each[i].ms);
   }
   return Mean(QErrors(actual, predicted));
 }

@@ -80,28 +80,6 @@ class CostModel {
   virtual Status Train(const std::vector<PlanSample>& train,
                        const TrainConfig& config, TrainStats* stats) = 0;
 
-  /// Predicted total latency (ms) for a plan under an environment.
-  virtual Result<double> PredictMs(const PlanNode& plan, int env_id) const = 0;
-
-  /// Predicted latency for a whole batch of plans: the serving hot path.
-  /// Results are positionally aligned with `batch` and bit-identical to
-  /// calling PredictMs per sample; implementations override the two-arg
-  /// form to amortise featurization and run matrix-batched forward passes
-  /// instead of per-plan scalar loops. This overload serves with the pool
-  /// configured via set_thread_pool (none by default).
-  Result<std::vector<double>> PredictBatchMs(
-      const std::vector<PlanSample>& batch) const {
-    return PredictBatchMs(batch, pool_);
-  }
-
-  /// Batched prediction across an explicit pool: deduped requests are
-  /// sharded into contiguous blocks, one per worker, each with its own
-  /// scratch buffers. Per-request arithmetic is row-independent, so results
-  /// are bit-identical for every thread count (and to PredictMs). The
-  /// default implementation runs the per-plan loop across the pool.
-  virtual Result<std::vector<double>> PredictBatchMs(
-      const std::vector<PlanSample>& batch, ThreadPool* pool) const;
-
   /// One request's outcome in a per-request batched prediction: either an
   /// OK status with the predicted latency, or the request's own error.
   struct BatchPrediction {
@@ -109,26 +87,39 @@ class CostModel {
     double ms = 0.0;
   };
 
-  /// Batched prediction with per-request status isolation: positionally
-  /// aligned with `batch`, and a request that cannot be served (null plan,
-  /// unknown environment, numeric failure) fails alone instead of poisoning
-  /// its co-batched neighbours. The healthy path is one PredictBatchMs call
-  /// (so throughput matches the all-or-nothing API); only when that whole
-  /// batch fails does it fall back to deduped per-request PredictMs — which
-  /// the parity contract guarantees is bit-identical, so healthy requests
-  /// in a poisoned batch still receive exactly the values a clean batch
-  /// would have produced. This is the serving surface the async front end
+  // Serving is one pure virtual, PredictShard (protected, below), behind
+  // three non-virtual entry points: PredictBatchEach runs it shard by
+  // shard, and PredictBatchMs and PredictMs wrap PredictBatchEach. None of
+  // them reads the pool set by set_thread_pool; the serving pool is always
+  // an explicit argument.
+
+  /// Batched prediction with per-request status isolation, the serving
+  /// hot path: positionally aligned with `batch`, and a request that
+  /// cannot be served (null plan, untrained model, numeric failure) fails
+  /// alone instead of poisoning its co-batched neighbours. Repeated
+  /// (plan, environment) requests are served once (BatchRequestDedup),
+  /// null plans fail with kInvalidArgument in their own slots, and the
+  /// distinct requests are sharded into one contiguous block per worker of
+  /// `pool` (null = serial). Per-request arithmetic is row-independent, so
+  /// results are bit-identical for every thread count, every batch
+  /// composition and every repeat pattern — a request gets the same bits
+  /// alone as in any batch. This is the surface the async front end
   /// (serve/async_server.h) flushes micro-batches through.
   std::vector<BatchPrediction> PredictBatchEach(
-      const std::vector<PlanSample>& batch, ThreadPool* pool) const;
-  std::vector<BatchPrediction> PredictBatchEach(
-      const std::vector<PlanSample>& batch) const {
-    return PredictBatchEach(batch, pool_);
-  }
+      const std::vector<PlanSample>& batch, ThreadPool* pool = nullptr) const;
 
-  /// Attaches a serving/training pool (not owned; must outlive the model —
-  /// the Pipeline owns both and guarantees this). Null detaches. The pool
-  /// is used by PredictBatchMs(batch) and by per-epoch eval during Train.
+  /// All-or-nothing batched prediction: PredictBatchEach collapsed to the
+  /// predictions in batch order, or the first failing request's status.
+  Result<std::vector<double>> PredictBatchMs(
+      const std::vector<PlanSample>& batch, ThreadPool* pool = nullptr) const;
+
+  /// Predicted total latency (ms) for one plan under an environment: a
+  /// one-element PredictBatchEach.
+  Result<double> PredictMs(const PlanNode& plan, int env_id) const;
+
+  /// Attaches the pool that training and per-epoch evaluation run on (not
+  /// owned; must outlive the model — the Pipeline owns both and guarantees
+  /// this). Null detaches. Serving never reads it.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
@@ -168,6 +159,17 @@ class CostModel {
     (void)r;
     return Status::OK();
   }
+
+ protected:
+  /// The serving virtual: fills (*out)[i] for every i in [begin, end) from
+  /// requests[i]. The requests are distinct and have non-null plans; each
+  /// slot gets its own prediction or its own error. Concurrent calls on
+  /// disjoint ranges of one `out` must be safe (PredictBatchEach runs one
+  /// per shard), and a request's result must not depend on which other
+  /// requests share its range.
+  virtual void PredictShard(const std::vector<PlanSample>& requests,
+                            size_t begin, size_t end,
+                            std::vector<BatchPrediction>* out) const = 0;
 
  private:
   ThreadPool* pool_ = nullptr;
@@ -209,10 +211,9 @@ Status StepBatch(AdamOptimizer* optimizer, double batch_loss,
                  ThreadPool* pool);
 
 /// Mean q-error of the model on `eval_set` through the batched, pool-sharded
-/// serving path (bit-identical to the per-plan loop). Drives the per-epoch
-/// convergence traces (TrainConfig::eval_every) without serializing a full
-/// eval sweep per epoch. Samples whose prediction fails are skipped, like
-/// the historical per-plan loop.
+/// serving path (PredictBatchEach). Drives the per-epoch convergence traces
+/// (TrainConfig::eval_every) without serializing a full eval sweep per
+/// epoch. Samples whose prediction fails are skipped.
 double EvalMeanQError(const CostModel& model,
                       const std::vector<PlanSample>& eval_set,
                       ThreadPool* pool);
@@ -222,13 +223,13 @@ double EvalMeanQError(const CostModel& model,
 /// enumeration all resubmit the same (plan, environment) pairs — and a
 /// deterministic model maps identical requests to identical predictions, so
 /// a batch only needs one forward pass per distinct request. `unique` holds
-/// the distinct samples in first-appearance order and `slot[i]` maps batch
-/// position i to its index in `unique`.
+/// the distinct samples with non-null plans in first-appearance order and
+/// `slot[i]` maps batch position i to its index in `unique`, or to kNullPlan
+/// when batch[i] has no plan.
 struct BatchRequestDedup {
-  explicit BatchRequestDedup(const std::vector<PlanSample>& batch);
+  static constexpr size_t kNullPlan = static_cast<size_t>(-1);
 
-  /// Expands per-unique results back to batch order.
-  std::vector<double> Expand(const std::vector<double>& unique_results) const;
+  explicit BatchRequestDedup(const std::vector<PlanSample>& batch);
 
   std::vector<PlanSample> unique;
   std::vector<size_t> slot;

@@ -652,17 +652,14 @@ Result<double> Mscn::TrainingLoss(const std::vector<PlanSample>& samples,
   return loss * inv;
 }
 
-Result<double> Mscn::PredictMs(const PlanNode& plan, int env_id) const {
-  if (!scalers_fitted_) return Status::FailedPrecondition("MSCN is untrained");
-  EncodedQuery q = EncodeQuery(plan, env_id, /*scale=*/true);
-  Packed packed = Pack({&q});
-  Matrix out = PredictPacked(packed);
-  return label_scaler_.InverseTransformOne(
-      label_scaler_.ClampTransformed(out.At(0, 0)));
-}
-
 void Mscn::PredictShard(const std::vector<PlanSample>& requests, size_t begin,
-                        size_t end, std::vector<double>* out) const {
+                        size_t end, std::vector<BatchPrediction>* out) const {
+  if (!scalers_fitted_) {
+    for (size_t s = begin; s < end; ++s) {
+      (*out)[s].status = Status::FailedPrecondition("MSCN is untrained");
+    }
+    return;
+  }
   std::vector<EncodedQuery> encoded;
   encoded.reserve(end - begin);
   for (size_t s = begin; s < end; ++s) {
@@ -672,37 +669,12 @@ void Mscn::PredictShard(const std::vector<PlanSample>& requests, size_t begin,
   std::vector<const EncodedQuery*> refs;
   refs.reserve(encoded.size());
   for (const auto& q : encoded) refs.push_back(&q);
-  // One pack + one forward per set module for the shard's queries;
-  // SegmentMean keeps per-query pooling identical to the single-query path,
-  // so shard composition never changes a prediction.
   Packed packed = Pack(refs);
   Matrix y = PredictPacked(packed);
   for (size_t r = 0; r < y.rows(); ++r) {
-    (*out)[begin + r] = label_scaler_.InverseTransformOne(
+    (*out)[begin + r].ms = label_scaler_.InverseTransformOne(
         label_scaler_.ClampTransformed(y.At(r, 0)));
   }
-}
-
-Result<std::vector<double>> Mscn::PredictBatchMs(
-    const std::vector<PlanSample>& batch, ThreadPool* pool) const {
-  if (!scalers_fitted_) return Status::FailedPrecondition("MSCN is untrained");
-  if (batch.empty()) return std::vector<double>{};
-  // Deduplicate repeated (plan, environment) requests, then shard the
-  // distinct requests into one contiguous block per worker.
-  BatchRequestDedup dedup(batch);
-  const std::vector<PlanSample>& requests = dedup.unique;
-  for (const auto& s : requests) {
-    if (s.plan == nullptr) {
-      return Status::InvalidArgument("null plan in prediction batch");
-    }
-  }
-  std::vector<double> result(requests.size());
-  std::vector<std::pair<size_t, size_t>> shards = PartitionBlocks(
-      requests.size(), pool == nullptr ? 1 : pool->num_workers());
-  ParallelFor(pool, shards.size(), [&](size_t b) {
-    PredictShard(requests, shards[b].first, shards[b].second, &result);
-  });
-  return dedup.Expand(result);
 }
 
 Result<Mlp> Mscn::OperatorView(OpType /*op*/,

@@ -47,17 +47,6 @@ class Mscn : public CostModel {
   /// order — bit-identical models at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
-  Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
-  /// Batched inference: every query in the batch is packed into one element
-  /// matrix per set module, so each module runs a single matrix-batched
-  /// forward over all elements of all queries instead of one tiny forward
-  /// per query. With a pool, deduped requests are sharded into contiguous
-  /// blocks, one pack + forward per worker with its own scratch; module
-  /// forwards and SegmentMean are per-row/per-query, so shard boundaries
-  /// never change a prediction.
-  using CostModel::PredictBatchMs;
-  Result<std::vector<double>> PredictBatchMs(
-      const std::vector<PlanSample>& batch, ThreadPool* pool) const override;
   const OperatorFeaturizer* featurizer() const override { return featurizer_; }
   const LogTargetScaler* label_scaler() const override { return &label_scaler_; }
   Result<Mlp> OperatorView(
@@ -88,6 +77,17 @@ class Mscn : public CostModel {
   Result<double> TrainingLoss(const std::vector<PlanSample>& samples,
                               bool accumulate_gradients);
 
+ protected:
+  /// Batched serving over one shard of distinct requests: the shard's
+  /// queries are packed into one element matrix per set module, so each
+  /// module runs a single matrix-batched forward over all their elements
+  /// instead of one tiny forward per query. Module forwards and
+  /// SegmentMean are per-row/per-query, so shard boundaries never change a
+  /// prediction. An untrained model fails every slot.
+  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
+                    size_t end,
+                    std::vector<BatchPrediction>* out) const override;
+
  private:
   /// Pre-encoded query: the three element sets (each at least one row; empty
   /// sets contribute a single zero row, MSCN's padding convention).
@@ -101,11 +101,6 @@ class Mscn : public CostModel {
   EncodedQuery EncodeQuery(const PlanNode& plan, int env_id,
                            bool scale) const;
 
-  /// Encode + pack + forward for requests [begin, end), writing predictions
-  /// into the matching slots of `out` (one shard of PredictBatchMs; the
-  /// serial path is the single shard [0, n)).
-  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
-                    size_t end, std::vector<double>* out) const;
   std::vector<double> EncodeJoin(const JoinCondition& join) const;
   std::vector<double> EncodePredicate(const Predicate& pred) const;
 

@@ -14,9 +14,12 @@ Status PgCostModel::Train(const std::vector<PlanSample>& /*train*/,
   return Status::OK();
 }
 
-Result<double> PgCostModel::PredictMs(const PlanNode& plan,
-                                      int /*env_id*/) const {
-  return plan.est_cost * ms_per_cost_unit_;
+void PgCostModel::PredictShard(const std::vector<PlanSample>& requests,
+                               size_t begin, size_t end,
+                               std::vector<BatchPrediction>* out) const {
+  for (size_t i = begin; i < end; ++i) {
+    (*out)[i].ms = requests[i].plan->est_cost * ms_per_cost_unit_;
+  }
 }
 
 namespace {

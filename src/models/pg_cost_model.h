@@ -28,7 +28,11 @@ class PgCostModel : public CostModel {
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
 
-  Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
+ protected:
+  /// The cost formula per request; it cannot fail.
+  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
+                    size_t end,
+                    std::vector<BatchPrediction>* out) const override;
 
  private:
   double ms_per_cost_unit_;

@@ -106,31 +106,13 @@ QppNet::EncodedPlan QppNet::EncodePlan(const PlanNode& plan, int env_id,
   return encoded;
 }
 
-Matrix QppNet::UnitInput(const EncodedPlan& plan, size_t node_index,
-                         const std::vector<Matrix>& node_outputs) const {
-  const EncodedNode& node = plan.nodes[node_index];
-  size_t d = config_.data_vector_dim;
-  size_t feat_dim = node.feats.size();
-  Matrix x(1, feat_dim + config_.max_children * d);
-  for (size_t i = 0; i < feat_dim; ++i) x.At(0, i) = node.feats[i];
-  for (size_t c = 0; c < node.children.size() && c < config_.max_children;
-       ++c) {
-    const Matrix& child_out = node_outputs[node.children[c]];
-    for (size_t i = 0; i < d; ++i) {
-      x.At(0, feat_dim + c * d + i) = child_out.At(0, i);
-    }
-  }
-  return x;
-}
-
 void QppNet::UnitInputInto(const EncodedPlan& plan, size_t node_index,
                            const std::vector<Mlp::Tape>& tapes,
                            Matrix* x) const {
   const EncodedNode& node = plan.nodes[node_index];
   size_t d = config_.data_vector_dim;
   size_t feat_dim = node.feats.size();
-  // ResetShape (zeroing) keeps absent-children slots at exactly 0.0, like
-  // the freshly constructed matrix UnitInput builds.
+  // ResetShape (zeroing) keeps absent-children slots at exactly 0.0.
   x->ResetShape(1, feat_dim + config_.max_children * d);
   double* row = x->RowPtr(0);
   for (size_t i = 0; i < feat_dim; ++i) row[i] = node.feats[i];
@@ -139,19 +121,6 @@ void QppNet::UnitInputInto(const EncodedPlan& plan, size_t node_index,
     const double* child_out =
         tapes[node.children[c]].activations.back().RowPtr(0);
     for (size_t i = 0; i < d; ++i) row[feat_dim + c * d + i] = child_out[i];
-  }
-}
-
-void QppNet::ForwardPlan(const EncodedPlan& plan,
-                         std::vector<Matrix>* node_outputs) const {
-  node_outputs->assign(plan.nodes.size(), Matrix());
-  // Children precede use: walk indices in reverse pre-order so leaves are
-  // computed before parents (children always have larger indices).
-  for (size_t ii = plan.nodes.size(); ii > 0; --ii) {
-    size_t i = ii - 1;
-    Matrix x = UnitInput(plan, i, *node_outputs);
-    (*node_outputs)[i] =
-        units_[static_cast<size_t>(plan.nodes[i].op)]->Predict(x);
   }
 }
 
@@ -414,29 +383,18 @@ Result<double> QppNet::TrainingLoss(const std::vector<PlanSample>& samples,
   return loss * inv;
 }
 
-Result<double> QppNet::PredictMs(const PlanNode& plan, int env_id) const {
-  if (!scalers_fitted_) {
-    return Status::FailedPrecondition("QPPNet is untrained");
-  }
-  EncodedPlan encoded = EncodePlan(plan, env_id, /*scale_features=*/true);
-  std::vector<Matrix> outs;
-  ForwardPlan(encoded, &outs);
-  return label_scaler_.InverseTransformOne(
-      label_scaler_.ClampTransformed(outs[0].At(0, 0)));
-}
-
-void QppNet::PredictShard(const std::vector<PlanSample>& requests,
+void QppNet::ForwardWaves(const std::vector<PlanSample>& samples,
                           size_t begin, size_t end,
-                          std::vector<double>* out) const {
+                          std::vector<EncodedPlan>* encoded_plans,
+                          std::vector<Matrix>* outputs) const {
   const size_t d = config_.data_vector_dim;
-  const size_t count = end - begin;
 
-  // Featurize each distinct plan of this shard once through the lean
-  // serving encode.
-  std::vector<EncodedPlan> encoded;
-  encoded.reserve(count);
+  // Featurize each plan once through the lean serving encode.
+  std::vector<EncodedPlan>& encoded = *encoded_plans;
+  encoded.clear();
+  encoded.reserve(end - begin);
   for (size_t s = begin; s < end; ++s) {
-    encoded.push_back(EncodePlan(*requests[s].plan, requests[s].env_id,
+    encoded.push_back(EncodePlan(*samples[s].plan, samples[s].env_id,
                                  /*scale_features=*/true,
                                  /*with_labels=*/false));
   }
@@ -458,15 +416,14 @@ void QppNet::PredictShard(const std::vector<PlanSample>& requests,
     }
   }
 
-  // Per-plan node outputs, one d-wide row per node.
-  std::vector<Matrix> outputs;
-  outputs.reserve(encoded.size());
-  for (const auto& plan : encoded) outputs.emplace_back(plan.nodes.size(), d);
+  outputs->clear();
+  outputs->reserve(encoded.size());
+  for (const auto& plan : encoded) outputs->emplace_back(plan.nodes.size(), d);
 
-  // One matrix-batched unit forward per (wave, operator type): every plan in
-  // the shard contributes its wave-w nodes of that type as rows. Unit
-  // forwards compute each row independently, so which plans share a shard
-  // (and hence a matrix) never changes any output row.
+  // One matrix-batched unit forward per (wave, operator type): every plan
+  // contributes its wave-w nodes of that type as rows. Unit forwards
+  // compute each row independently, so which plans share a matrix never
+  // changes any output row.
   struct NodeRef {
     size_t plan;
     size_t node;
@@ -494,7 +451,7 @@ void QppNet::PredictShard(const std::vector<PlanSample>& requests,
             encoded[bucket[r].plan].nodes[bucket[r].node];
         double* row = x.RowPtr(r);
         for (size_t i = 0; i < node.feats.size(); ++i) row[i] = node.feats[i];
-        const Matrix& plan_outputs = outputs[bucket[r].plan];
+        const Matrix& plan_outputs = (*outputs)[bucket[r].plan];
         for (size_t c = 0;
              c < node.children.size() && c < config_.max_children; ++c) {
           const double* child = plan_outputs.RowPtr(node.children[c]);
@@ -503,43 +460,30 @@ void QppNet::PredictShard(const std::vector<PlanSample>& requests,
       }
       const Matrix& y = units_[static_cast<size_t>(op)]->Predict(x, &scratch);
       for (size_t r = 0; r < bucket.size(); ++r) {
-        double* dst = outputs[bucket[r].plan].RowPtr(bucket[r].node);
+        double* dst = (*outputs)[bucket[r].plan].RowPtr(bucket[r].node);
         const double* src = y.RowPtr(r);
         for (size_t k = 0; k < d; ++k) dst[k] = src[k];
       }
     }
   }
-
-  for (size_t p = 0; p < encoded.size(); ++p) {
-    (*out)[begin + p] = label_scaler_.InverseTransformOne(
-        label_scaler_.ClampTransformed(outputs[p].At(0, 0)));
-  }
 }
 
-Result<std::vector<double>> QppNet::PredictBatchMs(
-    const std::vector<PlanSample>& batch, ThreadPool* pool) const {
+void QppNet::PredictShard(const std::vector<PlanSample>& requests,
+                          size_t begin, size_t end,
+                          std::vector<BatchPrediction>* out) const {
   if (!scalers_fitted_) {
-    return Status::FailedPrecondition("QPPNet is untrained");
-  }
-  if (batch.empty()) return std::vector<double>{};
-
-  // Deduplicate repeated (plan, environment) requests, then shard the
-  // distinct requests into one contiguous block per worker; every shard
-  // runs its own wave-batched sweep with its own scratch buffers.
-  BatchRequestDedup dedup(batch);
-  const std::vector<PlanSample>& requests = dedup.unique;
-  for (const auto& s : requests) {
-    if (s.plan == nullptr) {
-      return Status::InvalidArgument("null plan in prediction batch");
+    for (size_t s = begin; s < end; ++s) {
+      (*out)[s].status = Status::FailedPrecondition("QPPNet is untrained");
     }
+    return;
   }
-  std::vector<double> result(requests.size());
-  std::vector<std::pair<size_t, size_t>> shards = PartitionBlocks(
-      requests.size(), pool == nullptr ? 1 : pool->num_workers());
-  ParallelFor(pool, shards.size(), [&](size_t b) {
-    PredictShard(requests, shards[b].first, shards[b].second, &result);
-  });
-  return dedup.Expand(result);
+  std::vector<EncodedPlan> encoded;
+  std::vector<Matrix> outputs;
+  ForwardWaves(requests, begin, end, &encoded, &outputs);
+  for (size_t p = 0; p < encoded.size(); ++p) {
+    (*out)[begin + p].ms = label_scaler_.InverseTransformOne(
+        label_scaler_.ClampTransformed(outputs[p].At(0, 0)));
+  }
 }
 
 Result<Mlp> QppNet::OperatorView(
@@ -552,18 +496,24 @@ Result<Mlp> QppNet::OperatorView(
   size_t d = config_.data_vector_dim;
   size_t child_dims = config_.max_children * d;
 
-  // Average child-output context for this operator type over the context set.
+  // Average child-output context for this operator type over the context
+  // set, summed in (sample, pre-order node, channel) order; an absent child
+  // contributes 0.0, as its unit-input slot holds.
+  std::vector<EncodedPlan> encoded;
+  std::vector<Matrix> outputs;
+  ForwardWaves(context, 0, context.size(), &encoded, &outputs);
   std::vector<double> child_ctx(child_dims, 0.0);
   size_t ctx_count = 0;
-  for (const auto& s : context) {
-    EncodedPlan encoded = EncodePlan(*s.plan, s.env_id, true);
-    std::vector<Matrix> outs;
-    ForwardPlan(encoded, &outs);
-    for (size_t i = 0; i < encoded.nodes.size(); ++i) {
-      if (encoded.nodes[i].op != op) continue;
-      Matrix x = UnitInput(encoded, i, outs);
-      for (size_t k = 0; k < child_dims; ++k) {
-        child_ctx[k] += x.At(0, feat_dim + k);
+  for (size_t p = 0; p < encoded.size(); ++p) {
+    for (const EncodedNode& node : encoded[p].nodes) {
+      if (node.op != op) continue;
+      for (size_t c = 0; c < config_.max_children; ++c) {
+        const double* child = c < node.children.size()
+                                  ? outputs[p].RowPtr(node.children[c])
+                                  : nullptr;
+        for (size_t k = 0; k < d; ++k) {
+          child_ctx[c * d + k] += child != nullptr ? child[k] : 0.0;
+        }
       }
       ++ctx_count;
     }

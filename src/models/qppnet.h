@@ -46,17 +46,6 @@ class QppNet : public CostModel {
   /// bit-identical at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
-  Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
-  /// Wave-batched inference: featurizes every plan once, then schedules
-  /// nodes bottom-up into "waves" whose children are already computed, so
-  /// each (wave, operator type) runs one matrix-batched unit forward over
-  /// the whole batch instead of a 1-row forward per node. With a pool, the
-  /// deduped requests are sharded into contiguous blocks, one wave-batched
-  /// sweep per worker with per-shard scratch buffers; unit forwards are
-  /// row-independent, so shard boundaries never change a prediction.
-  using CostModel::PredictBatchMs;
-  Result<std::vector<double>> PredictBatchMs(
-      const std::vector<PlanSample>& batch, ThreadPool* pool) const override;
   const OperatorFeaturizer* featurizer() const override { return featurizer_; }
   const LogTargetScaler* label_scaler() const override { return &label_scaler_; }
   Result<Mlp> OperatorView(
@@ -86,6 +75,15 @@ class QppNet : public CostModel {
   Result<double> TrainingLoss(const std::vector<PlanSample>& samples,
                               bool accumulate_gradients);
 
+ protected:
+  /// Wave-batched serving over one shard of distinct requests: one
+  /// ForwardWaves over the shard's plans. Unit forwards are
+  /// row-independent, so shard boundaries never change a prediction. An
+  /// untrained model fails every slot.
+  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
+                    size_t end,
+                    std::vector<BatchPrediction>* out) const override;
+
  private:
   /// Pre-encoded plan: nodes in pre-order with child links.
   struct EncodedNode {
@@ -103,15 +101,16 @@ class QppNet : public CostModel {
   EncodedPlan EncodePlan(const PlanNode& plan, int env_id, bool scale_features,
                          bool with_labels = true) const;
 
-  /// Wave-batched serving sweep over requests [begin, end), writing
-  /// predictions into the matching slots of `out` (one shard of
-  /// PredictBatchMs; the serial path is the single shard [0, n)).
-  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
-                    size_t end, std::vector<double>* out) const;
-
-  /// Forward all nodes of one plan; returns per-node outputs (1 x d rows).
-  void ForwardPlan(const EncodedPlan& plan,
-                   std::vector<Matrix>* node_outputs) const;
+  /// Encodes the plans of samples[begin, end) into `encoded` (serving
+  /// encode: scaled features, no labels) and forwards every node:
+  /// (*outputs)[p] gets one d-wide row per node of (*encoded)[p]. Nodes are
+  /// scheduled bottom-up into "waves" whose children are already computed,
+  /// and each (wave, operator type) runs one matrix-batched unit forward
+  /// over all plans instead of a 1-row forward per node. Serving and
+  /// OperatorView both read their outputs off this sweep.
+  void ForwardWaves(const std::vector<PlanSample>& samples, size_t begin,
+                    size_t end, std::vector<EncodedPlan>* encoded,
+                    std::vector<Matrix>* outputs) const;
 
   /// One training chunk's scratch arena: per-node tapes, per-node output
   /// gradients and the unit-input row are reshaped in place across plans
@@ -158,12 +157,9 @@ class QppNet : public CostModel {
   /// Fits feature scalers and the label scaler on first training.
   void FitScalers(const std::vector<PlanSample>& train);
 
-  Matrix UnitInput(const EncodedPlan& plan, size_t node_index,
-                   const std::vector<Matrix>& node_outputs) const;
-
-  /// UnitInput variant for the tape-based training path: child outputs are
-  /// read off the children's tapes and the row is built in the caller's
-  /// reusable scratch matrix.
+  /// One node's unit input for the tape-based training path: the node's
+  /// features, then its children's outputs read off their tapes (absent
+  /// children stay 0), built in the caller's reusable scratch matrix.
   void UnitInputInto(const EncodedPlan& plan, size_t node_index,
                      const std::vector<Mlp::Tape>& tapes, Matrix* x) const;
 

@@ -41,11 +41,6 @@ void LinearLayer::BackwardInto(const Matrix& grad_output,
   if (grad_input != nullptr) kernels::GemmBT(grad_output, w_, grad_input);
 }
 
-void LinearLayer::ZeroGrad() {
-  dw_.Fill(0.0);
-  db_.Fill(0.0);
-}
-
 Matrix ReluLayer::Forward(const Matrix& input) const {
   Matrix out = input;
   for (double& x : out.data()) x = x > 0.0 ? x : 0.0;

@@ -77,9 +77,6 @@ class Layer {
   /// Number of entries Grads() returns (0 for activations), without
   /// materialising the vector.
   virtual size_t num_param_grads() const { return 0; }
-
-  /// Zeroes accumulated parameter gradients.
-  virtual void ZeroGrad() {}
 };
 
 /// Fully connected layer: out = in * W + b, W is (in_dim x out_dim).
@@ -100,7 +97,6 @@ class LinearLayer : public Layer {
   std::vector<Matrix*> Params() override { return {&w_, &b_}; }
   std::vector<Matrix*> Grads() override { return {&dw_, &db_}; }
   size_t num_param_grads() const override { return 2; }
-  void ZeroGrad() override;
 
   size_t in_dim() const { return w_.rows(); }
   size_t out_dim() const { return w_.cols(); }

@@ -186,10 +186,6 @@ Matrix Mlp::InputGradient(const Matrix& input, Tape* tape) const {
   return Backward(tape->seed, tape);
 }
 
-void Mlp::ZeroGrad() {
-  for (auto& layer : layers_) layer->ZeroGrad();
-}
-
 std::vector<Matrix*> Mlp::Params() {
   std::vector<Matrix*> out;
   for (auto& layer : layers_) {

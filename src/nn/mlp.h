@@ -138,8 +138,6 @@ class Mlp {
   /// arena instead of allocating per call.
   Matrix InputGradient(const Matrix& input, Tape* tape) const;
 
-  void ZeroGrad();
-
   std::vector<Matrix*> Params();
   std::vector<Matrix*> Grads();
 

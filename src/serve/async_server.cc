@@ -184,33 +184,14 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     held = swappable_->CurrentModel(&version);
     model = held.get();
   }
-  if (model == nullptr) {
-    {
-      MutexLock lock(&mu_);
-      ++stats_.batches_flushed;
-      stats_.served += batch->size();
-      stats_.failed += batch->size();
-      switch (reason) {
-        case FlushReason::kFull:
-          ++stats_.full_flushes;
-          break;
-        case FlushReason::kDeadline:
-          ++stats_.deadline_flushes;
-          break;
-        case FlushReason::kDrain:
-          ++stats_.drain_flushes;
-          break;
-      }
-    }
-    for (Pending& p : *batch) {
-      p.promise.set_value(Result<double>(Status::FailedPrecondition(
-          "no model version has been published to this server yet")));
-    }
-    return;
-  }
-
-  std::vector<CostModel::BatchPrediction> results =
-      model->PredictBatchEach(samples, pool_);
+  const std::vector<CostModel::BatchPrediction> results =
+      model != nullptr
+          ? model->PredictBatchEach(samples, pool_)
+          : std::vector<CostModel::BatchPrediction>(
+                batch->size(),
+                {Status::FailedPrecondition("no model version has been "
+                                            "published to this server yet"),
+                 0.0});
   // The promise-fulfilment loop below indexes results positionally; a model
   // returning a short/long vector would fulfil the wrong futures.
   QCFE_CHECK(results.size() == batch->size(),
@@ -228,7 +209,7 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     ++stats_.batches_flushed;
     stats_.served += batch->size();
     stats_.failed += failures;
-    if (swappable_ != nullptr) stats_.model_version = version;
+    if (held != nullptr) stats_.model_version = version;
     // Counter conservation: every served or cancelled request was admitted.
     QCFE_DCHECK(stats_.served + stats_.cancelled <= stats_.submitted,
                 "AsyncServer served/cancelled more requests than submitted");

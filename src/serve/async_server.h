@@ -2,7 +2,7 @@
 #define QCFE_SERVE_ASYNC_SERVER_H_
 
 /// \file async_server.h
-/// Micro-batching serving front end over CostModel::PredictBatchMs.
+/// Micro-batching serving front end over CostModel::PredictBatchEach.
 ///
 /// The batched prediction path pays off only when callers hand it whole
 /// batches, but online traffic arrives one plan at a time from many
@@ -128,7 +128,7 @@ class AsyncServer {
  public:
   /// `clock` null means the process-wide real clock; `pool` (optional)
   /// shards each flushed batch across workers exactly like
-  /// PredictBatchMs(batch, pool).
+  /// PredictBatchEach(batch, pool).
   AsyncServer(const CostModel* model, const AsyncServeConfig& config,
               Clock* clock = nullptr, ThreadPool* pool = nullptr);
   /// Hot-swappable variant: every cut batch is served by the model version

@@ -50,11 +50,18 @@ class StubModel : public CostModel {
     return Status::OK();
   }
 
-  Result<double> PredictMs(const PlanNode& plan, int env_id) const override {
-    if (env_id < 0) {
-      return Status::NumericError("poisoned request (stub model)");
+  void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
+                    size_t end,
+                    std::vector<BatchPrediction>* out) const override {
+    for (size_t i = begin; i < end; ++i) {
+      if (requests[i].env_id < 0) {
+        (*out)[i].status =
+            Status::NumericError("poisoned request (stub model)");
+      } else {
+        (*out)[i].ms = 1.25 * static_cast<double>(requests[i].env_id) +
+                       requests[i].plan->est_rows;
+      }
     }
-    return 1.25 * static_cast<double>(env_id) + plan.est_rows;
   }
 };
 

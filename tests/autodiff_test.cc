@@ -213,7 +213,7 @@ TEST(LayerAutodiffTest, BackwardLeavesParameterGradientsUntouched) {
   Matrix probe = ProbeWeights(2, 2, 12);
   // Backward produces the input gradient and never touches the
   // optimizer-bound accumulators.
-  layer.ZeroGrad();
+  for (Matrix* g : layer.Grads()) g->Fill(0.0);
   Matrix gin = layer.Backward(probe, x, out);
   EXPECT_GT(gin.Norm(), 0.0);
   for (Matrix* g : layer.Grads()) EXPECT_EQ(g->Norm(), 0.0);

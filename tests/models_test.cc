@@ -8,10 +8,13 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/feature_reduction.h"
+#include "harness/context.h"
 #include "models/cost_model.h"
 #include "models/mscn.h"
 #include "models/pg_cost_model.h"
 #include "models/qppnet.h"
+#include "models/registry.h"
 #include "nn/kernels.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -280,6 +283,108 @@ TEST_F(ModelsTest, QppNetAvx2TrainedParametersArePinned) {
     char hex[16];
     std::snprintf(hex, sizeof(hex), "0x%08X", crc);
     EXPECT_EQ(crc, 0x16C0B1BAu) << "threads " << threads << ": got " << hex;
+  }
+}
+
+/// The harness corpus and split of parallel_test's scalar-tier pins
+/// (sysbench, 160 queries, 3 environments), so the AVX2 serving pins below
+/// train the same estimators on the same data as the scalar reference.
+class ServingPinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    HarnessOptions opt = OptionsFor("sysbench", RunScale::kQuick);
+    opt.corpus_size = 160;
+    opt.num_envs = 3;
+    auto ctx = BenchmarkContext::Create(opt);
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    ctx_ = ctx.value().release();
+    ctx_->Split(160, &train_, &test_);
+  }
+
+  static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
+  }
+
+  static BenchmarkContext* ctx_;
+  static std::vector<PlanSample> train_, test_;
+};
+
+BenchmarkContext* ServingPinTest::ctx_ = nullptr;
+std::vector<PlanSample> ServingPinTest::train_;
+std::vector<PlanSample> ServingPinTest::test_;
+
+/// CRC-32 over the bytes of a run of values.
+template <typename T>
+uint32_t VectorCrc(const std::vector<T>& v) {
+  return Crc32(v.data(), v.size() * sizeof(T));
+}
+
+TEST_F(ServingPinTest, Avx2ServingAndReductionArePinned) {
+  // The AVX2 tier's serving and reduction bits for the estimators the
+  // scalar-tier pin trains (seed 83, 4 epochs): predictions one plan at a
+  // time through PredictMs, the same predictions as one batch through
+  // PredictBatchMs, and the diff-prop scores and kept sets, which read
+  // each operator view's averaged child context off a model forward.
+  // Captured while each estimator still had a separate per-plan forward,
+  // so they hold the batched path to that reference; never regenerate
+  // them.
+  struct Pin {
+    const char* name;
+    uint32_t per_plan_crc;
+    uint32_t batch_crc;
+    uint32_t kept_crc;
+    uint32_t scores_crc;
+  };
+  const Pin pins[] = {
+      {"qppnet", 0x706A6624u, 0x706A6624u, 0x506BDEEAu, 0xA422EF89u},
+      {"mscn", 0xFF864A02u, 0xFF864A02u, 0x506BDEEAu, 0x0C79F914u},
+  };
+  if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier not available on this machine/build";
+  }
+  kernels::ScopedKernelIsa tier(kernels::KernelIsa::kAvx2);
+  for (const Pin& pin : pins) {
+    BaseFeaturizer featurizer(ctx_->db->catalog());
+    auto model = EstimatorRegistry::Global().Create(
+        pin.name, {ctx_->db->catalog(), &featurizer, 83});
+    ASSERT_TRUE(model.ok()) << pin.name;
+    TrainConfig cfg;
+    cfg.epochs = 4;
+    ASSERT_TRUE((*model)->Train(train_, cfg, nullptr).ok()) << pin.name;
+    std::vector<double> per_plan;
+    for (const PlanSample& s : test_) {
+      auto p = (*model)->PredictMs(*s.plan, s.env_id);
+      ASSERT_TRUE(p.ok()) << pin.name;
+      per_plan.push_back(*p);
+    }
+    auto batch = (*model)->PredictBatchMs(test_, nullptr);
+    ASSERT_TRUE(batch.ok()) << pin.name;
+    ReductionConfig rcfg;
+    rcfg.algorithm = ReductionAlgorithm::kDiffProp;
+    rcfg.num_references = 16;
+    auto reduction = ReduceFeatures(**model, train_, rcfg, nullptr);
+    ASSERT_TRUE(reduction.ok()) << pin.name;
+    std::vector<uint64_t> kept;
+    std::vector<double> scores;
+    for (const auto& [op, r] : reduction->per_op) {
+      kept.push_back(static_cast<uint64_t>(op));
+      kept.push_back(r.kept.size());
+      kept.insert(kept.end(), r.kept.begin(), r.kept.end());
+      scores.insert(scores.end(), r.scores.begin(), r.scores.end());
+    }
+    const uint32_t per_plan_crc = VectorCrc(per_plan);
+    const uint32_t batch_crc = VectorCrc(*batch);
+    const uint32_t kept_crc = VectorCrc(kept);
+    const uint32_t scores_crc = VectorCrc(scores);
+    char got[128];
+    std::snprintf(got, sizeof(got),
+                  "per-plan 0x%08X batch 0x%08X kept 0x%08X scores 0x%08X",
+                  per_plan_crc, batch_crc, kept_crc, scores_crc);
+    EXPECT_EQ(per_plan_crc, pin.per_plan_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(batch_crc, pin.batch_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(kept_crc, pin.kept_crc) << pin.name << ": got " << got;
+    EXPECT_EQ(scores_crc, pin.scores_crc) << pin.name << ": got " << got;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "models/registry.h"
 #include "nn/mlp.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace qcfe {
 namespace {
@@ -156,22 +157,65 @@ TEST_F(PipelineTest, MscnBatchMatchesScalarBitForBit) {
 }
 
 TEST_F(PipelineTest, BatchEdgeCases) {
-  BaseFeaturizer featurizer(ctx_->db->catalog());
-  auto model = EstimatorRegistry::Global().Create(
-      "qppnet", {ctx_->db->catalog(), &featurizer, 17});
-  ASSERT_TRUE(model.ok());
-  // Untrained models refuse batches like they refuse single plans.
-  EXPECT_FALSE((*model)->PredictBatchMs(test_).ok());
-  TrainConfig tc;
-  tc.epochs = 2;
-  ASSERT_TRUE((*model)->Train(train_, tc, nullptr).ok());
-  // Empty batches are fine.
-  auto empty = (*model)->PredictBatchMs({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  // Null plans are rejected, not dereferenced.
-  std::vector<PlanSample> bad = {{nullptr, 0, 0.0}};
-  EXPECT_FALSE((*model)->PredictBatchMs(bad).ok());
+  // Per-request isolation on every built-in estimator: one request's
+  // failure stays in its own slot, and every other slot gets the bits a
+  // clean batch gives.
+  for (const char* name : {"qppnet", "mscn", "pgsql"}) {
+    SCOPED_TRACE(name);
+    BaseFeaturizer featurizer(ctx_->db->catalog());
+    auto model = EstimatorRegistry::Global().Create(
+        name, {ctx_->db->catalog(), &featurizer, 17});
+    ASSERT_TRUE(model.ok());
+    const bool learned = EstimatorRegistry::Global().Info(name)->learned;
+    if (learned) {
+      // Untrained models refuse every request, each in its own slot, and
+      // the all-or-nothing form returns that status.
+      auto each = (*model)->PredictBatchEach(test_, nullptr);
+      ASSERT_EQ(each.size(), test_.size());
+      for (const auto& p : each) {
+        EXPECT_EQ(p.status.code(), StatusCode::kFailedPrecondition);
+      }
+      auto batch = (*model)->PredictBatchMs(test_);
+      ASSERT_FALSE(batch.ok());
+      EXPECT_EQ(batch.status().code(), StatusCode::kFailedPrecondition);
+    }
+    TrainConfig tc;
+    tc.epochs = 2;
+    ASSERT_TRUE((*model)->Train(train_, tc, nullptr).ok());
+    // Empty batches are fine.
+    auto empty = (*model)->PredictBatchMs({});
+    ASSERT_TRUE(empty.ok());
+    EXPECT_TRUE(empty->empty());
+    // Null plans are rejected, not dereferenced.
+    std::vector<PlanSample> bad = {{nullptr, 0, 0.0}};
+    EXPECT_FALSE((*model)->PredictBatchMs(bad).ok());
+
+    // A null plan mid-batch among repeated requests fails alone, serially
+    // and sharded across a pool.
+    std::vector<PlanSample> clean(test_.begin(), test_.begin() + 8);
+    clean.insert(clean.end(), test_.begin(), test_.begin() + 8);
+    auto reference = (*model)->PredictBatchMs(clean, nullptr);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    std::vector<PlanSample> poisoned = clean;
+    const size_t null_slot = clean.size() / 2 - 1;
+    poisoned[null_slot].plan = nullptr;
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto each = (*model)->PredictBatchEach(poisoned, p);
+      ASSERT_EQ(each.size(), poisoned.size());
+      for (size_t i = 0; i < each.size(); ++i) {
+        if (i == null_slot) {
+          EXPECT_EQ(each[i].status.code(), StatusCode::kInvalidArgument);
+          continue;
+        }
+        ASSERT_TRUE(each[i].status.ok()) << "slot " << i;
+        EXPECT_EQ(each[i].ms, (*reference)[i]) << "slot " << i;
+      }
+      auto all_or_nothing = (*model)->PredictBatchMs(poisoned, p);
+      ASSERT_FALSE(all_or_nothing.ok());
+      EXPECT_EQ(all_or_nothing.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST_F(PipelineTest, MlpScratchPredictMatchesAllocatingPredict) {
