@@ -12,12 +12,11 @@
 /// per benchmark at harness quick scale; BM_CollectCorpus times one
 /// single-threaded 1,500-query corpus collection on it.
 /// BM_ParallelForDispatch times one fork-join ParallelFor (empty and ~100 µs
-/// bodies at 4, 8 and 32 indices) on a 4-worker pool. Best observed timings
-/// are written to BENCH_parallel.json (machine-readable) when a run includes
-/// them, e.g.
+/// bodies at 4, 8 and 32 indices) on a 4-worker pool. Select sweeps with
+/// google-benchmark's own flags, e.g.
 ///   bench_micro --benchmark_filter='Threads|Kernel|Async'
-/// Sections absent from the current run are preserved from an existing
-/// BENCH_parallel.json, so partial reruns never erase other sweeps.
+/// (--benchmark_format=json for machine-readable output). End-to-end
+/// figures come from perfbench (perfbench/run.py), not from this binary.
 ///
 /// `bench_micro --smoke` skips benchmarking and instead runs the kernel
 /// parity sweep end to end, once per ISA tier available on this machine:
@@ -32,8 +31,7 @@
 ///
 /// The *KernelIsa benchmarks measure the scalar tier against the detected
 /// SIMD tier (dense GEMM at the real layer shapes, plus whole-model train
-/// and batched serving) and are written to the `kernels_simd` section of
-/// BENCH_parallel.json.
+/// and batched serving).
 
 #include <benchmark/benchmark.h>
 
@@ -41,13 +39,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
 #include <future>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "adapt/drift_detector.h"
@@ -67,7 +64,6 @@
 #include "util/crc32.h"
 #include "util/fs.h"
 #include "util/rng.h"
-#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace qcfe {
@@ -276,9 +272,10 @@ BENCHMARK(BM_MscnInference);
 
 // Batched vs per-plan serving throughput. items_per_second is served
 // requests/sec: compare BM_*PredictScalar/N against BM_*PredictBatch/N at
-// the same batch size. PredictMs is a one-element batch through the same
-// PredictBatchEach, so the scalar loop times that wrapper N times. Batch sizes 1 and 32 are fully-distinct plans and
-// isolate the matrix-batching/allocation win; 256 exceeds the 80-query
+// the same batch size. PredictMs is one direct PredictShard call on its
+// single request, so the scalar loop times N of those. Batch sizes 1 and
+// 32 are fully-distinct plans and isolate the matrix-batching/allocation
+// win; 256 exceeds the 80-query
 // workload (see BatchOf) and additionally measures request deduplication —
 // the dominant effect for template-heavy serving traffic, where it pushes
 // the batched path past 3x the per-plan loop.
@@ -341,279 +338,6 @@ BENCHMARK(BM_MscnPredictBatch)->Arg(1)->Arg(32)->Arg(256);
 
 // ----------------------------------------------------- thread-pool sweeps
 
-/// Collects the best observed timings of the *Threads benchmarks; the
-/// custom main() below dumps them as BENCH_parallel.json after the run.
-struct ParallelBenchRecorder {
-  static ParallelBenchRecorder& Get() {
-    static ParallelBenchRecorder recorder;
-    return recorder;
-  }
-
-  void RecordFit(int threads, double seconds) {
-    MutexLock lock(&mu);
-    auto [it, inserted] = fit_seconds.emplace(threads, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
-  }
-
-  void RecordServe(const std::string& model, int threads, size_t batch,
-                   double plans_per_sec) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, threads);
-    auto [it, inserted] = serve.emplace(key, plans_per_sec);
-    if (!inserted && plans_per_sec > it->second) it->second = plans_per_sec;
-    serve_batch = batch;
-  }
-
-  void RecordTrain(const std::string& model, int threads, double seconds) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, threads);
-    auto [it, inserted] = train_seconds.emplace(key, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
-  }
-
-  /// Dispatched kernel timings per shape, single-threaded.
-  void RecordKernelGemm(int shape_index, double ns) {
-    MutexLock lock(&mu);
-    auto [it, inserted] = kernel_gemm_ns.emplace(shape_index, ns);
-    if (!inserted && ns < it->second) it->second = ns;
-  }
-
-  /// SIMD-tier before/after records: tier 0 = scalar ISA pin, 1 = the
-  /// detected SIMD tier. All single-threaded, dense dispatch — the
-  /// vectorization win in isolation.
-  void RecordSimdGemm(int shape_index, int tier, double ns) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(shape_index, tier);
-    auto [it, inserted] = simd_gemm_ns.emplace(key, ns);
-    if (!inserted && ns < it->second) it->second = ns;
-  }
-
-  void RecordSimdTrain(const std::string& model, int tier, double seconds) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, tier);
-    auto [it, inserted] = simd_train.emplace(key, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
-  }
-
-  void RecordSimdServe(const std::string& model, int tier,
-                       double plans_per_sec) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, tier);
-    auto [it, inserted] = simd_serve.emplace(key, plans_per_sec);
-    if (!inserted && plans_per_sec > it->second) it->second = plans_per_sec;
-  }
-
-  /// Async serving sweep: mode 0 = 8 callers doing one-at-a-time PredictMs,
-  /// mode 1 = the same callers submitting through an AsyncServer.
-  void RecordAsync(const std::string& model, int mode, size_t callers,
-                   double plans_per_sec) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, mode);
-    auto [it, inserted] = async_pps.emplace(key, plans_per_sec);
-    if (!inserted && plans_per_sec > it->second) it->second = plans_per_sec;
-    async_callers = callers;
-  }
-
-  /// One adaptation cycle under serving load: wall time of the
-  /// retrain+save leg and of the LoadAndSwap publish leg, with `callers`
-  /// threads hammering the server throughout. Keeps the fastest cycle
-  /// (latency: lower is better).
-  void RecordAdapt(size_t callers, double retrain_save_seconds,
-                   double swap_seconds) {
-    MutexLock lock(&mu);
-    if (adapt_callers == 0 ||
-        retrain_save_seconds + swap_seconds <
-            adapt_retrain_save_seconds + adapt_swap_seconds) {
-      adapt_retrain_save_seconds = retrain_save_seconds;
-      adapt_swap_seconds = swap_seconds;
-    }
-    adapt_callers = callers;
-  }
-
-  bool empty() {
-    MutexLock lock(&mu);
-    return fit_seconds.empty() && serve.empty() && train_seconds.empty() &&
-           kernel_gemm_ns.empty() && async_pps.empty() &&
-           simd_gemm_ns.empty() && simd_train.empty() && simd_serve.empty() &&
-           adapt_callers == 0;
-  }
-
-  /// Extracts the raw text of `"key": <value>` from a previous dump (our
-  /// own writer's output), so sections the current run did not exercise
-  /// survive a partial rerun. Returns empty when absent.
-  static std::string ExtractSection(const std::string& json,
-                                    const std::string& key) {
-    std::string needle = "\"" + key + "\":";
-    size_t at = json.find(needle);
-    if (at == std::string::npos) return "";
-    size_t start = at + needle.size();
-    while (start < json.size() && json[start] == ' ') ++start;
-    if (start >= json.size() ||
-        (json[start] != '[' && json[start] != '{')) {
-      return "";
-    }
-    int depth = 0;
-    for (size_t i = start; i < json.size(); ++i) {
-      if (json[i] == '[' || json[i] == '{') ++depth;
-      if (json[i] == ']' || json[i] == '}') {
-        --depth;
-        if (depth == 0) return json.substr(start, i - start + 1);
-      }
-    }
-    return "";
-  }
-
-  /// Minimal hand-rolled JSON:
-  /// {"fit": [...], "train": [...], "predict_batch": [...], "kernels": {...}}.
-  /// Sections with no data in this run are carried over from an existing
-  /// file — a partial `--benchmark_filter` rerun updates only what it ran
-  /// (historically a Fit/Train-only rerun silently emptied the
-  /// predict_batch section).
-  void WriteJson(const std::string& path) {
-    MutexLock lock(&mu);
-    std::string previous;
-    {
-      // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-      std::ifstream is(path);
-      if (is.good()) {
-        std::string all((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-        previous = std::move(all);
-      }
-    }
-    auto carry = [&](const char* key) {
-      return ExtractSection(previous, key);
-    };
-
-    // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-    std::ofstream os(path);
-    os << "{\n  \"fit\": ";
-    if (fit_seconds.empty() && !carry("fit").empty()) {
-      os << carry("fit");
-    } else {
-      os << "[";
-      double serial = fit_seconds.count(1) ? fit_seconds.at(1) : 0.0;
-      bool first = true;
-      for (const auto& [threads, seconds] : fit_seconds) {
-        os << (first ? "" : ",") << "\n    {\"threads\": " << threads
-           << ", \"seconds\": " << seconds << ", \"speedup\": "
-           << (seconds > 0.0 && serial > 0.0 ? serial / seconds : 0.0) << "}";
-        first = false;
-      }
-      os << "\n  ]";
-    }
-    os << ",\n  \"train\": ";
-    if (train_seconds.empty() && !carry("train").empty()) {
-      os << carry("train");
-    } else {
-      os << "[";
-      bool first = true;
-      for (const auto& [key, seconds] : train_seconds) {
-        double serial_train = train_seconds.count({key.first, 1})
-                                  ? train_seconds.at({key.first, 1})
-                                  : 0.0;
-        os << (first ? "" : ",") << "\n    {\"model\": \"" << key.first
-           << "\", \"threads\": " << key.second << ", \"seconds\": " << seconds
-           << ", \"speedup\": "
-           << (seconds > 0.0 && serial_train > 0.0 ? serial_train / seconds
-                                                   : 0.0)
-           << "}";
-        first = false;
-      }
-      os << "\n  ]";
-    }
-    os << ",\n  \"predict_batch\": ";
-    if (serve.empty() && !carry("predict_batch").empty()) {
-      os << carry("predict_batch");
-    } else {
-      os << "[";
-      bool first = true;
-      for (const auto& [key, pps] : serve) {
-        os << (first ? "" : ",") << "\n    {\"model\": \"" << key.first
-           << "\", \"threads\": " << key.second
-           << ", \"batch\": " << serve_batch << ", \"plans_per_sec\": " << pps
-           << "}";
-        first = false;
-      }
-      os << "\n  ]";
-    }
-    os << ",\n  \"kernels\": ";
-    if (kernel_gemm_ns.empty() && !carry("kernels").empty()) {
-      os << carry("kernels");
-    } else {
-      WriteKernelsSection(&os);
-    }
-    os << ",\n  \"kernels_simd\": ";
-    if (simd_gemm_ns.empty() && simd_train.empty() && simd_serve.empty() &&
-        !carry("kernels_simd").empty()) {
-      os << carry("kernels_simd");
-    } else {
-      WriteKernelsSimdSection(&os);
-    }
-    os << ",\n  \"async\": ";
-    // Rows are keyed by the async (mode 1) measurements; a rerun that only
-    // recorded the direct baseline (mode 0) must keep the carried section
-    // rather than emit an empty array.
-    bool have_async_rows = false;
-    for (const auto& [key, pps] : async_pps) {
-      (void)pps;
-      if (key.second == 1) have_async_rows = true;
-    }
-    if (!have_async_rows && !carry("async").empty()) {
-      os << carry("async");
-    } else {
-      os << "[";
-      bool first = true;
-      for (const auto& [key, pps] : async_pps) {
-        if (key.second != 1) continue;  // one row per model, direct inline
-        double direct = async_pps.count({key.first, 0})
-                            ? async_pps.at({key.first, 0})
-                            : 0.0;
-        os << (first ? "" : ",") << "\n    {\"model\": \"" << key.first
-           << "\", \"callers\": " << async_callers
-           << ", \"direct_plans_per_sec\": " << direct
-           << ", \"async_plans_per_sec\": " << pps << ", \"speedup\": "
-           << (direct > 0.0 && pps > 0.0 ? pps / direct : 0.0) << "}";
-        first = false;
-      }
-      os << "\n  ]";
-    }
-    os << ",\n  \"adapt\": ";
-    if (adapt_callers == 0 && !carry("adapt").empty()) {
-      os << carry("adapt");
-    } else {
-      os << "{\n    \"callers\": " << adapt_callers
-         << ",\n    \"retrain_save_seconds\": " << adapt_retrain_save_seconds
-         << ",\n    \"swap_seconds\": " << adapt_swap_seconds << "\n  }";
-    }
-    os << "\n}\n";
-    std::cout << "wrote " << path << "\n";
-  }
-
-  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-  void WriteKernelsSection(std::ofstream* out) QCFE_REQUIRES(mu);
-  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-  void WriteKernelsSimdSection(std::ofstream* out) QCFE_REQUIRES(mu);
-
-  Mutex mu;
-  std::map<int, double> fit_seconds QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> train_seconds
-      QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> serve QCFE_GUARDED_BY(mu);
-  size_t serve_batch QCFE_GUARDED_BY(mu) = 0;
-  std::map<int, double> kernel_gemm_ns QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> async_pps QCFE_GUARDED_BY(mu);
-  size_t async_callers QCFE_GUARDED_BY(mu) = 0;
-  std::map<std::pair<int, int>, double> simd_gemm_ns QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> simd_train
-      QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> simd_serve
-      QCFE_GUARDED_BY(mu);
-  size_t adapt_callers QCFE_GUARDED_BY(mu) = 0;
-  double adapt_retrain_save_seconds QCFE_GUARDED_BY(mu) = 0.0;
-  double adapt_swap_seconds QCFE_GUARDED_BY(mu) = 0.0;
-};
-
 // ------------------------------------------------------- kernel sweeps
 
 /// GEMM shapes drawn from the real QPPNet/MSCN layer dims this binary
@@ -657,70 +381,6 @@ Matrix RandomWithSparsity(size_t rows, size_t cols, double sparsity,
   return m;
 }
 
-// qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-void ParallelBenchRecorder::WriteKernelsSection(std::ofstream* out) {
-  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-  std::ofstream& os = *out;
-  os << "{\n    \"gemm\": [";
-  bool first = true;
-  for (const auto& [index, ns] : kernel_gemm_ns) {
-    const KernelShape& shape = kKernelShapes[index];
-    os << (first ? "" : ",") << "\n      {\"variant\": \"" << shape.variant
-       << "\", \"m\": " << shape.m << ", \"k\": " << shape.k
-       << ", \"n\": " << shape.n << ", \"sparsity\": " << shape.sparsity
-       << ", \"ns\": " << ns << "}";
-    first = false;
-  }
-  os << "\n    ]\n  }";
-}
-
-// qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-void ParallelBenchRecorder::WriteKernelsSimdSection(std::ofstream* out) {
-  // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
-  std::ofstream& os = *out;
-  os << "{\n    \"isa\": \""
-     << kernels::KernelIsaName(kernels::DetectKernelIsa())
-     << "\",\n    \"gemm\": [";
-  bool first = true;
-  for (int s = 0; s < kNumKernelShapes; ++s) {
-    if (!simd_gemm_ns.count({s, 0}) && !simd_gemm_ns.count({s, 1})) continue;
-    const KernelShape& shape = kKernelShapes[s];
-    double ref = simd_gemm_ns.count({s, 0}) ? simd_gemm_ns.at({s, 0}) : 0;
-    double opt = simd_gemm_ns.count({s, 1}) ? simd_gemm_ns.at({s, 1}) : 0;
-    os << (first ? "" : ",") << "\n      {\"variant\": \"" << shape.variant
-       << "\", \"m\": " << shape.m << ", \"k\": " << shape.k
-       << ", \"n\": " << shape.n << ", \"sparsity\": " << shape.sparsity
-       << ", \"scalar_ns\": " << ref << ", \"simd_ns\": " << opt
-       << ", \"speedup\": " << (ref > 0 && opt > 0 ? ref / opt : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"train\": [";
-  first = true;
-  for (const auto& [key, seconds] : simd_train) {
-    if (key.second != 1) continue;
-    double ref =
-        simd_train.count({key.first, 0}) ? simd_train.at({key.first, 0}) : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"scalar_seconds\": " << ref
-       << ", \"simd_seconds\": " << seconds << ", \"speedup\": "
-       << (ref > 0 && seconds > 0 ? ref / seconds : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"predict_batch\": [";
-  first = true;
-  for (const auto& [key, pps] : simd_serve) {
-    if (key.second != 1) continue;
-    double ref =
-        simd_serve.count({key.first, 0}) ? simd_serve.at({key.first, 0}) : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"batch\": 256, \"scalar_plans_per_sec\": " << ref
-       << ", \"simd_plans_per_sec\": " << pps << ", \"speedup\": "
-       << (ref > 0 && pps > 0 ? pps / ref : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ]\n  }";
-}
-
 /// One dispatched kernel invocation per iteration at the shape table
 /// entry state.range(0).
 void BM_KernelGemm(benchmark::State& state) {
@@ -740,7 +400,6 @@ void BM_KernelGemm(benchmark::State& state) {
     out.ResetShape(shape.m, shape.n);
   }
   const std::vector<size_t> whole = {0, shape.k};
-  WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
     if (std::strcmp(shape.variant, "nn") == 0) {
@@ -753,11 +412,6 @@ void BM_KernelGemm(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
   }
-  if (iters > 0) {
-    ParallelBenchRecorder::Get().RecordKernelGemm(
-        static_cast<int>(state.range(0)),
-        timer.Seconds() * 1e9 / static_cast<double>(iters));
-  }
   state.SetItemsProcessed(static_cast<int64_t>(iters) *
                           static_cast<int64_t>(shape.m * shape.k * shape.n));
 }
@@ -767,7 +421,7 @@ BENCHMARK(BM_KernelGemm)->DenseRange(0, kNumKernelShapes - 1, 1);
 /// shapes (the first six table entries are the "nn" variants). The sweep
 /// calls each tier's register panel directly, so it times the panel
 /// kernels themselves; on a machine with no SIMD tier both legs run scalar
-/// and the recorded speedup is ~1.
+/// and the two legs time the same.
 void BM_KernelIsaGemm(benchmark::State& state) {
   const KernelShape& shape = kKernelShapes[state.range(0)];
   const int tier = static_cast<int>(state.range(1));
@@ -777,17 +431,11 @@ void BM_KernelIsaGemm(benchmark::State& state) {
   Matrix a = RandomWithSparsity(shape.m, shape.k, shape.sparsity, &rng);
   Matrix b = RandomWithSparsity(shape.k, shape.n, 0.0, &rng);
   Matrix out;
-  WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
     table.dense_nn(a, b, nullptr, &out, kernels::internal::Epilogue::kNone);
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
-  }
-  if (iters > 0) {
-    ParallelBenchRecorder::Get().RecordSimdGemm(
-        static_cast<int>(state.range(0)), tier,
-        timer.Seconds() * 1e9 / static_cast<double>(iters));
   }
   state.SetItemsProcessed(static_cast<int64_t>(iters) *
                           static_cast<int64_t>(shape.m * shape.k * shape.n));
@@ -797,7 +445,7 @@ BENCHMARK(BM_KernelIsaGemm)
 
 /// Whole-model training under the scalar tier (range(0) == 0) vs the
 /// detected SIMD tier, production dispatch — the end-to-end vectorization
-/// win BENCH_parallel.json records as the kernels_simd train delta.
+/// win in isolation.
 template <const char* kModel>
 void BM_TrainKernelIsa(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();
@@ -813,10 +461,7 @@ void BM_TrainKernelIsa(benchmark::State& state) {
                                       f.featurizer.get(), 3})
                      .value();
     state.ResumeTiming();
-    WallTimer timer;
     benchmark::DoNotOptimize(model->Train(f.train, cfg, nullptr).ok());
-    ParallelBenchRecorder::Get().RecordSimdTrain(kModel, tier,
-                                                 timer.Seconds());
   }
 }
 
@@ -832,14 +477,8 @@ void BM_PredictBatchKernelIsa(benchmark::State& state) {
       std::string(kModel) == "qppnet" ? f.qpp.get() : f.mscn.get();
   std::vector<PlanSample> batch = f.BatchOf(256);
   for (auto _ : state) {
-    WallTimer timer;
     auto p = model->PredictBatchMs(batch, nullptr);
-    double seconds = timer.Seconds();
     benchmark::DoNotOptimize(p.ok());
-    if (seconds > 0.0) {
-      ParallelBenchRecorder::Get().RecordSimdServe(
-          kModel, tier, static_cast<double>(batch.size()) / seconds);
-    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
@@ -857,11 +496,8 @@ void BM_PipelineFitThreads(benchmark::State& state) {
   cfg.pre_reduction_epochs = 4;
   cfg.parallelism.num_threads = threads;
   for (auto _ : state) {
-    WallTimer timer;
     auto pipeline = f.ctx->FitPipeline(cfg, f.train);
-    double seconds = timer.Seconds();
     benchmark::DoNotOptimize(pipeline.ok());
-    ParallelBenchRecorder::Get().RecordFit(threads, seconds);
   }
 }
 BENCHMARK(BM_PipelineFitThreads)
@@ -892,9 +528,7 @@ void BM_TrainThreads(benchmark::State& state) {
                      .value();
     model->set_thread_pool(pool.get());
     state.ResumeTiming();
-    WallTimer timer;
     benchmark::DoNotOptimize(model->Train(f.train, cfg, nullptr).ok());
-    ParallelBenchRecorder::Get().RecordTrain(kModel, threads, timer.Seconds());
   }
 }
 
@@ -934,15 +568,8 @@ void BM_PredictBatchThreads(benchmark::State& state) {
       std::string(kModel) == "qppnet" ? f.qpp.get() : f.mscn.get();
   std::vector<PlanSample> batch = f.BatchOf(256);
   for (auto _ : state) {
-    WallTimer timer;
     auto p = model->PredictBatchMs(batch, pool.get());
-    double seconds = timer.Seconds();
     benchmark::DoNotOptimize(p.ok());
-    if (seconds > 0.0) {
-      ParallelBenchRecorder::Get().RecordServe(
-          kModel, threads, batch.size(),
-          static_cast<double>(batch.size()) / seconds);
-    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
@@ -999,24 +626,33 @@ BENCHMARK_TEMPLATE(BM_PredictBatchKernelIsa, kMscnName)
 /// Online-serving throughput under concurrent callers: 8 caller threads
 /// each issue 256 single-plan requests (cycling the 80-query test split
 /// with per-caller offsets, so traffic repeats like templated workloads).
-/// Mode 0 is the baseline every caller starts from — one-at-a-time
-/// PredictMs, no batching anywhere; mode 1 routes the same traffic through
-/// an AsyncServer, which coalesces the callers' singleton submissions into
-/// micro-batches for PredictBatchMs. The recorder writes both into the
-/// `async` section of BENCH_parallel.json.
+/// Both modes serve one fitted pipeline (the bare estimator: no snapshot,
+/// no reduction, serial), published once. Mode 0 is the baseline every
+/// caller starts from — one-at-a-time Pipeline::PredictMs, no batching
+/// anywhere; mode 1 routes the same traffic through an AsyncServer, which
+/// coalesces the callers' singleton submissions into micro-batches.
 template <const char* kModel>
 void BM_AsyncThroughput(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();
+  static SwappableModel* const models = [&f] {
+    PipelineConfig cfg;
+    cfg.estimator = kModel;
+    cfg.use_snapshot = false;
+    cfg.use_reduction = false;
+    cfg.train.epochs = 8;
+    auto fitted = f.ctx->FitPipeline(cfg, f.train);
+    QCFE_CHECK(fitted.ok(), "async bench pipeline fit failed");
+    return new SwappableModel(
+        std::shared_ptr<const Pipeline>(std::move(fitted.value())));
+  }();
+  const std::shared_ptr<const Pipeline> pipeline = models->Current();
   const int mode = static_cast<int>(state.range(0));
   constexpr size_t kCallers = 8;
   constexpr size_t kPerCaller = 256;
-  const CostModel* model =
-      std::string(kModel) == "qppnet" ? f.qpp.get() : f.mscn.get();
   auto sample = [&](size_t caller, size_t i) -> const PlanSample& {
     return f.test[(caller * 17 + i) % f.test.size()];
   };
   for (auto _ : state) {
-    WallTimer timer;
     if (mode == 0) {
       std::vector<std::thread> callers;
       callers.reserve(kCallers);
@@ -1024,7 +660,7 @@ void BM_AsyncThroughput(benchmark::State& state) {
         callers.emplace_back([&, c] {
           for (size_t i = 0; i < kPerCaller; ++i) {
             const PlanSample& s = sample(c, i);
-            auto p = model->PredictMs(*s.plan, s.env_id);
+            auto p = pipeline->PredictMs(*s.plan, s.env_id);
             benchmark::DoNotOptimize(p.ok());
           }
         });
@@ -1035,7 +671,7 @@ void BM_AsyncThroughput(benchmark::State& state) {
       cfg.max_batch = 512;
       cfg.max_delay_micros = 2000;
       cfg.max_queue = 0;
-      AsyncServer server(model, cfg);
+      AsyncServer server(models, cfg);
       std::vector<std::vector<std::future<Result<double>>>> futures(kCallers);
       std::vector<std::thread> callers;
       callers.reserve(kCallers);
@@ -1058,12 +694,6 @@ void BM_AsyncThroughput(benchmark::State& state) {
           benchmark::DoNotOptimize(p.ok());
         }
       }
-    }
-    double seconds = timer.Seconds();
-    if (seconds > 0.0) {
-      ParallelBenchRecorder::Get().RecordAsync(
-          kModel, mode, kCallers,
-          static_cast<double>(kCallers * kPerCaller) / seconds);
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -1088,10 +718,10 @@ BENCHMARK_TEMPLATE(BM_AsyncThroughput, kMscnName)
 /// 4 caller threads hammer a hot-swappable AsyncServer with singleton
 /// submissions for the whole iteration; the measured thread meanwhile runs
 /// the cycle's two legs — (a) warm-start Retrain + atomic Save, (b)
-/// LoadAndSwap publish with a bit-parity probe. The recorder writes both
-/// into the `adapt` section of BENCH_parallel.json; swap_seconds is the
-/// number that bounds how stale a drifted model can stay once retraining
-/// has finished.
+/// LoadAndSwap publish with a bit-parity probe. The per-iteration means
+/// of both legs are reported as the retrain_save_ms and swap_ms counters;
+/// swap_ms is the number that bounds how stale a drifted model can stay
+/// once retraining has finished.
 void BM_AdaptRetrainSwap(benchmark::State& state) {
   struct AdaptFixture {
     std::unique_ptr<BenchmarkContext> ctx;
@@ -1134,6 +764,8 @@ void BM_AdaptRetrainSwap(benchmark::State& state) {
              "adapt bench initial publish failed");
 
   constexpr size_t kCallers = 4;
+  double retrain_save_ms = 0.0;
+  double swap_ms = 0.0;
   for (auto _ : state) {
     std::atomic<bool> stop{false};
     std::vector<std::thread> callers;
@@ -1152,7 +784,7 @@ void BM_AdaptRetrainSwap(benchmark::State& state) {
     WallTimer retrain_timer;
     QCFE_CHECK_OK(f.trainer->Retrain(f.drifted, rt, nullptr));
     QCFE_CHECK_OK(f.trainer->Save(path));
-    const double retrain_save_s = retrain_timer.Seconds();
+    retrain_save_ms += 1e3 * retrain_timer.Seconds();
 
     SwapOptions options;
     options.probe.assign(f.test.begin(), f.test.begin() + 8);
@@ -1162,13 +794,15 @@ void BM_AdaptRetrainSwap(benchmark::State& state) {
                            path, options, &models, server.get())
                    .ok(),
                "adapt bench publish failed");
-    const double swap_s = swap_timer.Seconds();
+    swap_ms += 1e3 * swap_timer.Seconds();
 
     stop.store(true);
     for (std::thread& t : callers) t.join();
-    ParallelBenchRecorder::Get().RecordAdapt(kCallers, retrain_save_s,
-                                             swap_s);
   }
+  state.counters["retrain_save_ms"] =
+      benchmark::Counter(retrain_save_ms, benchmark::Counter::kAvgIterations);
+  state.counters["swap_ms"] =
+      benchmark::Counter(swap_ms, benchmark::Counter::kAvgIterations);
   server->Shutdown();
   (void)Fs::Default()->RemoveFile(path);  // best-effort temp cleanup
 }
@@ -1531,10 +1165,8 @@ bool RunAdaptSmoke() {
 }  // namespace
 }  // namespace qcfe
 
-/// BENCHMARK_MAIN plus a post-run dump of the sweep results: any run that
-/// included the *Threads / *Kernel* benchmarks updates BENCH_parallel.json
-/// (merging with sections a partial rerun did not touch). `--smoke` runs
-/// the kernel parity gate instead of benchmarks.
+/// BENCHMARK_MAIN, except that `--smoke` runs the kernel, persistence and
+/// drift-detector gates instead of benchmarks.
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -1548,7 +1180,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  auto& recorder = qcfe::ParallelBenchRecorder::Get();
-  if (!recorder.empty()) recorder.WriteJson("BENCH_parallel.json");
   return 0;
 }

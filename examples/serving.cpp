@@ -1,7 +1,8 @@
 /// Async serving: fit a QCFE pipeline, stand up the micro-batching front
 /// end, and serve single-plan requests from many concurrent caller threads.
 ///
-///   - Pipeline::ServeAsync       — AsyncServer over the fitted estimator
+///   - SwappableModel             — the fitted pipeline, published once
+///   - Pipeline::ServeAsync       — AsyncServer over the published pipeline
 ///   - AsyncServer::Submit        — one (plan, env) request -> future
 ///   - AsyncServeConfig           — batch-full size, deadline, admission
 ///   - AsyncServeStats            — flush counters / occupancy
@@ -13,14 +14,18 @@
 /// micro-batches for the batched serving path (request dedup + matrix
 /// batching), flushing on batch-full or deadline — results are
 /// bit-identical to calling PredictMs yourself, just cheaper per request.
+/// Exits non-zero if any async prediction fails.
 
 #include <future>
 #include <iostream>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "serve/async_server.h"
+#include "serve/model_swap.h"
 #include "util/clock.h"
 #include "util/string_util.h"
 #include "workload/benchmark.h"
@@ -57,25 +62,32 @@ int main() {
     test.push_back({q.plan.get(), q.env_id, q.total_ms});
   }
 
-  // 2. Fit the pipeline; the async_serve knobs ride in the same config.
+  // 2. Fit the pipeline and publish it once. Every server serves whatever
+  //    its SwappableModel publishes; a pipeline that never changes is
+  //    simply never replaced (examples/hot_swap.cpp replaces one live).
   PipelineConfig cfg;
   cfg.estimator = "qppnet";
   cfg.train.epochs = 10;
-  cfg.async_serve.max_batch = 32;        // flush when 32 requests coalesce
-  cfg.async_serve.max_delay_micros = 500;  // ...or 0.5 ms after the oldest
-  cfg.async_serve.max_queue = 4096;      // admission control bound
   auto pipeline = Pipeline::Fit(db.get(), &envs, &templates, cfg, train);
   if (!pipeline.ok()) {
     std::cerr << pipeline.status().ToString() << "\n";
     return 1;
   }
   std::cout << (*pipeline)->Explain();
+  SwappableModel models(
+      std::shared_ptr<const Pipeline>(std::move(pipeline.value())));
+
+  AsyncServeConfig serve_cfg;
+  serve_cfg.max_batch = 32;          // flush when 32 requests coalesce
+  serve_cfg.max_delay_micros = 500;  // ...or 0.5 ms after the oldest
+  serve_cfg.max_queue = 4096;        // admission control bound
 
   // 3. Serve: four caller threads submit single plans concurrently; the
   //    server coalesces them into micro-batches behind the scenes. Every
   //    future's value is bit-identical to a direct PredictMs call.
   {
-    std::unique_ptr<AsyncServer> server = (*pipeline)->ServeAsync();
+    std::unique_ptr<AsyncServer> server =
+        Pipeline::ServeAsync(&models, serve_cfg);
     constexpr size_t kCallers = 4;
     std::vector<double> sums(kCallers, 0.0);
     std::vector<size_t> failures(kCallers, 0);
@@ -100,7 +112,8 @@ int main() {
     size_t failed = 0;
     for (size_t n : failures) failed += n;
     if (failed > 0) {
-      std::cerr << "warning: " << failed << " async predictions failed\n";
+      std::cerr << failed << " async predictions failed\n";
+      return 1;
     }
     AsyncServeStats stats = server->stats();
     std::cout << "\nasync serving: " << stats.served << " requests in "
@@ -119,16 +132,20 @@ int main() {
   //    flush below is forced, not raced. This is how the async test suite
   //    pins flush behaviour without sleeps.
   FakeClock clock;
-  std::unique_ptr<AsyncServer> server = (*pipeline)->ServeAsync(&clock);
+  std::unique_ptr<AsyncServer> server =
+      Pipeline::ServeAsync(&models, serve_cfg, &clock);
   auto early = server->Submit(*test[0].plan, test[0].env_id);
   std::cout << "\nfake clock: submitted 1 request; batches_flushed="
             << server->stats().batches_flushed << " (deadline not reached)\n";
-  clock.Advance(cfg.async_serve.max_delay_micros);
+  clock.Advance(serve_cfg.max_delay_micros);
   Result<double> r = early.get();
-  std::cout << "advanced " << cfg.async_serve.max_delay_micros
-            << " us: deadline flush served the partial batch -> "
-            << (r.ok() ? FormatDouble(*r, 3) + " ms" : r.status().ToString())
-            << "\n";
   server->Shutdown();
+  if (!r.ok()) {
+    std::cerr << "deadline flush failed: " << r.status().ToString() << "\n";
+    return 1;
+  }
+  std::cout << "advanced " << serve_cfg.max_delay_micros
+            << " us: deadline flush served the partial batch -> "
+            << FormatDouble(*r, 3) << " ms\n";
   return 0;
 }

@@ -133,11 +133,6 @@ Result<std::vector<double>> Pipeline::PredictBatch(
   return model_->PredictBatchMs(samples, pool_.get());
 }
 
-std::unique_ptr<AsyncServer> Pipeline::ServeAsync(Clock* clock) const {
-  return std::make_unique<AsyncServer>(model_.get(), config_.async_serve,
-                                       clock, pool_.get());
-}
-
 std::unique_ptr<AsyncServer> Pipeline::ServeAsync(const SwappableModel* models,
                                                   const AsyncServeConfig& config,
                                                   Clock* clock) {
@@ -334,8 +329,8 @@ Status DecodeTrainStats(ByteReader* r, TrainStats* stats) {
 
 /// Fit-structure subset of PipelineConfig that Load restores so Explain and
 /// ExtendSnapshots describe the artifact's fit, not the defaults. Runtime
-/// knobs (parallelism, async_serve, reduction tuning) intentionally stay at
-/// their defaults: they do not change what the fitted model computes.
+/// knobs (parallelism, reduction tuning) intentionally stay at their
+/// defaults: they do not change what the fitted model computes.
 void EncodeConfig(const PipelineConfig& config, ByteWriter* w) {
   w->PutString(config.estimator);
   w->PutBool(config.use_snapshot);

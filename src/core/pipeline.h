@@ -66,17 +66,12 @@ struct PipelineConfig {
   TrainConfig train;
 
   /// Worker threads for snapshot collection, feature reduction, training,
-  /// per-epoch eval and batched serving (unset/1 = serial; see
-  /// util/thread_pool.h). Every parallel task writes only its own slot and
-  /// results reduce in index order, so the fitted pipeline and its
-  /// predictions are bit-identical for any setting — threads buy
-  /// wall-clock, never different models.
+  /// per-epoch eval and batched serving, async server flushes included
+  /// (unset/1 = serial; see util/thread_pool.h). Every parallel task
+  /// writes only its own slot and results reduce in index order, so the
+  /// fitted pipeline and its predictions are bit-identical for any
+  /// setting — threads buy wall-clock, never different models.
   Parallelism parallelism;
-
-  /// Micro-batching knobs for servers built via ServeAsync(): batch-full
-  /// size, deadline-flush delay, flusher threads and the admission-control
-  /// queue bound (see serve/async_server.h).
-  AsyncServeConfig async_serve;
 
   uint64_t seed = 2024;
 };
@@ -104,21 +99,20 @@ class Pipeline {
   Result<std::vector<double>> PredictBatch(
       const std::vector<PlanSample>& samples) const;
 
-  /// Builds an async micro-batching front end over this pipeline's fitted
-  /// estimator (config knobs: PipelineConfig::async_serve). Many caller
-  /// threads Submit() single plans; the server coalesces them into
-  /// micro-batches and flushes through the batched serving path on
-  /// batch-full or deadline, with results bit-identical to PredictBatch.
-  /// The server borrows the pipeline's model and worker pool, so it must
-  /// be destroyed (or shut down) before the pipeline. `clock` is for tests
-  /// (null = real time).
-  std::unique_ptr<AsyncServer> ServeAsync(Clock* clock = nullptr) const;
-
-  /// Hot-swappable variant: the returned server resolves the current model
-  /// from `models` once per micro-batch, so LoadAndSwap
-  /// (serve/model_swap.h) can replace the pipeline behind it with zero
-  /// downtime. Static because the server deliberately outlives any single
-  /// pipeline generation; `models` must outlive the server.
+  /// Builds an async micro-batching front end over the generation that
+  /// `models` publishes (serve/model_swap.h). Many caller threads Submit()
+  /// single plans; the server coalesces them into micro-batches, resolves
+  /// the current generation once per batch and flushes through its
+  /// batched serving path on its own worker pool, with results
+  /// bit-identical to that generation's PredictBatch. A fitted pipeline is
+  /// served by publishing it once:
+  ///
+  ///   SwappableModel models(std::shared_ptr<const Pipeline>(std::move(p)));
+  ///   auto server = Pipeline::ServeAsync(&models, serve_config);
+  ///
+  /// LoadAndSwap can then replace the generation with zero downtime.
+  /// Static because the server outlives any single generation; `models`
+  /// must outlive the server. `clock` is for tests (null = real time).
   static std::unique_ptr<AsyncServer> ServeAsync(const SwappableModel* models,
                                                  const AsyncServeConfig& config,
                                                  Clock* clock = nullptr);
@@ -139,7 +133,7 @@ class Pipeline {
   /// Model weights are rebuilt in place against a freshly constructed
   /// estimator, so Load → PredictBatch is bit-identical to the original
   /// in-memory pipeline. Loaded pipelines serve serially (no worker pool);
-  /// runtime knobs like async_serve keep their defaults.
+  /// runtime knobs like parallelism keep their defaults.
   static Result<std::unique_ptr<Pipeline>> Load(
       Database* db, const std::vector<Environment>* envs,
       const std::vector<QueryTemplate>* templates, const std::string& path,

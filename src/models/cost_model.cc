@@ -63,10 +63,13 @@ Result<std::vector<double>> CostModel::PredictBatchMs(
 }
 
 Result<double> CostModel::PredictMs(const PlanNode& plan, int env_id) const {
-  BatchPrediction p =
-      std::move(PredictBatchEach({{&plan, env_id, 0.0}}, nullptr)[0]);
-  if (!p.status.ok()) return p.status;
-  return p.ms;
+  // One non-null request has nothing to dedup or shard: PredictBatchEach
+  // would run exactly this one-slot PredictShard.
+  const std::vector<PlanSample> request = {{&plan, env_id, 0.0}};
+  std::vector<BatchPrediction> out(1);
+  PredictShard(request, 0, 1, &out);
+  if (!out[0].status.ok()) return out[0].status;
+  return out[0].ms;
 }
 
 double SubtreeLatencyMs(const PlanNode& node) { return node.TotalActualMs(); }

@@ -89,9 +89,9 @@ class CostModel {
 
   // Serving is one pure virtual, PredictShard (protected, below), behind
   // three non-virtual entry points: PredictBatchEach runs it shard by
-  // shard, and PredictBatchMs and PredictMs wrap PredictBatchEach. None of
-  // them reads the pool set by set_thread_pool; the serving pool is always
-  // an explicit argument.
+  // shard, PredictBatchMs wraps PredictBatchEach, and PredictMs runs it on
+  // its one request. None of them reads the pool set by set_thread_pool;
+  // the serving pool is always an explicit argument.
 
   /// Batched prediction with per-request status isolation, the serving
   /// hot path: positionally aligned with `batch`, and a request that
@@ -113,8 +113,9 @@ class CostModel {
   Result<std::vector<double>> PredictBatchMs(
       const std::vector<PlanSample>& batch, ThreadPool* pool = nullptr) const;
 
-  /// Predicted total latency (ms) for one plan under an environment: a
-  /// one-element PredictBatchEach.
+  /// Predicted total latency (ms) for one plan under an environment: one
+  /// PredictShard call, bit-identical to a one-element PredictBatchEach
+  /// without its dedup and sharding bookkeeping.
   Result<double> PredictMs(const PlanNode& plan, int env_id) const;
 
   /// Attaches the pool that training and per-epoch evaluation run on (not

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/pipeline.h"
 #include "serve/model_swap.h"
 #include "util/check.h"
 
@@ -29,27 +30,11 @@ AsyncServeConfig Normalize(const AsyncServeConfig& config) {
 
 }  // namespace
 
-AsyncServer::AsyncServer(const CostModel* model, const AsyncServeConfig& config,
-                         Clock* clock, ThreadPool* pool)
-    : model_(model),
-      swappable_(nullptr),
-      config_(Normalize(config)),
-      clock_(clock != nullptr ? clock : Clock::Real()),
-      pool_(pool) {
-  StartWorkers();
-}
-
 AsyncServer::AsyncServer(const SwappableModel* models,
                          const AsyncServeConfig& config, Clock* clock)
-    : model_(nullptr),
-      swappable_(models),
+    : models_(models),
       config_(Normalize(config)),
-      clock_(clock != nullptr ? clock : Clock::Real()),
-      pool_(nullptr) {
-  StartWorkers();
-}
-
-void AsyncServer::StartWorkers() {
+      clock_(clock != nullptr ? clock : Clock::Real()) {
   workers_.reserve(config_.num_workers);
   for (size_t i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -173,20 +158,15 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
   samples.reserve(batch->size());
   for (const Pending& p : *batch) samples.push_back(p.sample);
 
-  // Resolve the model exactly once per cut batch, before taking mu_. The
-  // handle pins the resolved pipeline generation for the whole flush, so a
+  // Resolve the generation exactly once per cut batch, before taking mu_.
+  // The handle pins it — model and worker pool — for the whole flush, so a
   // concurrent Publish can neither tear this batch across versions nor
-  // destroy the model under it.
-  const CostModel* model = model_;
-  std::shared_ptr<const CostModel> held;
+  // destroy either under it.
   uint64_t version = 0;
-  if (swappable_ != nullptr) {
-    held = swappable_->CurrentModel(&version);
-    model = held.get();
-  }
+  const std::shared_ptr<const Pipeline> gen = models_->Current(&version);
   const std::vector<CostModel::BatchPrediction> results =
-      model != nullptr
-          ? model->PredictBatchEach(samples, pool_)
+      gen != nullptr
+          ? gen->model().PredictBatchEach(samples, gen->thread_pool())
           : std::vector<CostModel::BatchPrediction>(
                 batch->size(),
                 {Status::FailedPrecondition("no model version has been "
@@ -209,7 +189,7 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     ++stats_.batches_flushed;
     stats_.served += batch->size();
     stats_.failed += failures;
-    if (held != nullptr) stats_.model_version = version;
+    if (gen != nullptr) stats_.model_version = version;
     // Counter conservation: every served or cancelled request was admitted.
     QCFE_DCHECK(stats_.served + stats_.cancelled <= stats_.submitted,
                 "AsyncServer served/cancelled more requests than submitted");

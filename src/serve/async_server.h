@@ -2,7 +2,8 @@
 #define QCFE_SERVE_ASYNC_SERVER_H_
 
 /// \file async_server.h
-/// Micro-batching serving front end over CostModel::PredictBatchEach.
+/// Micro-batching serving front end over the pipeline generation a
+/// SwappableModel publishes, flushing through CostModel::PredictBatchEach.
 ///
 /// The batched prediction path pays off only when callers hand it whole
 /// batches, but online traffic arrives one plan at a time from many
@@ -15,9 +16,9 @@
 ///
 /// Contracts:
 ///  * Results are bit-identical to a direct PredictBatchMs / PredictMs call
-///    on the same model. Which micro-batch a request lands in is
-///    scheduling-dependent, but per-request arithmetic is independent of
-///    co-batched requests, so batching is invisible in the output bits.
+///    on the serving generation's model. Which micro-batch a request lands
+///    in is scheduling-dependent, but per-request arithmetic is independent
+///    of co-batched requests, so batching is invisible in the output bits.
 ///  * Per-request status isolation: a request that cannot be served fails
 ///    its own future only; co-batched requests still succeed (see
 ///    CostModel::PredictBatchEach).
@@ -46,7 +47,6 @@
 #include "util/clock.h"
 #include "util/status.h"
 #include "util/sync.h"
-#include "util/thread_pool.h"
 
 namespace qcfe {
 
@@ -69,7 +69,7 @@ class ObservationListener {
                              double predicted_ms, double actual_ms) = 0;
 };
 
-/// Micro-batcher tuning knobs (PipelineConfig::async_serve carries these).
+/// Micro-batcher tuning knobs.
 struct AsyncServeConfig {
   /// Flush as soon as this many requests are queued.
   size_t max_batch = 64;
@@ -99,8 +99,8 @@ struct AsyncServeStats {
   uint64_t deadline_flushes = 0;  ///< flush reason: max_delay deadline
   uint64_t drain_flushes = 0;     ///< flush reason: shutdown drain
   double mean_occupancy = 0.0;    ///< served / batches_flushed
-  // Hot-swap counters (serve/model_swap.h); all zero for fixed-model
-  // servers.
+  // Hot-swap counters (serve/model_swap.h); the swap counters stay zero
+  // for a generation published once.
   uint64_t swaps_published = 0;   ///< successful LoadAndSwap publishes
   uint64_t swaps_rejected = 0;    ///< LoadAndSwap failures (old model kept)
   uint64_t model_version = 0;     ///< version of the last publish/flush seen
@@ -120,24 +120,21 @@ struct AsyncServeStats {
 /// into every node of its plan in the retrain corpus.
 constexpr double kMaxObservedMs = 1e9;
 
-/// Request-queue front end over one CostModel. Thread-safe: any number of
-/// caller threads may Submit concurrently. The model, clock and pool are
-/// not owned and must outlive the server (the Pipeline guarantees this for
-/// servers built via Pipeline::ServeAsync).
+/// Request-queue front end over a SwappableModel (serve/model_swap.h).
+/// Thread-safe: any number of caller threads may Submit concurrently.
+/// A fitted pipeline is served by publishing it once; a hot-swapped one by
+/// publishing each new generation. The SwappableModel and the clock are
+/// not owned and must outlive the server.
 class AsyncServer {
  public:
-  /// `clock` null means the process-wide real clock; `pool` (optional)
-  /// shards each flushed batch across workers exactly like
-  /// PredictBatchEach(batch, pool).
-  AsyncServer(const CostModel* model, const AsyncServeConfig& config,
-              Clock* clock = nullptr, ThreadPool* pool = nullptr);
-  /// Hot-swappable variant: every cut batch is served by the model version
-  /// current at flush time, resolved once per batch — a concurrent Publish
-  /// never tears a batch across versions, and each request is answered by
-  /// exactly one version. `models` must outlive the server. While no
+  /// Every cut batch is served by the generation current at flush time,
+  /// resolved once per batch: a concurrent Publish never tears a batch
+  /// across versions, and each request is answered by exactly one version.
+  /// The batch is sharded across that generation's own worker pool
+  /// (Pipeline::thread_pool(); a generation without one serves serially),
+  /// which the resolved handle keeps alive for the whole flush. While no
   /// version is published yet, requests fail with kFailedPrecondition.
-  /// No worker pool: the pool belongs to a pipeline generation, which a
-  /// swap may retire while this server is still running.
+  /// `clock` null means the process-wide real clock.
   AsyncServer(const SwappableModel* models, const AsyncServeConfig& config,
               Clock* clock = nullptr);
   /// Drains outstanding work, then joins the flusher threads.
@@ -212,15 +209,9 @@ class AsyncServer {
   void FlushBatch(std::vector<Pending>* batch, FlushReason reason)
       QCFE_EXCLUDES(mu_);
 
-  void StartWorkers();
-
-  /// Exactly one of model_/swappable_ is set: a fixed model for classic
-  /// servers, a publication point for hot-swappable ones.
-  const CostModel* model_;
-  const SwappableModel* swappable_;
+  const SwappableModel* const models_;
   const AsyncServeConfig config_;
   Clock* clock_;
-  ThreadPool* pool_;
 
   /// Ranked below the clock's waiter registry: WorkerLoop holds mu_ while
   /// WaitUntil registers with a FakeClock.

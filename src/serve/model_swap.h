@@ -24,9 +24,12 @@
 /// AsyncServer queue (stats() reads the version while holding the queue
 /// lock) and below nothing it calls — both sides are leaf acquisitions.
 ///
-/// Callers: operators swap by hand (examples/hot_swap.cpp), and the online
-/// adaptation loop (src/adapt/adaptation_controller.h) publishes through
-/// LoadAndSwap automatically after each drift-triggered background retrain.
+/// Callers: every AsyncServer serves through a SwappableModel, so a fitted
+/// pipeline that never changes is simply published once
+/// (examples/serving.cpp). Operators swap by hand (examples/hot_swap.cpp),
+/// and the online adaptation loop (src/adapt/adaptation_controller.h)
+/// publishes through LoadAndSwap automatically after each drift-triggered
+/// background retrain.
 
 #include <cstdint>
 #include <memory>
@@ -68,7 +71,8 @@ class SwappableModel {
 
   /// The current pipeline's model as an aliasing shared_ptr (the model is
   /// owned by its pipeline; the handle keeps the whole pipeline alive).
-  /// Null before the first Publish.
+  /// Null before the first Publish. AsyncServer resolves Current() instead,
+  /// because it also needs the generation's worker pool.
   std::shared_ptr<const CostModel> CurrentModel(
       uint64_t* version = nullptr) const QCFE_EXCLUDES(mu_);
 

@@ -1,17 +1,18 @@
 /// Deterministic concurrency suite for the async micro-batching front end
 /// (serve/async_server.h). Two layers:
 ///
-///  * Fake-clock flush tests against a stub estimator: batch-full flush
+///  * Fake-clock flush tests against a stub estimator, fitted into a
+///    pipeline and published once like any served model: batch-full flush
 ///    before the deadline, deadline flush of a partial batch, shutdown
 ///    drain/cancel semantics, per-request error isolation and admission
 ///    control — with zero sleeps. Time only moves when the test calls
 ///    FakeClock::Advance, so every flush decision is forced, not raced.
-///  * Multi-threaded stress tests against real trained estimators: N caller
+///  * Multi-threaded stress tests against real fitted pipelines: N caller
 ///    threads submit randomized plans and every delivered result must be
 ///    bit-identical to a direct PredictBatchMs call on the same model,
-///    across 1/2/4 flusher threads and repeated runs. Which micro-batch a
-///    request lands in is scheduling-dependent; the bits of its answer are
-///    not.
+///    across 1/2/4 flusher threads, repeated runs and a pooled generation.
+///    Which micro-batch a request lands in is scheduling-dependent; the
+///    bits of its answer are not.
 ///
 /// CI runs this suite under ThreadSanitizer and UBSan (see
 /// .github/workflows/ci.yml) so queue/flush races fail the build.
@@ -29,9 +30,10 @@
 #include "harness/context.h"
 #include "models/registry.h"
 #include "serve/async_server.h"
+#include "serve/model_swap.h"
+#include "util/check.h"
 #include "util/clock.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace qcfe {
 namespace {
@@ -65,6 +67,37 @@ class StubModel : public CostModel {
   }
 };
 
+/// Registered as a non-learned estimator, so Pipeline::Fit skips snapshot,
+/// reduction and every corpus-dependent step.
+const EstimatorRegistration kStubRegistration{
+    {"stub", "Stub", "stub", /*learned=*/false},
+    [](const EstimatorContext&) -> Result<std::unique_ptr<CostModel>> {
+      return std::unique_ptr<CostModel>(new StubModel());
+    }};
+
+/// The stub estimator fitted against an empty world and published once,
+/// shared by every fake-clock test (each builds its own server).
+struct StubGeneration {
+  Database db{"stub"};
+  std::vector<Environment> envs;
+  std::vector<QueryTemplate> templates;
+  SwappableModel models;
+};
+
+StubGeneration* Stub() {
+  static StubGeneration* stub = [] {
+    auto* g = new StubGeneration();
+    PipelineConfig cfg;
+    cfg.estimator = "stub";
+    auto pipeline = Pipeline::Fit(&g->db, &g->envs, &g->templates, cfg, {});
+    QCFE_CHECK(pipeline.ok(), "stub pipeline fit failed");
+    g->models.Publish(
+        std::shared_ptr<const Pipeline>(std::move(pipeline.value())));
+    return g;
+  }();
+  return stub;
+}
+
 class AsyncFakeClockTest : public ::testing::Test {
  protected:
   AsyncFakeClockTest() {
@@ -73,10 +106,10 @@ class AsyncFakeClockTest : public ::testing::Test {
   }
 
   double Direct(const PlanNode& plan, int env_id) {
-    return *model_.PredictMs(plan, env_id);
+    return *models_->Current()->PredictMs(plan, env_id);
   }
 
-  StubModel model_;
+  const SwappableModel* models_ = &Stub()->models;
   FakeClock clock_;
   PlanNode plan_, other_plan_;
 };
@@ -85,7 +118,7 @@ TEST_F(AsyncFakeClockTest, FullBatchFlushesBeforeDeadline) {
   AsyncServeConfig cfg;
   cfg.max_batch = 4;
   cfg.max_delay_micros = 1'000'000;  // never reached: time stays at 0
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 4; ++env) futures.push_back(server.Submit(plan_, env));
@@ -109,7 +142,7 @@ TEST_F(AsyncFakeClockTest, DeadlineFlushesPartialBatch) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1000;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
@@ -134,7 +167,7 @@ TEST_F(AsyncFakeClockTest, DeadlineRunsFromTheOldestQueuedRequest) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1000;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   auto first = server.Submit(plan_, 1);  // enqueued at t=0, deadline t=1000
   clock_.Advance(600);
@@ -155,7 +188,7 @@ TEST_F(AsyncFakeClockTest, ShutdownDrainServesQueuedWork) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
@@ -183,7 +216,7 @@ TEST_F(AsyncFakeClockTest, ShutdownCancelFailsQueuedWork) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
@@ -204,7 +237,7 @@ TEST_F(AsyncFakeClockTest, PoisonedRequestFailsOnlyItsOwnCaller) {
   AsyncServeConfig cfg;
   cfg.max_batch = 4;
   cfg.max_delay_micros = 1'000'000;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   // One poisoned request (env_id < 0) co-batched with three healthy ones.
   auto ok0 = server.Submit(plan_, 0);
@@ -231,7 +264,7 @@ TEST_F(AsyncFakeClockTest, AdmissionControlRejectsWhenQueueIsFull) {
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
   cfg.max_queue = 2;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   auto a = server.Submit(plan_, 0);
   auto b = server.Submit(plan_, 1);
@@ -256,7 +289,7 @@ TEST_F(AsyncFakeClockTest, MultipleWorkersDrainSeveralFullBatches) {
   cfg.max_batch = 2;
   cfg.max_delay_micros = 1'000'000;
   cfg.num_workers = 2;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 8; ++env) futures.push_back(server.Submit(plan_, env));
@@ -278,7 +311,7 @@ TEST_F(AsyncFakeClockTest, HugeDelayDisablesDeadlineWithoutOverflow) {
   AsyncServeConfig cfg;
   cfg.max_batch = 2;
   cfg.max_delay_micros = std::numeric_limits<int64_t>::max();
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   auto first = server.Submit(plan_, 0);
   clock_.Advance(1'000'000'000);  // a long time passes: still no flush
@@ -297,7 +330,7 @@ TEST_F(AsyncFakeClockTest, DeadlineFlushWorksWithMultipleWorkers) {
   cfg.max_batch = 8;
   cfg.max_delay_micros = 500;
   cfg.num_workers = 2;
-  AsyncServer server(&model_, cfg, &clock_);
+  AsyncServer server(models_, cfg, &clock_);
 
   auto f = server.Submit(plan_, 3);
   EXPECT_EQ(server.stats().batches_flushed, 0u);
@@ -327,17 +360,20 @@ class AsyncStressTest : public ::testing::Test {
     ctx_ = nullptr;
   }
 
-  static std::unique_ptr<CostModel> TrainedModel(const std::string& name,
-                                                 uint64_t seed) {
-    BaseFeaturizer* featurizer = new BaseFeaturizer(ctx_->db->catalog());
-    featurizers_.emplace_back(featurizer);
-    auto model = EstimatorRegistry::Global().Create(
-        name, {ctx_->db->catalog(), featurizer, seed});
-    EXPECT_TRUE(model.ok());
-    TrainConfig cfg;
-    cfg.epochs = 3;
-    EXPECT_TRUE((*model)->Train(train_, cfg, nullptr).ok());
-    return std::move(model.value());
+  /// A pipeline around the bare estimator (snapshot and reduction off),
+  /// fitted on the training split. `threads` > 1 gives it a worker pool.
+  static std::shared_ptr<const Pipeline> FittedPipeline(
+      const std::string& name, uint64_t seed, int threads = 1) {
+    PipelineConfig cfg;
+    cfg.estimator = name;
+    cfg.use_snapshot = false;
+    cfg.use_reduction = false;
+    cfg.train.epochs = 3;
+    cfg.parallelism.num_threads = threads;
+    cfg.seed = seed;
+    auto pipeline = ctx_->FitPipeline(cfg, train_);
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    return std::shared_ptr<const Pipeline>(std::move(pipeline.value()));
   }
 
   /// `count` samples for caller `caller`, drawn from the test split with a
@@ -359,19 +395,18 @@ class AsyncStressTest : public ::testing::Test {
 
   static BenchmarkContext* ctx_;
   static std::vector<PlanSample> train_, test_;
-  static std::vector<std::unique_ptr<BaseFeaturizer>> featurizers_;
 };
 
 BenchmarkContext* AsyncStressTest::ctx_ = nullptr;
 std::vector<PlanSample> AsyncStressTest::train_;
 std::vector<PlanSample> AsyncStressTest::test_;
-std::vector<std::unique_ptr<BaseFeaturizer>> AsyncStressTest::featurizers_;
 
 TEST_F(AsyncStressTest, ResultsBitIdenticalToDirectBatchedServing) {
   constexpr size_t kCallers = 4;
   constexpr size_t kPerCaller = 80;
   for (const char* name : {"qppnet", "mscn"}) {
-    std::unique_ptr<CostModel> model = TrainedModel(name, 41);
+    SwappableModel models(FittedPipeline(name, 41));
+    const CostModel& model = models.Current()->model();
     // Ground truth per caller, straight through the batched serving path.
     for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
       for (uint64_t run = 0; run < 2; ++run) {
@@ -380,7 +415,7 @@ TEST_F(AsyncStressTest, ResultsBitIdenticalToDirectBatchedServing) {
         std::vector<std::vector<double>> expected(kCallers);
         for (size_t c = 0; c < kCallers; ++c) {
           submissions[c] = CallerSamples(run_seed, c, kPerCaller);
-          auto direct = model->PredictBatchMs(submissions[c], nullptr);
+          auto direct = model.PredictBatchMs(submissions[c], nullptr);
           ASSERT_TRUE(direct.ok()) << name;
           expected[c] = std::move(direct.value());
         }
@@ -390,7 +425,7 @@ TEST_F(AsyncStressTest, ResultsBitIdenticalToDirectBatchedServing) {
         cfg.max_delay_micros = 200;  // real clock: tiny deadline, no sleeps
         cfg.num_workers = workers;
         cfg.max_queue = 0;  // stress the queue, not admission control
-        AsyncServer server(model.get(), cfg);
+        AsyncServer server(&models, cfg);
 
         std::vector<std::vector<Result<double>>> got(kCallers);
         std::vector<std::thread> callers;
@@ -431,18 +466,19 @@ TEST_F(AsyncStressTest, ResultsBitIdenticalToDirectBatchedServing) {
 
 TEST_F(AsyncStressTest, ServerShardsFlushedBatchesAcrossAThreadPool) {
   // Same parity contract when the server also shards each flushed batch
-  // across a worker pool (the pipeline-owned pool in production).
-  std::unique_ptr<CostModel> model = TrainedModel("qppnet", 43);
-  ThreadPool pool(2);
+  // across the published generation's own worker pool.
+  SwappableModel models(FittedPipeline("qppnet", 43, /*threads=*/2));
+  ASSERT_NE(models.Current()->thread_pool(), nullptr);
   std::vector<PlanSample> submissions = CallerSamples(7, 0, 120);
-  auto direct = model->PredictBatchMs(submissions, nullptr);
+  auto direct =
+      models.Current()->model().PredictBatchMs(submissions, nullptr);
   ASSERT_TRUE(direct.ok());
 
   AsyncServeConfig cfg;
   cfg.max_batch = 32;
   cfg.max_delay_micros = 200;
   cfg.num_workers = 2;
-  AsyncServer server(model.get(), cfg, nullptr, &pool);
+  AsyncServer server(&models, cfg);
   std::vector<std::future<Result<double>>> futures;
   futures.reserve(submissions.size());
   for (const PlanSample& s : submissions) {
@@ -456,29 +492,34 @@ TEST_F(AsyncStressTest, ServerShardsFlushedBatchesAcrossAThreadPool) {
 }
 
 TEST_F(AsyncStressTest, PipelineServeAsyncMatchesPredictBatch) {
-  // End-to-end through the facade: Pipeline::ServeAsync with a FakeClock,
-  // deadline-flushing a partial batch, against Pipeline::PredictBatch.
+  // End-to-end through the facade: a fitted pipeline published once and
+  // served by Pipeline::ServeAsync with a FakeClock, deadline-flushing a
+  // partial batch, against Pipeline::PredictBatch.
   PipelineConfig cfg;
   cfg.estimator = "qppnet";
   cfg.train.epochs = 3;
   cfg.pre_reduction_epochs = 2;
   cfg.snapshot_scale = 1;
-  cfg.async_serve.max_batch = 64;
-  cfg.async_serve.max_delay_micros = 1000;
+  AsyncServeConfig serve_cfg;
+  serve_cfg.max_batch = 64;
+  serve_cfg.max_delay_micros = 1000;
   auto pipeline = ctx_->FitPipeline(cfg, train_);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
 
   auto direct = (*pipeline)->PredictBatch(test_);
   ASSERT_TRUE(direct.ok());
 
+  SwappableModel models(
+      std::shared_ptr<const Pipeline>(std::move(pipeline.value())));
   FakeClock clock;
-  std::unique_ptr<AsyncServer> server = (*pipeline)->ServeAsync(&clock);
+  std::unique_ptr<AsyncServer> server =
+      Pipeline::ServeAsync(&models, serve_cfg, &clock);
   std::vector<std::future<Result<double>>> futures;
   futures.reserve(test_.size());
   for (const PlanSample& s : test_) {
     futures.push_back(server->Submit(*s.plan, s.env_id));
   }
-  clock.Advance(cfg.async_serve.max_delay_micros);
+  clock.Advance(serve_cfg.max_delay_micros);
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<double> r = futures[i].get();
     ASSERT_TRUE(r.ok());

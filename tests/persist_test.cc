@@ -780,29 +780,31 @@ TEST(SwapTest, FailedSwapLeavesOldModelServingBitIdentically) {
   ASSERT_TRUE(Fs::Default()->RemoveFile(bad_path).ok());
 }
 
-TEST(SwapTest, HotSwapStressServesOnlyWholeVersions) {
+/// Caller threads hammer a server under 2 flushers while the main thread
+/// publishes `first` and `second` back and forth. Every result must be
+/// bit-identical to exactly one version's prediction for its plan — a torn
+/// batch or half-applied swap would produce a value matching neither.
+void ExpectSwapsServeOnlyWholeVersions(
+    const std::shared_ptr<const Pipeline>& first,
+    const std::shared_ptr<const Pipeline>& second) {
   SharedFixtures* f = Fixtures();
   // Two versions with observably different predictions per plan.
   const size_t kProbe = 8;
   std::vector<PlanSample> probe(f->test.begin(), f->test.begin() + kProbe);
-  auto qpp_want = f->qpp->PredictBatch(probe);
-  auto mscn_want = f->mscn->PredictBatch(probe);
-  ASSERT_TRUE(qpp_want.ok() && mscn_want.ok());
-  const std::vector<uint64_t> qpp_bits = Bits(*qpp_want);
-  const std::vector<uint64_t> mscn_bits = Bits(*mscn_want);
+  auto first_want = first->PredictBatch(probe);
+  auto second_want = second->PredictBatch(probe);
+  ASSERT_TRUE(first_want.ok() && second_want.ok());
+  const std::vector<uint64_t> first_bits = Bits(*first_want);
+  const std::vector<uint64_t> second_bits = Bits(*second_want);
 
   SwappableModel models;
-  models.Publish(f->qpp);
+  models.Publish(first);
   AsyncServeConfig config;
   config.max_batch = 16;
   config.max_delay_micros = 200;
   config.num_workers = 2;
   auto server = Pipeline::ServeAsync(&models, config);
 
-  // Caller threads hammer the server while the main thread swaps versions
-  // back and forth. Every result must be bit-identical to exactly one
-  // version's prediction for its plan — a torn batch or half-applied swap
-  // would produce a value matching neither.
   constexpr int kCallers = 4;
   constexpr int kRoundsPerCaller = 50;
   std::vector<std::thread> callers;
@@ -820,12 +822,12 @@ TEST(SwapTest, HotSwapStressServesOnlyWholeVersions) {
         uint64_t bits = 0;
         double value = *result;
         std::memcpy(&bits, &value, sizeof(bits));
-        if (bits != qpp_bits[i] && bits != mscn_bits[i]) ++mismatches;
+        if (bits != first_bits[i] && bits != second_bits[i]) ++mismatches;
       }
     });
   }
   for (int swap = 0; swap < 20; ++swap) {
-    models.Publish(swap % 2 == 0 ? f->mscn : f->qpp);
+    models.Publish(swap % 2 == 0 ? second : first);
   }
   for (std::thread& caller : callers) caller.join();
   server->Shutdown();
@@ -833,6 +835,30 @@ TEST(SwapTest, HotSwapStressServesOnlyWholeVersions) {
   AsyncServeStats stats = server->stats();
   EXPECT_EQ(stats.served, static_cast<uint64_t>(kCallers * kRoundsPerCaller));
   EXPECT_GE(stats.model_version, 1u);
+}
+
+TEST(SwapTest, HotSwapStressServesOnlyWholeVersions) {
+  SharedFixtures* f = Fixtures();
+  ExpectSwapsServeOnlyWholeVersions(f->qpp, f->mscn);
+}
+
+TEST(SwapTest, PooledGenerationsSurviveSwaps) {
+  // A generation fitted with a worker pool shards each flush on that pool,
+  // so here swaps race flushes running on a pool as well as serial ones:
+  // the pooled qppnet generation alternates with the serial mscn fixture.
+  SharedFixtures* f = Fixtures();
+  PipelineConfig config;
+  config.estimator = "qppnet";
+  config.use_snapshot = false;
+  config.use_reduction = false;
+  config.train.epochs = 3;
+  config.parallelism.num_threads = 2;
+  auto fitted = f->ctx->FitPipeline(config, f->train);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  std::shared_ptr<const Pipeline> pooled(std::move(fitted.value()));
+  ASSERT_NE(pooled->thread_pool(), nullptr);
+  ASSERT_EQ(f->mscn->thread_pool(), nullptr);
+  ExpectSwapsServeOnlyWholeVersions(pooled, f->mscn);
 }
 
 }  // namespace
