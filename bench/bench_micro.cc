@@ -685,8 +685,10 @@ void BM_AsyncThroughput(benchmark::State& state) {
         });
       }
       for (std::thread& t : callers) t.join();
-      // Traffic is finite here (closed-loop bench): drain the last partial
-      // micro-batch instead of letting it wait out its deadline.
+      // Traffic is finite here (closed-loop bench): drain whatever is still
+      // queued and join the flusher, so the timed loop ends with every
+      // future ready. (The flusher cuts the tail at once anyway: it is idle
+      // as soon as the batch ahead of the tail comes back.)
       server.Shutdown(AsyncServer::ShutdownMode::kDrain);
       for (auto& caller_futures : futures) {
         for (auto& fut : caller_futures) {

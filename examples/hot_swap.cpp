@@ -8,7 +8,6 @@
 ///   - LoadAndSwap                — validate + warm + publish, all-or-nothing
 ///   - AsyncServeStats            — swaps_published / swaps_rejected /
 ///                                  model_version counters
-///   - FakeClock                  — deterministic deadline flushes, no sleeps
 ///
 ///   ./build/examples/hot_swap
 ///
@@ -30,7 +29,6 @@
 #include "core/pipeline.h"
 #include "serve/async_server.h"
 #include "serve/model_swap.h"
-#include "util/clock.h"
 #include "util/fs.h"
 #include "util/string_util.h"
 #include "workload/benchmark.h"
@@ -40,17 +38,16 @@ using namespace qcfe;
 
 namespace {
 
-/// Submits `samples` one by one, drives the deadline flush with the fake
-/// clock, and returns the served predictions.
-std::vector<double> ServeBatch(AsyncServer* server, FakeClock* clock,
-                               const std::vector<PlanSample>& samples,
-                               int64_t max_delay_micros) {
+/// Submits `samples` one by one and returns the served predictions. The
+/// idle server cuts the first request at once and the rest as soon as the
+/// batch ahead of them comes back; no deadline is waited out.
+std::vector<double> ServeBatch(AsyncServer* server,
+                               const std::vector<PlanSample>& samples) {
   std::vector<std::future<Result<double>>> futures;
   futures.reserve(samples.size());
   for (const PlanSample& s : samples) {
     futures.push_back(server->Submit(*s.plan, s.env_id));
   }
-  clock->Advance(max_delay_micros + 1);  // force the deadline flush
   std::vector<double> out;
   out.reserve(futures.size());
   for (auto& f : futures) {
@@ -113,14 +110,11 @@ int main() {
   //    version current at flush time.
   SwappableModel models(std::shared_ptr<const Pipeline>(std::move(v1.value())));
   AsyncServeConfig serve_cfg;
-  serve_cfg.max_batch = 64;  // larger than the probe: flushes by deadline
-  serve_cfg.max_delay_micros = 500;
-  FakeClock clock;
+  serve_cfg.max_batch = 64;  // larger than the probe: never a full cut
   std::unique_ptr<AsyncServer> server =
-      Pipeline::ServeAsync(&models, serve_cfg, &clock);
+      Pipeline::ServeAsync(&models, serve_cfg);
 
-  std::vector<double> before =
-      ServeBatch(server.get(), &clock, probe, serve_cfg.max_delay_micros);
+  std::vector<double> before = ServeBatch(server.get(), probe);
   std::cout << "serving at model_version=" << models.version() << "\n";
 
   // 4. "Overnight" retrain in the background of the serving process: a
@@ -155,8 +149,7 @@ int main() {
     std::cerr << swapped.status().ToString() << "\n";
     return 1;
   }
-  std::vector<double> after =
-      ServeBatch(server.get(), &clock, probe, serve_cfg.max_delay_micros);
+  std::vector<double> after = ServeBatch(server.get(), probe);
   std::cout << "hot-swapped to model_version=" << models.version()
             << "; pre/post-swap predictions on the probe set:\n";
   for (size_t i = 0; i < probe.size(); ++i) {
@@ -182,8 +175,7 @@ int main() {
                             server.get());
   std::cout << "\nswap to corrupted artifact rejected: "
             << failed.status().ToString() << "\n";
-  std::vector<double> still =
-      ServeBatch(server.get(), &clock, probe, serve_cfg.max_delay_micros);
+  std::vector<double> still = ServeBatch(server.get(), probe);
   bool identical = still == after;
   std::cout << "old version kept serving, predictions "
             << (identical ? "bit-identical" : "DIVERGED (bug!)") << "\n";

@@ -4,16 +4,18 @@
 ///   - SwappableModel             — the fitted pipeline, published once
 ///   - Pipeline::ServeAsync       — AsyncServer over the published pipeline
 ///   - AsyncServer::Submit        — one (plan, env) request -> future
-///   - AsyncServeConfig           — batch-full size, deadline, admission
+///   - AsyncServeConfig           — batch size, deadline, admission
 ///   - AsyncServeStats            — flush counters / occupancy
-///   - FakeClock                  — deterministic deadline flush, no sleeps
+///   - FakeClock                  — frozen time: the idle cut needs none
 ///
 ///   ./build/examples/serving
 ///
 /// The front end coalesces concurrent singleton submissions into
 /// micro-batches for the batched serving path (request dedup + matrix
-/// batching), flushing on batch-full or deadline — results are
-/// bit-identical to calling PredictMs yourself, just cheaper per request.
+/// batching). An idle server cuts a request at once; requests that arrive
+/// while a batch is in the model queue up and are cut together when it
+/// comes back — results are bit-identical to calling PredictMs yourself,
+/// just cheaper per request under load.
 /// Exits non-zero if any async prediction fails.
 
 #include <future>
@@ -78,8 +80,8 @@ int main() {
       std::shared_ptr<const Pipeline>(std::move(pipeline.value())));
 
   AsyncServeConfig serve_cfg;
-  serve_cfg.max_batch = 32;          // flush when 32 requests coalesce
-  serve_cfg.max_delay_micros = 500;  // ...or 0.5 ms after the oldest
+  serve_cfg.max_batch = 32;          // at most 32 requests per batch
+  serve_cfg.max_delay_micros = 500;  // bounds a wait behind a busy flusher
   serve_cfg.max_queue = 4096;        // admission control bound
 
   // 3. Serve: four caller threads submit single plans concurrently; the
@@ -119,8 +121,9 @@ int main() {
     std::cout << "\nasync serving: " << stats.served << " requests in "
               << stats.batches_flushed << " micro-batches (mean occupancy "
               << FormatDouble(stats.mean_occupancy, 1) << ", "
-              << stats.full_flushes << " full / " << stats.deadline_flushes
-              << " deadline / " << stats.drain_flushes << " drain flushes)\n";
+              << stats.idle_flushes << " idle / " << stats.full_flushes
+              << " full / " << stats.deadline_flushes << " deadline / "
+              << stats.drain_flushes << " drain flushes)\n";
     double total = 0.0;
     for (double s : sums) total += s;
     std::cout << "sum of predictions: " << FormatDouble(total, 2)
@@ -128,24 +131,26 @@ int main() {
   }  // ~AsyncServer drains and joins.
 
   // 4. Deterministic flush timing with an injected clock: time only moves
-  //    when the test (here: this example) advances it, so the deadline
-  //    flush below is forced, not raced. This is how the async test suite
-  //    pins flush behaviour without sleeps.
+  //    when the caller advances it, and here it never does. The server is
+  //    idle, so the lone request is cut at once rather than waiting out
+  //    max_delay. This is how the async test suite pins cut points without
+  //    sleeps.
   FakeClock clock;
   std::unique_ptr<AsyncServer> server =
       Pipeline::ServeAsync(&models, serve_cfg, &clock);
-  auto early = server->Submit(*test[0].plan, test[0].env_id);
-  std::cout << "\nfake clock: submitted 1 request; batches_flushed="
-            << server->stats().batches_flushed << " (deadline not reached)\n";
-  clock.Advance(serve_cfg.max_delay_micros);
-  Result<double> r = early.get();
+  Result<double> r = server->Submit(*test[0].plan, test[0].env_id).get();
   server->Shutdown();
   if (!r.ok()) {
-    std::cerr << "deadline flush failed: " << r.status().ToString() << "\n";
+    std::cerr << "idle cut failed: " << r.status().ToString() << "\n";
     return 1;
   }
-  std::cout << "advanced " << serve_cfg.max_delay_micros
-            << " us: deadline flush served the partial batch -> "
-            << FormatDouble(*r, 3) << " ms\n";
+  const AsyncServeStats idle = server->stats();
+  std::cout << "\nfake clock frozen at t=0: 1 request served -> "
+            << FormatDouble(*r, 3) << " ms (idle_flushes=" << idle.idle_flushes
+            << ", deadline_flushes=" << idle.deadline_flushes << ")\n";
+  if (idle.idle_flushes != 1 || idle.batches_flushed != 1) {
+    std::cerr << "expected exactly one idle cut\n";
+    return 1;
+  }
   return 0;
 }

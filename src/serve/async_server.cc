@@ -68,7 +68,8 @@ std::future<Result<double>> AsyncServer::Submit(const PlanNode& plan,
       queue_.push_back(std::move(pending));
       ++stats_.submitted;
       // Flushers only need to learn about two transitions: a new queue head
-      // (its deadline starts the next flush timer) and a full batch.
+      // (an idle flusher cuts it at once; otherwise its deadline starts the
+      // next flush timer) and a full batch.
       if (queue_.size() == 1 || queue_.size() >= config_.max_batch) {
         cv_.NotifyAll();
       }
@@ -90,7 +91,7 @@ int64_t AsyncServer::HeadFlushDeadlineLocked() const {
 
 std::vector<AsyncServer::Pending> AsyncServer::CutBatchLocked() {
   const size_t take = std::min(queue_.size(), config_.max_batch);
-  // Every caller enters with work to cut: batch-full and deadline imply a
+  // Every caller enters with work to cut: every flush reason implies a
   // non-empty queue, and the drain path returns before cutting when the
   // queue is empty.
   QCFE_DCHECK(take >= 1, "AsyncServer cut an empty batch");
@@ -100,8 +101,10 @@ std::vector<AsyncServer::Pending> AsyncServer::CutBatchLocked() {
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  // Leftover work (several full batches queued at once): hand it to a
-  // sibling flusher before this thread disappears into the model.
+  ++in_flight_;
+  // Leftover work (a backlog longer than max_batch): hand it to a sibling
+  // flusher before this thread disappears into the model. With this batch
+  // in flight, the sibling cuts it on a full batch or the head's deadline.
   if (!queue_.empty()) cv_.NotifyAll();
   return batch;
 }
@@ -131,19 +134,26 @@ void AsyncServer::WorkerLoop() {
           });
           continue;
         }
+        // Work-conserving: with nothing in the model, waiting would only
+        // add latency, so cut whatever is queued now.
+        if (in_flight_ == 0) {
+          reason = FlushReason::kIdle;
+          break;
+        }
         const int64_t head_enqueued = queue_.front().enqueued_micros;
         const int64_t deadline = HeadFlushDeadlineLocked();
         if (clock_->NowMicros() >= deadline) {
           reason = FlushReason::kDeadline;
           break;
         }
-        // Wait out the head request's deadline; wake early on a full batch,
-        // shutdown, or another worker having cut the head out from under us
+        // A batch is in flight: wait out the head request's deadline; wake
+        // early on a full batch, shutdown, the last in-flight batch coming
+        // back, or another worker having cut the head out from under us
         // (its deadline no longer governs).
         clock_->WaitUntil(&cv_, &mu_, deadline, [this, head_enqueued] {
           QCFE_ASSERT_HELD(mu_);
           return queue_.size() >= config_.max_batch || shutdown_ ||
-                 queue_.empty() ||
+                 in_flight_ == 0 || queue_.empty() ||
                  queue_.front().enqueued_micros != head_enqueued;
         });
       }
@@ -186,6 +196,11 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
   // sees a completed request also sees its flush accounted for.
   {
     MutexLock lock(&mu_);
+    QCFE_DCHECK(in_flight_ > 0, "AsyncServer flushed a batch it never cut");
+    --in_flight_;
+    // The server just went idle with work queued: a waiting flusher can cut
+    // it now, while this one is still fulfilling promises.
+    if (in_flight_ == 0 && !queue_.empty()) cv_.NotifyAll();
     ++stats_.batches_flushed;
     stats_.served += batch->size();
     stats_.failed += failures;
@@ -196,6 +211,9 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     switch (reason) {
       case FlushReason::kFull:
         ++stats_.full_flushes;
+        break;
+      case FlushReason::kIdle:
+        ++stats_.idle_flushes;
         break;
       case FlushReason::kDeadline:
         ++stats_.deadline_flushes;

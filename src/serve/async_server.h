@@ -9,10 +9,17 @@
 /// batches, but online traffic arrives one plan at a time from many
 /// concurrent callers. AsyncServer bridges the two: Submit() enqueues a
 /// single (plan, environment) request and returns a future; dedicated
-/// flusher threads coalesce queued requests into micro-batches and flush on
-/// whichever comes first — the batch reaching `max_batch`, or the oldest
-/// queued request reaching its `max_delay_micros` deadline — then fulfil
-/// every future from one PredictBatchEach call.
+/// flusher threads cut queued requests into micro-batches and fulfil every
+/// future of a batch from one PredictBatchEach call.
+///
+/// The cut rule is work-conserving. While no cut batch is in the model, a
+/// flusher cuts whatever is queued at once (up to `max_batch`): an idle
+/// server never holds a request back. While a batch is in flight, requests
+/// accumulate, and a flusher cuts on whichever comes first: the queue
+/// reaching `max_batch`, the oldest queued request reaching its
+/// `max_delay_micros` deadline, or the last in-flight batch coming back.
+/// So batches grow exactly when the model is busy, which is when batching
+/// pays, and a lone request costs one model call, not a deadline.
 ///
 /// Contracts:
 ///  * Results are bit-identical to a direct PredictBatchMs / PredictMs call
@@ -30,7 +37,8 @@
 ///    join the flusher threads. The destructor drains.
 ///  * Clock-injectable: all waiting goes through a Clock (util/clock.h), so
 ///    tests drive deadline flushes with FakeClock::Advance instead of
-///    sleeps.
+///    sleeps (and hold a batch in flight with a blocking test model to
+///    make every cut point deterministic).
 ///  * Lock discipline is compiler-checked: the queue, shutdown flag and
 ///    stats are QCFE_GUARDED_BY(mu_), the batch-cut path is a
 ///    QCFE_REQUIRES(mu_) helper, and mu_ ranks below the clock's waiter
@@ -71,15 +79,18 @@ class ObservationListener {
 
 /// Micro-batcher tuning knobs.
 struct AsyncServeConfig {
-  /// Flush as soon as this many requests are queued.
+  /// Largest micro-batch: a cut takes at most this many requests, and a
+  /// queue this long is cut at once even while another batch is in flight.
   size_t max_batch = 64;
-  /// Flush a partial batch once its oldest request has waited this long.
-  /// This bounds the latency cost of batching: a request is served at most
-  /// max_delay after arrival even at low QPS.
+  /// While another batch is in flight, a flusher that is free cuts a
+  /// partial batch once its oldest request has waited this long. It bounds
+  /// a wait only in that state, so only with num_workers >= 2: an idle
+  /// server cuts at once, and a single flusher that is in the model is not
+  /// waiting on any deadline (it cuts the moment it returns).
   int64_t max_delay_micros = 2000;
   /// Dedicated flusher threads. More than one lets the next micro-batch cut
-  /// while a previous one is still in the model; results are identical
-  /// either way.
+  /// while a previous one is still in the model (on a full batch or on the
+  /// head's max_delay deadline); results are identical either way.
   size_t num_workers = 1;
   /// Admission control: reject Submit with kUnavailable once this many
   /// requests are queued (not yet cut into a flushing batch). 0 = no limit.
@@ -96,6 +107,7 @@ struct AsyncServeStats {
   uint64_t failed = 0;            ///< served requests with per-request errors
   uint64_t batches_flushed = 0;
   uint64_t full_flushes = 0;      ///< flush reason: batch reached max_batch
+  uint64_t idle_flushes = 0;      ///< flush reason: nothing else in flight
   uint64_t deadline_flushes = 0;  ///< flush reason: max_delay deadline
   uint64_t drain_flushes = 0;     ///< flush reason: shutdown drain
   double mean_occupancy = 0.0;    ///< served / batches_flushed
@@ -188,7 +200,7 @@ class AsyncServer {
   const AsyncServeConfig& config() const { return config_; }
 
  private:
-  enum class FlushReason { kFull, kDeadline, kDrain };
+  enum class FlushReason { kFull, kIdle, kDeadline, kDrain };
 
   struct Pending {
     PlanSample sample;
@@ -202,10 +214,12 @@ class AsyncServer {
   /// overflow (a huge max_delay_micros is a caller's way of asking for
   /// batch-full-only flushing).
   int64_t HeadFlushDeadlineLocked() const QCFE_REQUIRES(mu_);
-  /// Cuts up to max_batch requests off the queue head and hands leftover
-  /// work to a sibling flusher. The queue must be non-empty.
+  /// Cuts up to max_batch requests off the queue head, counts the batch in
+  /// flight and hands leftover work to a sibling flusher. The queue must be
+  /// non-empty.
   std::vector<Pending> CutBatchLocked() QCFE_REQUIRES(mu_);
-  /// Serves one cut batch outside the queue lock and fulfils its promises.
+  /// Serves one cut batch outside the queue lock, takes it out of flight
+  /// and fulfils its promises.
   void FlushBatch(std::vector<Pending>* batch, FlushReason reason)
       QCFE_EXCLUDES(mu_);
 
@@ -218,6 +232,9 @@ class AsyncServer {
   mutable Mutex mu_{lock_rank::kAsyncServerQueue};
   CondVar cv_;
   std::deque<Pending> queue_ QCFE_GUARDED_BY(mu_);
+  /// Cut batches not yet back from the model. Zero means the server is
+  /// idle, and a non-empty queue is then cut at once.
+  size_t in_flight_ QCFE_GUARDED_BY(mu_) = 0;
   bool shutdown_ QCFE_GUARDED_BY(mu_) = false;
   AsyncServeStats stats_ QCFE_GUARDED_BY(mu_);
   ObservationListener* listener_ QCFE_GUARDED_BY(mu_) = nullptr;

@@ -580,9 +580,10 @@ TEST(AdaptE2ETest, DriftTripsBackgroundRetrainSwapAndRecovers) {
   const std::string path = TempPath("e2e.qcfa");
   ASSERT_TRUE(trainer->Save(path).ok());
 
-  // Serving side: hot-swappable server under a FakeClock. Batches flush on
-  // batch-full only (the fake deadline never arrives), so the test is
-  // sleep-free and fully deterministic.
+  // Serving side: hot-swappable server under a FakeClock that never moves.
+  // Its one flusher cuts whatever is queued whenever it is idle (the fake
+  // deadline never arrives), so the test is sleep-free; batch composition
+  // varies between runs, the served bits do not.
   FakeClock clock;
   SwappableModel models;
   AsyncServeConfig scfg;
@@ -885,9 +886,14 @@ TEST(AdaptStressTest, ContinuousAdaptationServesOnlyWholeVersions) {
   server->set_observation_listener(&controller);
 
   // Callers hammer the server and keep reporting 4x-drifted observations,
-  // so adaptation cycles run continuously underneath the traffic.
+  // so adaptation cycles run continuously underneath the traffic. Each
+  // caller runs kRounds rounds and then keeps going until a retrained
+  // version is published (at most kMaxRounds): an idle server answers in
+  // microseconds, so on a loaded host a fixed round count can end while
+  // the trip is still pending, and Stop() drops a pending trip.
   constexpr int kCallers = 4;
   constexpr int kRounds = 100;
+  constexpr int kMaxRounds = 100'000;
   struct Reply {
     size_t index;
     uint64_t bits;
@@ -897,7 +903,9 @@ TEST(AdaptStressTest, ContinuousAdaptationServesOnlyWholeVersions) {
   std::vector<std::thread> callers;
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0;
+           round < kMaxRounds && (round < kRounds || models.version() < 2);
+           ++round) {
         const size_t i = static_cast<size_t>((t + round) % kProbe);
         auto future = server->Submit(*probe[i].plan, probe[i].env_id);
         Result<double> r = future.get();

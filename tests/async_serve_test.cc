@@ -1,12 +1,14 @@
 /// Deterministic concurrency suite for the async micro-batching front end
 /// (serve/async_server.h). Two layers:
 ///
-///  * Fake-clock flush tests against a stub estimator, fitted into a
-///    pipeline and published once like any served model: batch-full flush
-///    before the deadline, deadline flush of a partial batch, shutdown
-///    drain/cancel semantics, per-request error isolation and admission
-///    control — with zero sleeps. Time only moves when the test calls
-///    FakeClock::Advance, so every flush decision is forced, not raced.
+///  * Fake-clock cut-point tests against a stub estimator, fitted into a
+///    pipeline and published once like any served model: the idle cut, the
+///    batch-full and deadline cuts behind a batch in flight, backlog
+///    splitting, shutdown drain/cancel semantics, per-request error
+///    isolation and admission control — with zero sleeps. Time only moves
+///    when the test calls FakeClock::Advance, and a batch is in flight only
+///    while the test holds the stub's flush gate (HeldBatch), so every cut
+///    decision is forced, not raced.
 ///  * Multi-threaded stress tests against real fitted pipelines: N caller
 ///    threads submit randomized plans and every delivered result must be
 ///    bit-identical to a direct PredictBatchMs call on the same model,
@@ -15,7 +17,9 @@
 ///    bits of its answer are not.
 ///
 /// CI runs this suite under ThreadSanitizer and UBSan (see
-/// .github/workflows/ci.yml) so queue/flush races fail the build.
+/// .github/workflows/ci.yml), and repeats the fake-clock layer under
+/// ThreadSanitizer, so queue/flush races and cut-timing assumptions that
+/// hold only by scheduling luck fail the build.
 
 #include <gtest/gtest.h>
 
@@ -34,15 +38,73 @@
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "util/sync.h"
 
 namespace qcfe {
 namespace {
 
 // ------------------------------------------------------ fake-clock suite
 
+/// Requests for this environment pass through the flush gate.
+constexpr int kGateEnv = 1000;
+
+/// Test-controlled flush gate. While it is closed, the stub model blocks in
+/// PredictShard on a kGateEnv request until the test opens it, so "a batch
+/// is in flight" is a state the test holds rather than a race it hopes to
+/// win. Process-wide and never destroyed: a flusher may still be leaving
+/// Pass() after the test that opened the gate has moved on.
+class FlushGate {
+ public:
+  static FlushGate* Get() {
+    static FlushGate* gate = new FlushGate();
+    return gate;
+  }
+
+  /// The next kGateEnv request blocks until Open().
+  void Close() {
+    MutexLock lock(&mu_);
+    open_ = false;
+    entered_ = false;
+  }
+
+  void Open() {
+    MutexLock lock(&mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+
+  /// Returns once a flusher is blocked in Pass() on the closed gate.
+  void WaitEntered() {
+    MutexLock lock(&mu_);
+    cv_.Wait(&mu_, [this] {
+      QCFE_ASSERT_HELD(mu_);
+      return entered_;
+    });
+  }
+
+  /// Called by the stub model for a kGateEnv request.
+  void Pass() {
+    MutexLock lock(&mu_);
+    entered_ = true;
+    cv_.NotifyAll();
+    cv_.Wait(&mu_, [this] {
+      QCFE_ASSERT_HELD(mu_);
+      return open_;
+    });
+  }
+
+ private:
+  /// A leaf: held by a flusher only inside the model, with no server lock.
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ QCFE_GUARDED_BY(mu_) = true;
+  bool entered_ QCFE_GUARDED_BY(mu_) = false;
+};
+
 /// Deterministic stub estimator: prediction is a pure function of the
-/// request, and env_id < 0 simulates a poisoned request. No training and no
-/// database fixture, so the flush-timing tests run in milliseconds.
+/// request, and env_id < 0 simulates a poisoned request. A kGateEnv request
+/// first waits at the flush gate. No training and no database fixture, so
+/// the cut-point tests run in milliseconds.
 class StubModel : public CostModel {
  public:
   std::string name() const override { return "stub"; }
@@ -56,6 +118,7 @@ class StubModel : public CostModel {
                     size_t end,
                     std::vector<BatchPrediction>* out) const override {
     for (size_t i = begin; i < end; ++i) {
+      if (requests[i].env_id == kGateEnv) FlushGate::Get()->Pass();
       if (requests[i].env_id < 0) {
         (*out)[i].status =
             Status::NumericError("poisoned request (stub model)");
@@ -98,6 +161,33 @@ StubGeneration* Stub() {
   return stub;
 }
 
+/// Holds one batch in flight: the constructor submits a gate request to an
+/// idle server and returns once a flusher is blocked serving it (the
+/// request was cut alone, as an idle cut). Declare it after the server:
+/// its destructor opens the gate, so an early test exit never leaves the
+/// server's drain waiting on it.
+class HeldBatch {
+ public:
+  HeldBatch(AsyncServer* server, const PlanNode& plan) {
+    FlushGate::Get()->Close();
+    reply_ = server->Submit(plan, kGateEnv);
+    FlushGate::Get()->WaitEntered();
+  }
+  ~HeldBatch() { FlushGate::Get()->Open(); }
+
+  HeldBatch(const HeldBatch&) = delete;
+  HeldBatch& operator=(const HeldBatch&) = delete;
+
+  /// Lets the held batch finish and returns its reply. Call at most once.
+  Result<double> Release() {
+    FlushGate::Get()->Open();
+    return reply_.get();
+  }
+
+ private:
+  std::future<Result<double>> reply_;
+};
+
 class AsyncFakeClockTest : public ::testing::Test {
  protected:
   AsyncFakeClockTest() {
@@ -109,45 +199,156 @@ class AsyncFakeClockTest : public ::testing::Test {
     return *models_->Current()->PredictMs(plan, env_id);
   }
 
+  /// Releases `held` and checks its reply.
+  void ExpectReleased(HeldBatch* held) {
+    Result<double> r = held->Release();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, Direct(plan_, kGateEnv));
+  }
+
   const SwappableModel* models_ = &Stub()->models;
   FakeClock clock_;
   PlanNode plan_, other_plan_;
 };
 
-TEST_F(AsyncFakeClockTest, FullBatchFlushesBeforeDeadline) {
+TEST_F(AsyncFakeClockTest, IdleServerCutsALoneRequestAtOnce) {
   AsyncServeConfig cfg;
-  cfg.max_batch = 4;
+  cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;  // never reached: time stays at 0
   AsyncServer server(models_, cfg, &clock_);
 
+  // Nothing is in flight, so the request is cut the moment it is queued:
+  // no Advance, no full batch.
+  Result<double> r = server.Submit(plan_, 3).get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, Direct(plan_, 3));
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.idle_flushes, 1u);
+  EXPECT_EQ(stats.full_flushes, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_EQ(stats.mean_occupancy, 1.0);
+}
+
+TEST_F(AsyncFakeClockTest, RequestsQueuedBehindABatchInFlightComeBackAsOne) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_micros = 1'000'000;
+  AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
+
+  // The only flusher is in the model: the five requests wait in the queue
+  // and are cut together, as one idle cut, the moment it comes back.
+  std::vector<std::future<Result<double>>> futures;
+  for (int env = 0; env < 5; ++env) futures.push_back(server.Submit(plan_, env));
+  EXPECT_EQ(server.stats().batches_flushed, 0u);
+  ExpectReleased(&held);
+  for (int env = 0; env < 5; ++env) {
+    Result<double> r = futures[static_cast<size_t>(env)].get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, Direct(plan_, env));
+  }
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.served, 6u);
+  EXPECT_EQ(stats.batches_flushed, 2u);
+  EXPECT_EQ(stats.idle_flushes, 2u);
+  EXPECT_EQ(stats.full_flushes, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+}
+
+TEST_F(AsyncFakeClockTest, BacklogLongerThanMaxBatchSplitsIntoMaxBatchCuts) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.max_delay_micros = 1'000'000;
+  AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
+
+  std::vector<std::future<Result<double>>> futures;
+  for (int env = 0; env < 10; ++env) {
+    futures.push_back(server.Submit(plan_, env));
+  }
+  ExpectReleased(&held);
+  for (int env = 0; env < 10; ++env) {
+    EXPECT_EQ(*futures[static_cast<size_t>(env)].get(), Direct(plan_, env));
+  }
+  // The backlog of 10 is cut 4 + 4 (full) + 2 (idle), after the held
+  // batch's own idle cut of 1.
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.served, 11u);
+  EXPECT_EQ(stats.batches_flushed, 4u);
+  EXPECT_EQ(stats.full_flushes, 2u);
+  EXPECT_EQ(stats.idle_flushes, 2u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+}
+
+TEST_F(AsyncFakeClockTest, IdleCutFollowsTheLastBatchInFlight) {
+  // Two flushers: one holds the gate batch, the other waits on the head's
+  // deadline, which never comes. When the held batch comes back the server
+  // is idle again, and the queue is cut at once, by either flusher.
+  AsyncServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_micros = 1'000'000;
+  cfg.num_workers = 2;
+  AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
+
+  std::vector<std::future<Result<double>>> futures;
+  for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
+  EXPECT_EQ(server.stats().batches_flushed, 0u);
+  ExpectReleased(&held);
+  for (int env = 0; env < 3; ++env) {
+    EXPECT_EQ(*futures[static_cast<size_t>(env)].get(), Direct(plan_, env));
+  }
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.batches_flushed, 2u);
+  EXPECT_EQ(stats.idle_flushes, 2u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_EQ(stats.full_flushes, 0u);
+}
+
+TEST_F(AsyncFakeClockTest, FullBatchFlushesBeforeDeadline) {
+  // The second flusher cuts a full batch while the first is still in the
+  // model; no time passes.
+  AsyncServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.max_delay_micros = 1'000'000;  // never reached: time stays at 0
+  cfg.num_workers = 2;
+  AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
+
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 4; ++env) futures.push_back(server.Submit(plan_, env));
-  // The fourth submission completes the batch; the flush needs no time to
-  // pass. get() blocks until the flusher delivers.
+  // The fourth submission completes the batch. get() blocks until the
+  // flusher delivers.
   for (int env = 0; env < 4; ++env) {
     Result<double> r = futures[static_cast<size_t>(env)].get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(*r, Direct(plan_, env));
   }
   AsyncServeStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.submitted, 5u);
   EXPECT_EQ(stats.batches_flushed, 1u);
   EXPECT_EQ(stats.full_flushes, 1u);
   EXPECT_EQ(stats.deadline_flushes, 0u);
   EXPECT_EQ(stats.served, 4u);
   EXPECT_EQ(stats.mean_occupancy, 4.0);
+
+  ExpectReleased(&held);
+  EXPECT_EQ(server.stats().idle_flushes, 1u);
 }
 
 TEST_F(AsyncFakeClockTest, DeadlineFlushesPartialBatch) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1000;
+  cfg.num_workers = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
-  // Nothing can legitimately flush: the batch is not full and the deadline
-  // cannot pass until the test advances time.
+  // Nothing can legitimately flush: a batch is in flight, the queue is not
+  // full and the deadline cannot pass until the test advances time.
   EXPECT_EQ(server.stats().batches_flushed, 0u);
 
   clock_.Advance(cfg.max_delay_micros);
@@ -160,14 +361,20 @@ TEST_F(AsyncFakeClockTest, DeadlineFlushesPartialBatch) {
   EXPECT_EQ(stats.batches_flushed, 1u);
   EXPECT_EQ(stats.deadline_flushes, 1u);
   EXPECT_EQ(stats.full_flushes, 0u);
+  EXPECT_EQ(stats.idle_flushes, 0u);
   EXPECT_EQ(stats.mean_occupancy, 3.0);
+
+  ExpectReleased(&held);
+  EXPECT_EQ(server.stats().idle_flushes, 1u);
 }
 
 TEST_F(AsyncFakeClockTest, DeadlineRunsFromTheOldestQueuedRequest) {
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1000;
+  cfg.num_workers = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   auto first = server.Submit(plan_, 1);  // enqueued at t=0, deadline t=1000
   clock_.Advance(600);
@@ -182,22 +389,32 @@ TEST_F(AsyncFakeClockTest, DeadlineRunsFromTheOldestQueuedRequest) {
   EXPECT_EQ(stats.batches_flushed, 1u);
   EXPECT_EQ(stats.deadline_flushes, 1u);
   EXPECT_EQ(stats.served, 2u);
+  ExpectReleased(&held);
 }
 
 TEST_F(AsyncFakeClockTest, ShutdownDrainServesQueuedWork) {
+  // Drain with a batch in flight: the free flusher serves the queue while
+  // the held batch is still in the model.
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
+  cfg.num_workers = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
-  server.Shutdown(AsyncServer::ShutdownMode::kDrain);
+  // Shutdown joins the flushers, and one of them is held: stop from a
+  // second thread.
+  std::thread stopper(
+      [&server] { server.Shutdown(AsyncServer::ShutdownMode::kDrain); });
 
   for (int env = 0; env < 3; ++env) {
     Result<double> r = futures[static_cast<size_t>(env)].get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, Direct(plan_, env));
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) {
+      EXPECT_EQ(*r, Direct(plan_, env));
+    }
   }
   AsyncServeStats stats = server.stats();
   EXPECT_EQ(stats.batches_flushed, 1u);
@@ -210,6 +427,11 @@ TEST_F(AsyncFakeClockTest, ShutdownDrainServesQueuedWork) {
   EXPECT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(server.stats().rejected, 1u);
+
+  // The held batch is still served, and then the drain completes.
+  ExpectReleased(&held);
+  stopper.join();
+  EXPECT_EQ(server.stats().served, 4u);
 }
 
 TEST_F(AsyncFakeClockTest, ShutdownCancelFailsQueuedWork) {
@@ -217,10 +439,14 @@ TEST_F(AsyncFakeClockTest, ShutdownCancelFailsQueuedWork) {
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
-  server.Shutdown(AsyncServer::ShutdownMode::kCancel);
+  // Shutdown joins the flusher, which is held: stop from a second thread.
+  // Cancel fails the queue before it joins.
+  std::thread stopper(
+      [&server] { server.Shutdown(AsyncServer::ShutdownMode::kCancel); });
 
   for (auto& f : futures) {
     Result<double> r = f.get();
@@ -231,6 +457,13 @@ TEST_F(AsyncFakeClockTest, ShutdownCancelFailsQueuedWork) {
   EXPECT_EQ(stats.cancelled, 3u);
   EXPECT_EQ(stats.batches_flushed, 0u);
   EXPECT_EQ(stats.served, 0u);
+
+  // A batch already cut is still served under kCancel.
+  ExpectReleased(&held);
+  stopper.join();
+  stats = server.stats();
+  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.served, 1u);
 }
 
 TEST_F(AsyncFakeClockTest, PoisonedRequestFailsOnlyItsOwnCaller) {
@@ -238,12 +471,15 @@ TEST_F(AsyncFakeClockTest, PoisonedRequestFailsOnlyItsOwnCaller) {
   cfg.max_batch = 4;
   cfg.max_delay_micros = 1'000'000;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
-  // One poisoned request (env_id < 0) co-batched with three healthy ones.
+  // One poisoned request (env_id < 0) co-batched with three healthy ones:
+  // they queue behind the held batch and are cut as one full batch.
   auto ok0 = server.Submit(plan_, 0);
   auto poisoned = server.Submit(plan_, -1);
   auto ok1 = server.Submit(other_plan_, 1);
   auto ok2 = server.Submit(plan_, 2);
+  ExpectReleased(&held);
 
   Result<double> bad = poisoned.get();
   EXPECT_FALSE(bad.ok());
@@ -254,9 +490,10 @@ TEST_F(AsyncFakeClockTest, PoisonedRequestFailsOnlyItsOwnCaller) {
   EXPECT_EQ(*ok2.get(), Direct(plan_, 2));
 
   AsyncServeStats stats = server.stats();
-  EXPECT_EQ(stats.served, 4u);
+  EXPECT_EQ(stats.served, 5u);
   EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.batches_flushed, 2u);
+  EXPECT_EQ(stats.full_flushes, 1u);
 }
 
 TEST_F(AsyncFakeClockTest, AdmissionControlRejectsWhenQueueIsFull) {
@@ -265,31 +502,36 @@ TEST_F(AsyncFakeClockTest, AdmissionControlRejectsWhenQueueIsFull) {
   cfg.max_delay_micros = 1'000'000;
   cfg.max_queue = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);  // cut, so it is not in the queue
 
   auto a = server.Submit(plan_, 0);
   auto b = server.Submit(plan_, 1);
-  // The queue cannot shrink (no flush is possible), so the third submission
-  // is deterministically rejected, with the future ready immediately.
+  // The queue cannot shrink (its only flusher is held), so the third
+  // submission is deterministically rejected, with the future ready
+  // immediately.
   Result<double> rejected = server.Submit(plan_, 2).get();
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
   AsyncServeStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.rejected, 1u);
 
   // The accepted requests still drain normally.
+  ExpectReleased(&held);
   server.Shutdown(AsyncServer::ShutdownMode::kDrain);
   EXPECT_EQ(*a.get(), Direct(plan_, 0));
   EXPECT_EQ(*b.get(), Direct(plan_, 1));
 }
 
 TEST_F(AsyncFakeClockTest, MultipleWorkersDrainSeveralFullBatches) {
+  // With one flusher held, the other cuts every pair as a full batch.
   AsyncServeConfig cfg;
   cfg.max_batch = 2;
   cfg.max_delay_micros = 1'000'000;
   cfg.num_workers = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 8; ++env) futures.push_back(server.Submit(plan_, env));
@@ -301,17 +543,21 @@ TEST_F(AsyncFakeClockTest, MultipleWorkersDrainSeveralFullBatches) {
   EXPECT_EQ(stats.batches_flushed, 4u);
   EXPECT_EQ(stats.full_flushes, 4u);
   EXPECT_EQ(stats.mean_occupancy, 2.0);
+  ExpectReleased(&held);
 }
 
 TEST_F(AsyncFakeClockTest, HugeDelayDisablesDeadlineWithoutOverflow) {
   // max_delay_micros = INT64_MAX is the natural way to ask for
-  // batch-full-only flushing; the deadline arithmetic must saturate (to
-  // Clock::kNoDeadline) rather than overflow. Regression for the flusher's
-  // head_enqueued + max_delay sum; the UBSan CI job enforces it.
+  // batch-full-only cuts while a batch is in flight; the deadline
+  // arithmetic must saturate (to Clock::kNoDeadline) rather than overflow.
+  // Regression for the flusher's head_enqueued + max_delay sum; the UBSan
+  // CI job enforces it.
   AsyncServeConfig cfg;
   cfg.max_batch = 2;
   cfg.max_delay_micros = std::numeric_limits<int64_t>::max();
+  cfg.num_workers = 2;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   auto first = server.Submit(plan_, 0);
   clock_.Advance(1'000'000'000);  // a long time passes: still no flush
@@ -323,20 +569,26 @@ TEST_F(AsyncFakeClockTest, HugeDelayDisablesDeadlineWithoutOverflow) {
   AsyncServeStats stats = server.stats();
   EXPECT_EQ(stats.full_flushes, 1u);
   EXPECT_EQ(stats.deadline_flushes, 0u);
+  ExpectReleased(&held);
 }
 
 TEST_F(AsyncFakeClockTest, DeadlineFlushWorksWithMultipleWorkers) {
+  // Two free flushers wait on the same head deadline; exactly one cuts.
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 500;
-  cfg.num_workers = 2;
+  cfg.num_workers = 3;
   AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);
 
   auto f = server.Submit(plan_, 3);
   EXPECT_EQ(server.stats().batches_flushed, 0u);
   clock_.Advance(500);
   EXPECT_EQ(*f.get(), Direct(plan_, 3));
-  EXPECT_EQ(server.stats().deadline_flushes, 1u);
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.deadline_flushes, 1u);
+  ExpectReleased(&held);
 }
 
 // --------------------------------------------------------- stress suite
@@ -493,8 +745,10 @@ TEST_F(AsyncStressTest, ServerShardsFlushedBatchesAcrossAThreadPool) {
 
 TEST_F(AsyncStressTest, PipelineServeAsyncMatchesPredictBatch) {
   // End-to-end through the facade: a fitted pipeline published once and
-  // served by Pipeline::ServeAsync with a FakeClock, deadline-flushing a
-  // partial batch, against Pipeline::PredictBatch.
+  // served by Pipeline::ServeAsync with a FakeClock, against
+  // Pipeline::PredictBatch. The idle server cuts the first request at once
+  // and the rest as they queue behind it; the Advance past the deadline
+  // changes no bit.
   PipelineConfig cfg;
   cfg.estimator = "qppnet";
   cfg.train.epochs = 3;
