@@ -121,7 +121,8 @@ int main() {
     std::cout << "\nasync serving: " << stats.served << " requests in "
               << stats.batches_flushed << " micro-batches (mean occupancy "
               << FormatDouble(stats.mean_occupancy, 1) << ", "
-              << stats.idle_flushes << " idle / " << stats.full_flushes
+              << stats.idle_flushes << " idle (" << stats.caller_runs
+              << " on the caller's thread) / " << stats.full_flushes
               << " full / " << stats.deadline_flushes << " deadline / "
               << stats.drain_flushes << " drain flushes)\n";
     double total = 0.0;
@@ -133,8 +134,9 @@ int main() {
   // 4. Deterministic flush timing with an injected clock: time only moves
   //    when the caller advances it, and here it never does. The server is
   //    idle, so the lone request is cut at once rather than waiting out
-  //    max_delay. This is how the async test suite pins cut points without
-  //    sleeps.
+  //    max_delay, and served on this thread (a caller run): the future is
+  //    ready when Submit returns. This is how the async test suite pins cut
+  //    points without sleeps.
   FakeClock clock;
   std::unique_ptr<AsyncServer> server =
       Pipeline::ServeAsync(&models, serve_cfg, &clock);
@@ -147,9 +149,11 @@ int main() {
   const AsyncServeStats idle = server->stats();
   std::cout << "\nfake clock frozen at t=0: 1 request served -> "
             << FormatDouble(*r, 3) << " ms (idle_flushes=" << idle.idle_flushes
+            << ", caller_runs=" << idle.caller_runs
             << ", deadline_flushes=" << idle.deadline_flushes << ")\n";
-  if (idle.idle_flushes != 1 || idle.batches_flushed != 1) {
-    std::cerr << "expected exactly one idle cut\n";
+  if (idle.idle_flushes != 1 || idle.batches_flushed != 1 ||
+      idle.caller_runs != 1) {
+    std::cerr << "expected exactly one idle cut, run on the caller's thread\n";
     return 1;
   }
   return 0;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "serve/model_swap.h"
@@ -20,6 +23,31 @@ std::future<Result<double>> ReadyError(Status status) {
   return future;
 }
 
+/// Serves one cut on `gen`. A model call that throws fails every request of
+/// the cut with kInternal: left to escape, it would end the flusher (and the
+/// process) or unwind a caller-run cut out of Submit with the server's
+/// in-flight count still raised, which would stop every later idle cut.
+std::vector<CostModel::BatchPrediction> ServeCut(
+    const Pipeline* gen, const std::vector<PlanSample>& samples) {
+  auto fail_all = [&samples](Status status) {
+    return std::vector<CostModel::BatchPrediction>(samples.size(),
+                                                   {std::move(status), 0.0});
+  };
+  if (gen == nullptr) {
+    return fail_all(Status::FailedPrecondition(
+        "no model version has been published to this server yet"));
+  }
+  try {
+    return gen->model().PredictBatchEach(samples, gen->thread_pool());
+  } catch (const std::exception& e) {
+    return fail_all(Status::Internal(std::string("model call threw: ") +
+                                     e.what()));
+  } catch (...) {
+    return fail_all(
+        Status::Internal("model call threw a non-standard exception"));
+  }
+}
+
 AsyncServeConfig Normalize(const AsyncServeConfig& config) {
   AsyncServeConfig c = config;
   if (c.max_batch == 0) c.max_batch = 1;
@@ -34,7 +62,8 @@ AsyncServer::AsyncServer(const SwappableModel* models,
                          const AsyncServeConfig& config, Clock* clock)
     : models_(models),
       config_(Normalize(config)),
-      clock_(clock != nullptr ? clock : Clock::Real()) {
+      clock_(clock != nullptr ? clock : Clock::Real()),
+      idle_since_micros_(clock_->NowMicros()) {
   workers_.reserve(config_.num_workers);
   for (size_t i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -45,39 +74,61 @@ AsyncServer::~AsyncServer() { Shutdown(ShutdownMode::kDrain); }
 
 std::future<Result<double>> AsyncServer::Submit(const PlanNode& plan,
                                                 int env_id) {
+  std::vector<Pending> caller_run;
+  std::future<Result<double>> future;
+  bool notify = false;
   {
     MutexLock lock(&mu_);
     if (shutdown_) {
       ++stats_.rejected;
-    } else if (config_.max_queue > 0 && queue_.size() >= config_.max_queue) {
+      return ReadyError(
+          Status::Unavailable("async server is shut down; request rejected"));
+    }
+    if (config_.max_queue > 0 && queue_.size() >= config_.max_queue) {
       ++stats_.rejected;
       return ReadyError(Status::Unavailable(
           "admission control: serving queue full (" +
           std::to_string(config_.max_queue) + " requests waiting)"));
+    }
+    Pending pending;
+    pending.sample = {&plan, env_id, 0.0};
+    pending.enqueued_micros = clock_->NowMicros();
+    future = pending.promise.get_future();
+    ++stats_.submitted;
+    // Caller-runs when idle: with nothing queued or in the model, a flusher
+    // would cut this request alone anyway, so serve it here and skip both
+    // thread hops. Only once the server has been idle for as long as its
+    // last flush took: a request arriving sooner is part of a stream that
+    // batching serves better, so it goes to the flushers.
+    if (queue_.empty() && in_flight_ == 0 &&
+        pending.enqueued_micros - idle_since_micros_ >=
+            last_service_micros_) {
+      ++in_flight_;
+      caller_run.push_back(std::move(pending));
     } else {
-      Pending pending;
-      pending.sample = {&plan, env_id, 0.0};
-      pending.enqueued_micros = clock_->NowMicros();
-      // Queue-state invariant: enqueue times are non-decreasing (pushes are
-      // serialized under mu_ and the clock is monotonic). The deadline-flush
-      // logic reads only the head's time on the strength of this.
-      QCFE_DCHECK(queue_.empty() ||
-                      pending.enqueued_micros >= queue_.back().enqueued_micros,
-                  "AsyncServer queue enqueue times went backwards");
-      std::future<Result<double>> future = pending.promise.get_future();
+      // Queue-state invariant: enqueue times are non-decreasing (pushes
+      // are serialized under mu_ and the clock is monotonic). The
+      // deadline-flush logic reads only the head's time on the strength of
+      // this.
+      QCFE_DCHECK(
+          queue_.empty() ||
+              pending.enqueued_micros >= queue_.back().enqueued_micros,
+          "AsyncServer queue enqueue times went backwards");
       queue_.push_back(std::move(pending));
-      ++stats_.submitted;
-      // Flushers only need to learn about two transitions: a new queue head
-      // (an idle flusher cuts it at once; otherwise its deadline starts the
-      // next flush timer) and a full batch.
-      if (queue_.size() == 1 || queue_.size() >= config_.max_batch) {
-        cv_.NotifyAll();
-      }
-      return future;
+      // Flushers only need to learn about two transitions: a new queue
+      // head (an idle flusher cuts it at once; otherwise its deadline
+      // starts the next flush timer) and a full batch.
+      notify = queue_.size() == 1 || queue_.size() >= config_.max_batch;
     }
   }
-  return ReadyError(
-      Status::Unavailable("async server is shut down; request rejected"));
+  if (!caller_run.empty()) {
+    FlushBatch(&caller_run, FlushReason::kCallerRun);
+  } else if (notify) {
+    // After the unlock, so the woken flusher does not block on the mu_
+    // this thread still holds.
+    cv_.NotifyAll();
+  }
+  return future;
 }
 
 int64_t AsyncServer::HeadFlushDeadlineLocked() const {
@@ -172,16 +223,12 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
   // The handle pins it — model and worker pool — for the whole flush, so a
   // concurrent Publish can neither tear this batch across versions nor
   // destroy either under it.
+  const int64_t service_begin = clock_->NowMicros();
   uint64_t version = 0;
   const std::shared_ptr<const Pipeline> gen = models_->Current(&version);
   const std::vector<CostModel::BatchPrediction> results =
-      gen != nullptr
-          ? gen->model().PredictBatchEach(samples, gen->thread_pool())
-          : std::vector<CostModel::BatchPrediction>(
-                batch->size(),
-                {Status::FailedPrecondition("no model version has been "
-                                            "published to this server yet"),
-                 0.0});
+      ServeCut(gen.get(), samples);
+  const int64_t service_end = clock_->NowMicros();
   // The promise-fulfilment loop below indexes results positionally; a model
   // returning a short/long vector would fulfil the wrong futures.
   QCFE_CHECK(results.size() == batch->size(),
@@ -198,9 +245,16 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     MutexLock lock(&mu_);
     QCFE_DCHECK(in_flight_ > 0, "AsyncServer flushed a batch it never cut");
     --in_flight_;
-    // The server just went idle with work queued: a waiting flusher can cut
-    // it now, while this one is still fulfilling promises.
-    if (in_flight_ == 0 && !queue_.empty()) cv_.NotifyAll();
+    last_service_micros_ = service_end - service_begin;
+    if (in_flight_ == 0) {
+      idle_since_micros_ = service_end;
+      // The server just went idle. With work queued, a waiting flusher can
+      // cut it now, while this thread is still fulfilling promises; after
+      // shutdown, Shutdown may be waiting for this cut. Notified under mu_:
+      // once a waiting Shutdown sees in_flight_ == 0 it may return and the
+      // server be destroyed.
+      if (!queue_.empty() || shutdown_) cv_.NotifyAll();
+    }
     ++stats_.batches_flushed;
     stats_.served += batch->size();
     stats_.failed += failures;
@@ -211,6 +265,10 @@ void AsyncServer::FlushBatch(std::vector<Pending>* batch, FlushReason reason) {
     switch (reason) {
       case FlushReason::kFull:
         ++stats_.full_flushes;
+        break;
+      case FlushReason::kCallerRun:
+        ++stats_.caller_runs;
+        ++stats_.idle_flushes;
         break;
       case FlushReason::kIdle:
         ++stats_.idle_flushes;
@@ -258,6 +316,14 @@ void AsyncServer::Shutdown(ShutdownMode mode) {
   }
   std::call_once(join_once_, [this] {
     for (std::thread& worker : workers_) worker.join();
+  });
+  // A caller-run cut is served on its submitting thread, which no join
+  // waits for: wait until it has published its counters, so no thread
+  // touches mu_ or stats_ once Shutdown returns.
+  MutexLock lock(&mu_);
+  cv_.Wait(&mu_, [this] {
+    QCFE_ASSERT_HELD(mu_);
+    return in_flight_ == 0;
   });
 }
 

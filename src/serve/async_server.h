@@ -21,6 +21,15 @@
 /// So batches grow exactly when the model is busy, which is when batching
 /// pays, and a lone request costs one model call, not a deadline.
 ///
+/// Caller-runs when idle. A request that finds the queue empty, nothing in
+/// flight, and the server idle for at least as long as its last flush took
+/// is served on the submitting thread, as a one-request idle cut, and
+/// Submit returns a ready future: no flusher wake and no promise hand-off.
+/// The idle-time guard keeps batching intact: back-to-back submits see
+/// almost no idle time, so a steady stream still queues for the flushers
+/// and is cut into micro-batches. The model never runs on a caller's
+/// thread while the server is busy.
+///
 /// Contracts:
 ///  * Results are bit-identical to a direct PredictBatchMs / PredictMs call
 ///    on the serving generation's model. Which micro-batch a request lands
@@ -28,13 +37,17 @@
 ///    of co-batched requests, so batching is invisible in the output bits.
 ///  * Per-request status isolation: a request that cannot be served fails
 ///    its own future only; co-batched requests still succeed (see
-///    CostModel::PredictBatchEach).
+///    CostModel::PredictBatchEach). A model call that throws fails every
+///    request of its own cut with kInternal and ends neither the thread it
+///    ran on nor the server.
 ///  * Admission control: when `max_queue` requests are already waiting,
 ///    Submit rejects immediately with StatusCode::kUnavailable instead of
 ///    letting the queue grow without bound.
 ///  * Clean shutdown: Shutdown(kDrain) serves everything already queued,
 ///    Shutdown(kCancel) fails queued requests with kUnavailable; both then
-///    join the flusher threads. The destructor drains.
+///    join the flusher threads and wait for a caller-run cut still in the
+///    model, so no thread touches the server once Shutdown returns. The
+///    destructor drains.
 ///  * Clock-injectable: all waiting goes through a Clock (util/clock.h), so
 ///    tests drive deadline flushes with FakeClock::Advance instead of
 ///    sleeps (and hold a batch in flight with a blocking test model to
@@ -108,6 +121,9 @@ struct AsyncServeStats {
   uint64_t batches_flushed = 0;
   uint64_t full_flushes = 0;      ///< flush reason: batch reached max_batch
   uint64_t idle_flushes = 0;      ///< flush reason: nothing else in flight
+  /// Idle cuts served on the submitting thread (see Submit); each is also
+  /// counted in idle_flushes, so the flush reasons sum to batches_flushed.
+  uint64_t caller_runs = 0;
   uint64_t deadline_flushes = 0;  ///< flush reason: max_delay deadline
   uint64_t drain_flushes = 0;     ///< flush reason: shutdown drain
   double mean_occupancy = 0.0;    ///< served / batches_flushed
@@ -159,6 +175,12 @@ class AsyncServer {
   /// the request's micro-batch flushes (or immediately, with
   /// kUnavailable, when admission control rejects or the server is shut
   /// down). The plan must outlive the future's completion.
+  ///
+  /// May run the model on the calling thread: a request that finds the
+  /// server idle (queue empty, nothing in flight, and idle for at least as
+  /// long as its last flush took) is served here, as a one-request idle
+  /// cut, and the returned future is already ready. Never while the server
+  /// is busy: every other request is queued for the flusher threads.
   std::future<Result<double>> Submit(const PlanNode& plan, int env_id);
 
   enum class ShutdownMode {
@@ -200,7 +222,8 @@ class AsyncServer {
   const AsyncServeConfig& config() const { return config_; }
 
  private:
-  enum class FlushReason { kFull, kIdle, kDeadline, kDrain };
+  /// kCallerRun is an idle cut served on the submitting thread.
+  enum class FlushReason { kFull, kIdle, kCallerRun, kDeadline, kDrain };
 
   struct Pending {
     PlanSample sample;
@@ -219,7 +242,8 @@ class AsyncServer {
   /// non-empty.
   std::vector<Pending> CutBatchLocked() QCFE_REQUIRES(mu_);
   /// Serves one cut batch outside the queue lock, takes it out of flight
-  /// and fulfils its promises.
+  /// and fulfils its promises. Runs on a flusher, or on the submitting
+  /// thread for a caller-run cut.
   void FlushBatch(std::vector<Pending>* batch, FlushReason reason)
       QCFE_EXCLUDES(mu_);
 
@@ -235,6 +259,11 @@ class AsyncServer {
   /// Cut batches not yet back from the model. Zero means the server is
   /// idle, and a non-empty queue is then cut at once.
   size_t in_flight_ QCFE_GUARDED_BY(mu_) = 0;
+  /// When the server last went idle (in_flight_ fell to 0), and how long
+  /// the last flush's model call took, both on clock_. Submit serves a
+  /// request inline only once the server has been idle at least that long.
+  int64_t idle_since_micros_ QCFE_GUARDED_BY(mu_) = 0;
+  int64_t last_service_micros_ QCFE_GUARDED_BY(mu_) = 0;
   bool shutdown_ QCFE_GUARDED_BY(mu_) = false;
   AsyncServeStats stats_ QCFE_GUARDED_BY(mu_);
   ObservationListener* listener_ QCFE_GUARDED_BY(mu_) = nullptr;

@@ -2,19 +2,22 @@
 /// (serve/async_server.h). Two layers:
 ///
 ///  * Fake-clock cut-point tests against a stub estimator, fitted into a
-///    pipeline and published once like any served model: the idle cut, the
-///    batch-full and deadline cuts behind a batch in flight, backlog
-///    splitting, shutdown drain/cancel semantics, per-request error
-///    isolation and admission control — with zero sleeps. Time only moves
-///    when the test calls FakeClock::Advance, and a batch is in flight only
-///    while the test holds the stub's flush gate (HeldBatch), so every cut
-///    decision is forced, not raced.
+///    pipeline and published once like any served model: the caller-run
+///    idle cut and its idle-time guard, the batch-full and deadline cuts
+///    behind a batch in flight, backlog splitting, shutdown drain/cancel
+///    semantics, per-request and throwing-model error isolation and
+///    admission control — with zero sleeps. Time only moves when the test
+///    (or a stub request that simulates a slow model call) calls
+///    FakeClock::Advance, and a batch is in flight only while the test
+///    holds the stub's flush gate (HeldBatch), so every cut decision is
+///    forced, not raced.
 ///  * Multi-threaded stress tests against real fitted pipelines: N caller
 ///    threads submit randomized plans and every delivered result must be
 ///    bit-identical to a direct PredictBatchMs call on the same model,
-///    across 1/2/4 flusher threads, repeated runs and a pooled generation.
-///    Which micro-batch a request lands in is scheduling-dependent; the
-///    bits of its answer are not.
+///    across 1/2/4 flusher threads, repeated runs, a pooled generation and
+///    a mix of caller-run and queued requests. Which micro-batch a request
+///    lands in, and on which thread it is served, is scheduling-dependent;
+///    the bits of its answer are not.
 ///
 /// CI runs this suite under ThreadSanitizer and UBSan (see
 /// .github/workflows/ci.yml), and repeats the fake-clock layer under
@@ -23,9 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +54,25 @@ namespace {
 
 /// Requests for this environment pass through the flush gate.
 constexpr int kGateEnv = 1000;
+/// Requests for this environment simulate a slow model call: the stub
+/// advances the registered FakeClock (SlowServeClock) by kSlowServeMicros
+/// while it serves one.
+constexpr int kSlowEnv = 1001;
+constexpr int64_t kSlowServeMicros = 100;
+/// Requests for this environment make the stub model throw.
+constexpr int kThrowEnv = 1002;
+
+/// The clock a kSlowEnv request advances; set by the test that uses it.
+std::atomic<FakeClock*>& SlowServeClock() {
+  static std::atomic<FakeClock*> clock{nullptr};
+  return clock;
+}
+
+/// The thread the stub model last served a request on.
+std::atomic<std::thread::id>& LastServingThread() {
+  static std::atomic<std::thread::id> id{};
+  return id;
+}
 
 /// Test-controlled flush gate. While it is closed, the stub model blocks in
 /// PredictShard on a kGateEnv request until the test opens it, so "a batch
@@ -94,7 +120,8 @@ class FlushGate {
   }
 
  private:
-  /// A leaf: held by a flusher only inside the model, with no server lock.
+  /// A leaf: held only inside the model (on a flusher or a caller-run
+  /// submitter), with no server lock.
   Mutex mu_;
   CondVar cv_;
   bool open_ QCFE_GUARDED_BY(mu_) = true;
@@ -103,8 +130,10 @@ class FlushGate {
 
 /// Deterministic stub estimator: prediction is a pure function of the
 /// request, and env_id < 0 simulates a poisoned request. A kGateEnv request
-/// first waits at the flush gate. No training and no database fixture, so
-/// the cut-point tests run in milliseconds.
+/// first waits at the flush gate, a kSlowEnv one advances the registered
+/// clock and a kThrowEnv one throws. Every call records its thread. No
+/// training and no database fixture, so the cut-point tests run in
+/// milliseconds.
 class StubModel : public CostModel {
  public:
   std::string name() const override { return "stub"; }
@@ -117,8 +146,15 @@ class StubModel : public CostModel {
   void PredictShard(const std::vector<PlanSample>& requests, size_t begin,
                     size_t end,
                     std::vector<BatchPrediction>* out) const override {
+    LastServingThread() = std::this_thread::get_id();
     for (size_t i = begin; i < end; ++i) {
       if (requests[i].env_id == kGateEnv) FlushGate::Get()->Pass();
+      if (requests[i].env_id == kSlowEnv) {
+        SlowServeClock().load()->Advance(kSlowServeMicros);
+      }
+      if (requests[i].env_id == kThrowEnv) {
+        throw std::runtime_error("stub model threw");
+      }
       if (requests[i].env_id < 0) {
         (*out)[i].status =
             Status::NumericError("poisoned request (stub model)");
@@ -162,18 +198,24 @@ StubGeneration* Stub() {
 }
 
 /// Holds one batch in flight: the constructor submits a gate request to an
-/// idle server and returns once a flusher is blocked serving it (the
-/// request was cut alone, as an idle cut). Declare it after the server:
-/// its destructor opens the gate, so an early test exit never leaves the
-/// server's drain waiting on it.
+/// idle server and returns once it is blocked in the model. An idle server
+/// serves that request on the submitting thread (a caller-run idle cut), so
+/// the submit runs on a helper thread, which stays inside Submit until the
+/// gate opens; every flusher is left free. Declare it after the server: its
+/// destructor opens the gate and joins the helper, so an early test exit
+/// never leaves the server's shutdown waiting on it.
 class HeldBatch {
  public:
   HeldBatch(AsyncServer* server, const PlanNode& plan) {
     FlushGate::Get()->Close();
-    reply_ = server->Submit(plan, kGateEnv);
+    submitter_ = std::thread(
+        [this, server, &plan] { reply_ = server->Submit(plan, kGateEnv); });
     FlushGate::Get()->WaitEntered();
   }
-  ~HeldBatch() { FlushGate::Get()->Open(); }
+  ~HeldBatch() {
+    FlushGate::Get()->Open();
+    if (submitter_.joinable()) submitter_.join();
+  }
 
   HeldBatch(const HeldBatch&) = delete;
   HeldBatch& operator=(const HeldBatch&) = delete;
@@ -181,11 +223,13 @@ class HeldBatch {
   /// Lets the held batch finish and returns its reply. Call at most once.
   Result<double> Release() {
     FlushGate::Get()->Open();
+    submitter_.join();
     return reply_.get();
   }
 
  private:
   std::future<Result<double>> reply_;
+  std::thread submitter_;
 };
 
 class AsyncFakeClockTest : public ::testing::Test {
@@ -197,6 +241,11 @@ class AsyncFakeClockTest : public ::testing::Test {
 
   double Direct(const PlanNode& plan, int env_id) {
     return *models_->Current()->PredictMs(plan, env_id);
+  }
+
+  /// True when `f` was already fulfilled when Submit returned.
+  static bool IsReady(const std::future<Result<double>>& f) {
+    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   }
 
   /// Releases `held` and checks its reply.
@@ -217,17 +266,165 @@ TEST_F(AsyncFakeClockTest, IdleServerCutsALoneRequestAtOnce) {
   cfg.max_delay_micros = 1'000'000;  // never reached: time stays at 0
   AsyncServer server(models_, cfg, &clock_);
 
-  // Nothing is in flight, so the request is cut the moment it is queued:
-  // no Advance, no full batch.
+  // Nothing is in flight, so the request is cut at once, alone: no
+  // Advance, no full batch.
   Result<double> r = server.Submit(plan_, 3).get();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(*r, Direct(plan_, 3));
   AsyncServeStats stats = server.stats();
   EXPECT_EQ(stats.batches_flushed, 1u);
   EXPECT_EQ(stats.idle_flushes, 1u);
+  EXPECT_EQ(stats.caller_runs, 1u);
   EXPECT_EQ(stats.full_flushes, 0u);
   EXPECT_EQ(stats.deadline_flushes, 0u);
   EXPECT_EQ(stats.mean_occupancy, 1.0);
+}
+
+TEST_F(AsyncFakeClockTest, IdleSubmitRunsOnTheCallersThread) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_micros = 1'000'000;
+  AsyncServer server(models_, cfg, &clock_);
+
+  // A fresh server is idle, and its last flush took no time: the request
+  // is served inside Submit, on this thread, and no flusher touches it.
+  std::future<Result<double>> f = server.Submit(plan_, 3);
+  ASSERT_TRUE(IsReady(f));
+  EXPECT_EQ(LastServingThread().load(), std::this_thread::get_id());
+  Result<double> r = f.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, Direct(plan_, 3));
+
+  // Time is frozen and every flush took 0 us, so the server stays idle
+  // long enough: the next request runs inline too.
+  std::future<Result<double>> g = server.Submit(other_plan_, 4);
+  ASSERT_TRUE(IsReady(g));
+  EXPECT_EQ(*g.get(), Direct(other_plan_, 4));
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.caller_runs, 2u);
+  EXPECT_EQ(stats.idle_flushes, 2u);
+  EXPECT_EQ(stats.batches_flushed, 2u);
+}
+
+TEST_F(AsyncFakeClockTest, ARequestSoonerThanTheLastServiceTimeQueues) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_micros = 1'000'000;
+  AsyncServer server(models_, cfg, &clock_);
+  SlowServeClock() = &clock_;
+
+  // t=0: idle, so the slow request runs inline; serving it moves the clock
+  // to t=100, and the server went idle at t=100 after a 100 us flush.
+  std::future<Result<double>> first = server.Submit(plan_, kSlowEnv);
+  ASSERT_TRUE(IsReady(first));
+  EXPECT_EQ(LastServingThread().load(), std::this_thread::get_id());
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_EQ(clock_.NowMicros(), kSlowServeMicros);
+
+  // Same instant: idle for 0 us < 100 us, so this one queues and a flusher
+  // serves it (again a 100 us flush, ending at t=200).
+  Result<double> queued = server.Submit(plan_, kSlowEnv).get();
+  EXPECT_TRUE(queued.ok());
+  EXPECT_NE(LastServingThread().load(), std::this_thread::get_id());
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.caller_runs, 1u);
+  EXPECT_EQ(stats.idle_flushes, 2u);
+
+  // Once the server has been idle as long as its last flush took, the next
+  // request runs inline again.
+  clock_.Advance(kSlowServeMicros);
+  std::future<Result<double>> after = server.Submit(plan_, 3);
+  ASSERT_TRUE(IsReady(after));
+  EXPECT_EQ(LastServingThread().load(), std::this_thread::get_id());
+  EXPECT_EQ(*after.get(), Direct(plan_, 3));
+  stats = server.stats();
+  EXPECT_EQ(stats.caller_runs, 2u);
+  EXPECT_EQ(stats.idle_flushes, 3u);
+  EXPECT_EQ(stats.batches_flushed, 3u);
+  server.Shutdown();
+  SlowServeClock() = nullptr;
+}
+
+TEST_F(AsyncFakeClockTest, ShutdownWaitsForACallerRunInTheModel) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_micros = 1'000'000;
+  cfg.num_workers = 2;
+  AsyncServer server(models_, cfg, &clock_);
+  HeldBatch held(&server, plan_);  // in the model on its submitting thread
+
+  // Shutdown joins both (free) flushers at once, but must not return while
+  // the caller-run cut is still in FlushBatch.
+  std::atomic<bool> returned{false};
+  AsyncServeStats at_return;
+  std::thread stopper([&] {
+    server.Shutdown(AsyncServer::ShutdownMode::kDrain);
+    at_return = server.stats();
+    returned = true;
+  });
+  for (int i = 0; i < 1000 && !returned; ++i) std::this_thread::yield();
+  EXPECT_FALSE(returned.load());
+
+  ExpectReleased(&held);
+  stopper.join();
+  EXPECT_TRUE(returned.load());
+  // The held cut had published its counters before Shutdown returned.
+  EXPECT_EQ(at_return.batches_flushed, 1u);
+  EXPECT_EQ(at_return.caller_runs, 1u);
+  EXPECT_EQ(at_return.served, 1u);
+}
+
+TEST_F(AsyncFakeClockTest, ThrowingModelFailsOnlyItsOwnCut) {
+  AsyncServeConfig cfg;
+  cfg.max_batch = 3;
+  cfg.max_delay_micros = 1'000'000;
+  AsyncServer server(models_, cfg, &clock_);
+
+  // Caller-run path: the throw fails this request with kInternal instead
+  // of escaping Submit.
+  std::future<Result<double>> inline_throw = server.Submit(plan_, kThrowEnv);
+  ASSERT_TRUE(IsReady(inline_throw));
+  Result<double> r = inline_throw.get();
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+
+  // Flusher path: the three requests behind the held batch are cut as one
+  // full batch, and the throw fails all three (and not the flusher).
+  {
+    HeldBatch held(&server, plan_);
+    auto a = server.Submit(plan_, 0);
+    auto b = server.Submit(plan_, kThrowEnv);
+    auto c = server.Submit(other_plan_, 1);
+    for (auto* f : {&a, &b, &c}) {
+      Result<double> failed = f->get();
+      EXPECT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    }
+    // The held batch is its own cut: the throw did not reach it.
+    ExpectReleased(&held);
+  }
+
+  // Nothing is left in flight on either path: the next idle request still
+  // runs inline, and the flusher is still alive to serve a queued one.
+  std::future<Result<double>> after = server.Submit(plan_, 3);
+  ASSERT_TRUE(IsReady(after));
+  EXPECT_EQ(*after.get(), Direct(plan_, 3));
+  {
+    HeldBatch held(&server, plan_);
+    auto queued = server.Submit(other_plan_, 5);
+    ExpectReleased(&held);
+    EXPECT_EQ(*queued.get(), Direct(other_plan_, 5));
+  }
+  AsyncServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.served, 8u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.batches_flushed, 6u);
+  EXPECT_EQ(stats.caller_runs, 4u);
+  EXPECT_EQ(stats.full_flushes, 1u);
+  EXPECT_EQ(stats.idle_flushes, 5u);
 }
 
 TEST_F(AsyncFakeClockTest, RequestsQueuedBehindABatchInFlightComeBackAsOne) {
@@ -237,8 +434,9 @@ TEST_F(AsyncFakeClockTest, RequestsQueuedBehindABatchInFlightComeBackAsOne) {
   AsyncServer server(models_, cfg, &clock_);
   HeldBatch held(&server, plan_);
 
-  // The only flusher is in the model: the five requests wait in the queue
-  // and are cut together, as one idle cut, the moment it comes back.
+  // The held batch is in the model: the five requests queue behind it, the
+  // one flusher waits on the head's deadline, and they are cut together,
+  // as one idle cut, the moment the held batch comes back.
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 5; ++env) futures.push_back(server.Submit(plan_, env));
   EXPECT_EQ(server.stats().batches_flushed, 0u);
@@ -252,6 +450,7 @@ TEST_F(AsyncFakeClockTest, RequestsQueuedBehindABatchInFlightComeBackAsOne) {
   EXPECT_EQ(stats.served, 6u);
   EXPECT_EQ(stats.batches_flushed, 2u);
   EXPECT_EQ(stats.idle_flushes, 2u);
+  EXPECT_EQ(stats.caller_runs, 1u);  // the held batch
   EXPECT_EQ(stats.full_flushes, 0u);
   EXPECT_EQ(stats.deadline_flushes, 0u);
 }
@@ -271,7 +470,8 @@ TEST_F(AsyncFakeClockTest, BacklogLongerThanMaxBatchSplitsIntoMaxBatchCuts) {
   for (int env = 0; env < 10; ++env) {
     EXPECT_EQ(*futures[static_cast<size_t>(env)].get(), Direct(plan_, env));
   }
-  // The backlog of 10 is cut 4 + 4 (full) + 2 (idle), after the held
+  // The backlog of 10 is cut 4 + 4 (full, by the flusher while the held
+  // batch is in the model) + 2 (idle, once it is back), after the held
   // batch's own idle cut of 1.
   AsyncServeStats stats = server.stats();
   EXPECT_EQ(stats.served, 11u);
@@ -282,9 +482,9 @@ TEST_F(AsyncFakeClockTest, BacklogLongerThanMaxBatchSplitsIntoMaxBatchCuts) {
 }
 
 TEST_F(AsyncFakeClockTest, IdleCutFollowsTheLastBatchInFlight) {
-  // Two flushers: one holds the gate batch, the other waits on the head's
-  // deadline, which never comes. When the held batch comes back the server
-  // is idle again, and the queue is cut at once, by either flusher.
+  // Two flushers, both waiting on the head's deadline behind the held
+  // batch; the deadline never comes. When the held batch comes back the
+  // server is idle again, and the queue is cut at once, by either flusher.
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
@@ -307,7 +507,7 @@ TEST_F(AsyncFakeClockTest, IdleCutFollowsTheLastBatchInFlight) {
 }
 
 TEST_F(AsyncFakeClockTest, FullBatchFlushesBeforeDeadline) {
-  // The second flusher cuts a full batch while the first is still in the
+  // A flusher cuts a full batch while the held batch is still in the
   // model; no time passes.
   AsyncServeConfig cfg;
   cfg.max_batch = 4;
@@ -393,8 +593,8 @@ TEST_F(AsyncFakeClockTest, DeadlineRunsFromTheOldestQueuedRequest) {
 }
 
 TEST_F(AsyncFakeClockTest, ShutdownDrainServesQueuedWork) {
-  // Drain with a batch in flight: the free flusher serves the queue while
-  // the held batch is still in the model.
+  // Drain with a batch in flight: a flusher serves the queue while the
+  // held batch is still in the model.
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 1'000'000;
@@ -404,8 +604,7 @@ TEST_F(AsyncFakeClockTest, ShutdownDrainServesQueuedWork) {
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
-  // Shutdown joins the flushers, and one of them is held: stop from a
-  // second thread.
+  // Shutdown waits for the held batch: stop from a second thread.
   std::thread stopper(
       [&server] { server.Shutdown(AsyncServer::ShutdownMode::kDrain); });
 
@@ -443,8 +642,8 @@ TEST_F(AsyncFakeClockTest, ShutdownCancelFailsQueuedWork) {
 
   std::vector<std::future<Result<double>>> futures;
   for (int env = 0; env < 3; ++env) futures.push_back(server.Submit(plan_, env));
-  // Shutdown joins the flusher, which is held: stop from a second thread.
-  // Cancel fails the queue before it joins.
+  // Shutdown waits for the held batch: stop from a second thread. Cancel
+  // fails the queue before it joins and waits.
   std::thread stopper(
       [&server] { server.Shutdown(AsyncServer::ShutdownMode::kCancel); });
 
@@ -506,9 +705,9 @@ TEST_F(AsyncFakeClockTest, AdmissionControlRejectsWhenQueueIsFull) {
 
   auto a = server.Submit(plan_, 0);
   auto b = server.Submit(plan_, 1);
-  // The queue cannot shrink (its only flusher is held), so the third
-  // submission is deterministically rejected, with the future ready
-  // immediately.
+  // The queue cannot shrink (a batch is in flight, the queue is not full
+  // and its deadline never comes), so the third submission is
+  // deterministically rejected, with the future ready immediately.
   Result<double> rejected = server.Submit(plan_, 2).get();
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
@@ -525,7 +724,8 @@ TEST_F(AsyncFakeClockTest, AdmissionControlRejectsWhenQueueIsFull) {
 }
 
 TEST_F(AsyncFakeClockTest, MultipleWorkersDrainSeveralFullBatches) {
-  // With one flusher held, the other cuts every pair as a full batch.
+  // With the held batch in flight, the flushers cut every pair as a full
+  // batch.
   AsyncServeConfig cfg;
   cfg.max_batch = 2;
   cfg.max_delay_micros = 1'000'000;
@@ -573,7 +773,7 @@ TEST_F(AsyncFakeClockTest, HugeDelayDisablesDeadlineWithoutOverflow) {
 }
 
 TEST_F(AsyncFakeClockTest, DeadlineFlushWorksWithMultipleWorkers) {
-  // Two free flushers wait on the same head deadline; exactly one cuts.
+  // Three free flushers wait on the same head deadline; exactly one cuts.
   AsyncServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_micros = 500;
@@ -713,6 +913,86 @@ TEST_F(AsyncStressTest, ResultsBitIdenticalToDirectBatchedServing) {
         EXPECT_GE(stats.mean_occupancy, 1.0);
       }
     }
+  }
+}
+
+TEST_F(AsyncStressTest, CallerRunsMixWithQueuedRequests) {
+  // Each caller alternates one-at-a-time requests (submit, then wait:
+  // the server is often idle, so many run on the caller's thread) with
+  // bursts submitted back to back (each finds the server busy or only just
+  // idle, so most queue for the flushers). Every answer must match
+  // PredictMs bit for bit whichever thread served it, and the counters
+  // must balance.
+  constexpr size_t kCallers = 4;
+  constexpr size_t kPerCaller = 96;
+  constexpr size_t kBurst = 8;
+  SwappableModel models(FittedPipeline("qppnet", 47));
+  const Pipeline& direct = *models.Current();
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    std::vector<std::vector<PlanSample>> submissions(kCallers);
+    std::vector<std::vector<double>> expected(kCallers);
+    for (size_t c = 0; c < kCallers; ++c) {
+      submissions[c] = CallerSamples(2000 + workers, c, kPerCaller);
+      for (const PlanSample& s : submissions[c]) {
+        Result<double> ms = direct.PredictMs(*s.plan, s.env_id);
+        ASSERT_TRUE(ms.ok()) << ms.status().ToString();
+        expected[c].push_back(*ms);
+      }
+    }
+
+    AsyncServeConfig cfg;
+    cfg.max_batch = 16;
+    cfg.max_delay_micros = 200;
+    cfg.num_workers = workers;
+    cfg.max_queue = 0;
+    AsyncServer server(&models, cfg);
+    std::vector<std::vector<Result<double>>> got(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        const std::vector<PlanSample>& mine = submissions[c];
+        for (size_t i = 0; i < mine.size();) {
+          // Even rounds: one request at a time; odd rounds: one burst.
+          const bool burst = (i / kBurst) % 2 == 1;
+          const size_t end = std::min(mine.size(), i + kBurst);
+          std::vector<std::future<Result<double>>> futures;
+          for (; i < end; ++i) {
+            futures.push_back(server.Submit(*mine[i].plan, mine[i].env_id));
+            if (!burst) got[c].push_back(futures.back().get());
+          }
+          if (burst) {
+            for (auto& f : futures) got[c].push_back(f.get());
+          }
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    server.Shutdown(AsyncServer::ShutdownMode::kDrain);
+
+    for (size_t c = 0; c < kCallers; ++c) {
+      ASSERT_EQ(got[c].size(), kPerCaller);
+      for (size_t i = 0; i < kPerCaller; ++i) {
+        ASSERT_TRUE(got[c][i].ok()) << got[c][i].status().ToString();
+        EXPECT_EQ(*got[c][i], expected[c][i])
+            << "caller " << c << " sample " << i << " workers " << workers;
+      }
+    }
+    const AsyncServeStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, kCallers * kPerCaller);
+    EXPECT_EQ(stats.served, kCallers * kPerCaller);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.cancelled, 0u);
+    EXPECT_EQ(stats.full_flushes + stats.idle_flushes +
+                  stats.deadline_flushes + stats.drain_flushes,
+              stats.batches_flushed);
+    EXPECT_LE(stats.caller_runs, stats.idle_flushes);
+    // The first request finds a fresh, idle server and always runs inline;
+    // a burst of back-to-back submits from four callers cannot all find the
+    // server idle, so flushers cut some batches too.
+    EXPECT_GE(stats.caller_runs, 1u);
+    EXPECT_LT(stats.caller_runs, stats.batches_flushed);
   }
 }
 
