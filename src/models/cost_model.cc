@@ -26,6 +26,19 @@ BatchRequestDedup::BatchRequestDedup(const std::vector<PlanSample>& batch) {
   }
 }
 
+void CostModel::ServeShard(const std::vector<PlanSample>& requests,
+                           size_t begin, size_t end,
+                           std::vector<BatchPrediction>* out) const {
+  PredictShard(requests, begin, end, out);
+  for (size_t i = begin; i < end; ++i) {
+    BatchPrediction& p = (*out)[i];
+    if (p.status.ok() && !std::isfinite(p.ms)) {
+      p.status = Status::NumericError("prediction is not finite (" +
+                                      std::to_string(p.ms) + " ms)");
+    }
+  }
+}
+
 std::vector<CostModel::BatchPrediction> CostModel::PredictBatchEach(
     const std::vector<PlanSample>& batch, ThreadPool* pool) const {
   // One PredictShard per contiguous block of distinct requests, each
@@ -35,7 +48,7 @@ std::vector<CostModel::BatchPrediction> CostModel::PredictBatchEach(
   std::vector<std::pair<size_t, size_t>> shards = PartitionBlocks(
       unique.size(), pool == nullptr ? 1 : pool->num_workers());
   ParallelFor(pool, shards.size(), [&](size_t b) {
-    PredictShard(dedup.unique, shards[b].first, shards[b].second, &unique);
+    ServeShard(dedup.unique, shards[b].first, shards[b].second, &unique);
   });
   std::vector<BatchPrediction> out;
   out.reserve(batch.size());
@@ -64,10 +77,10 @@ Result<std::vector<double>> CostModel::PredictBatchMs(
 
 Result<double> CostModel::PredictMs(const PlanNode& plan, int env_id) const {
   // One non-null request has nothing to dedup or shard: PredictBatchEach
-  // would run exactly this one-slot PredictShard.
+  // would run exactly this one-slot ServeShard.
   const std::vector<PlanSample> request = {{&plan, env_id, 0.0}};
   std::vector<BatchPrediction> out(1);
-  PredictShard(request, 0, 1, &out);
+  ServeShard(request, 0, 1, &out);
   if (!out[0].status.ok()) return out[0].status;
   return out[0].ms;
 }

@@ -90,8 +90,9 @@ class CostModel {
   // Serving is one pure virtual, PredictShard (protected, below), behind
   // three non-virtual entry points: PredictBatchEach runs it shard by
   // shard, PredictBatchMs wraps PredictBatchEach, and PredictMs runs it on
-  // its one request. None of them reads the pool set by set_thread_pool;
-  // the serving pool is always an explicit argument.
+  // its one request. Both runs go through ServeShard, which fails a
+  // non-finite prediction in its own slot. None of them reads the pool set
+  // by set_thread_pool; the serving pool is always an explicit argument.
 
   /// Batched prediction with per-request status isolation, the serving
   /// hot path: positionally aligned with `batch`, and a request that
@@ -173,6 +174,12 @@ class CostModel {
                             std::vector<BatchPrediction>* out) const = 0;
 
  private:
+  /// PredictShard, then the one finiteness check every serving entry point
+  /// shares: a slot PredictShard left OK with a NaN or infinite value
+  /// fails alone with kNumericError.
+  void ServeShard(const std::vector<PlanSample>& requests, size_t begin,
+                  size_t end, std::vector<BatchPrediction>* out) const;
+
   ThreadPool* pool_ = nullptr;
 };
 
@@ -201,8 +208,7 @@ size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double per_sample_cost_elems);
 
 /// One optimizer step of data-parallel training (`slot_sq` as returned by
-/// Optimizer::SetGrads), refused when the batch went
-/// numerically bad:
+/// AdamOptimizer::SetGrads), refused when the batch went numerically bad:
 /// a non-finite `batch_loss` (a NaN or infinite label, say) or a
 /// non-finite gradient norm returns kNumericError naming `epoch` and
 /// `batch` and applies no step. Without the check a NaN norm slips past

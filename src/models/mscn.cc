@@ -374,7 +374,7 @@ void Mscn::TrainShard(const std::vector<EncodedQuery>& encoded,
   BackwardPacked(shard);
 }
 
-void Mscn::AddShardGrad(const Optimizer::GradBlock& block,
+void Mscn::AddShardGrad(const AdamOptimizer::GradBlock& block,
                         const Shard& shard, Matrix* grad) const {
   const auto [module, k] = grad_slots_[block.slot];
   const size_t rb = block.row_begin;
@@ -398,8 +398,8 @@ void Mscn::AddShardGrad(const Optimizer::GradBlock& block,
   }
 }
 
-std::vector<Optimizer::GradBlock> Mscn::GradBlocks(const double* module_rows,
-                                                   size_t workers) {
+std::vector<AdamOptimizer::GradBlock> Mscn::GradBlocks(
+    const double* module_rows, size_t workers) {
   // Work of a slot ~ its elements x the rows its module sums per query.
   // Cutting the heavy slots into row blocks of about total / (2 workers)
   // keeps one large operator-module weight from holding up the phase. The
@@ -415,7 +415,7 @@ std::vector<Optimizer::GradBlock> Mscn::GradBlocks(const double* module_rows,
   }
   const double target = total / (2.0 * static_cast<double>(workers));
   constexpr size_t kRowQuantum = 4;  // the kernels' register-panel height
-  std::vector<Optimizer::GradBlock> blocks;
+  std::vector<AdamOptimizer::GradBlock> blocks;
   for (size_t s = 0; s < grads.size(); ++s) {
     const size_t rows = grads[s]->rows();
     size_t pieces = 1;
@@ -479,7 +479,7 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
         return q;
       });
 
-  static_cast<AdamOptimizer*>(optimizer_.get())->set_lr(config.learning_rate);
+  optimizer_->set_lr(config.learning_rate);
   Rng train_rng(config.seed);
   std::vector<size_t> order(encoded.size());
   // Chunk autotuning (chunk_size == 0). The chunk width decides where each
@@ -531,7 +531,7 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
   // order (Mlp::AddParamGrad), which keeps the fitted model bit-identical
   // at any thread count.
   const size_t workers = pool == nullptr ? 1 : pool->num_workers();
-  const std::vector<Optimizer::GradBlock> grad_blocks =
+  const std::vector<AdamOptimizer::GradBlock> grad_blocks =
       GradBlocks(module_rows, workers);
   std::vector<Shard> shards;
   std::vector<double> chunk_losses;
@@ -572,7 +572,7 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
       }
       optimizer_->SetGrads(
           grad_blocks,
-          [&](const Optimizer::GradBlock& block, Matrix* grad) {
+          [&](const AdamOptimizer::GradBlock& block, Matrix* grad) {
             for (size_t b = 0; b < shard_chunks.size(); ++b) {
               AddShardGrad(block, shards[b], grad);
             }

@@ -162,14 +162,14 @@ class Mscn : public CostModel {
   /// Adds the shard's contribution to rows [row_begin, row_end) of
   /// optimizer gradient slot block.slot (Grads() order) into `grad`: one
   /// chain per chunk, in chunk order.
-  void AddShardGrad(const Optimizer::GradBlock& block, const Shard& shard,
-                    Matrix* grad) const;
+  void AddShardGrad(const AdamOptimizer::GradBlock& block,
+                    const Shard& shard, Matrix* grad) const;
 
   /// The gradient phase's tasks: every optimizer gradient slot, heavy ones
   /// cut into row blocks of about equal work for `workers` threads, given
   /// the mean rows per query of each module (join, pred, op, final).
-  std::vector<Optimizer::GradBlock> GradBlocks(const double* module_rows,
-                                               size_t workers);
+  std::vector<AdamOptimizer::GradBlock> GradBlocks(
+      const double* module_rows, size_t workers);
 
   void FitScalers(const std::vector<EncodedQuery>& queries,
                   const std::vector<double>& labels_ms);

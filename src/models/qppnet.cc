@@ -209,7 +209,7 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   if (train.empty()) return Status::InvalidArgument("empty training set");
   WallTimer timer;
   FitScalers(train);
-  static_cast<AdamOptimizer*>(optimizer_.get())->set_lr(config.learning_rate);
+  optimizer_->set_lr(config.learning_rate);
   ThreadPool* pool = thread_pool();
 
   // Pre-encode all plans once (per-plan tasks; gathered in sample order).
@@ -261,7 +261,7 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   BatchRows rows;
   std::vector<double> chunk_losses;
   std::vector<double> slot_sq;
-  std::vector<Optimizer::GradBlock> grad_blocks;
+  std::vector<AdamOptimizer::GradBlock> grad_blocks;
   {
     const std::vector<Matrix*> grads = Grads();
     for (size_t s = 0; s < grads.size(); ++s) {
@@ -311,7 +311,7 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
       }
       optimizer_->SetGrads(
           grad_blocks,
-          [&](const Optimizer::GradBlock& block, Matrix* grad) {
+          [&](const AdamOptimizer::GradBlock& block, Matrix* grad) {
             AddBatchGrad(block.slot, rows, grad);
           },
           pool, &slot_sq);

@@ -232,7 +232,7 @@ void ReluMaskBackward(const Matrix& grad_out, const Matrix& pre_activation,
   }
 }
 
-// ------------------------------------------------------- optimizer steps
+// -------------------------------------------------------- optimizer step
 
 void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
               double beta1, double beta2, double eps, double bc1, double bc2) {
@@ -246,15 +246,6 @@ void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
   ActiveTable().adam_step(p->data().data(), g.data().data(), m->data().data(),
                           v->data().data(), p->size(), lr, beta1, beta2, eps,
                           bc1, bc2);
-}
-
-void SgdStep(Matrix* p, const Matrix& g, Matrix* v, double lr,
-             double momentum) {
-  QCFE_CHECK(p->rows() == g.rows() && p->cols() == g.cols() &&
-                 v->rows() == g.rows() && v->cols() == g.cols(),
-             "SgdStep: parameter/gradient/velocity shapes must match");
-  ActiveTable().sgd_step(p->data().data(), g.data().data(), v->data().data(),
-                         p->size(), lr, momentum);
 }
 
 }  // namespace kernels

@@ -19,7 +19,7 @@
 ///  * GemmAT takes the register panel from kMr rows on and the streaming
 ///    loop below that (the panel only pays once it amortises operand loads
 ///    across a full register block).
-///  * GemmBT, the segmented accumulates and the optimizer steps have one
+///  * GemmBT, the segmented accumulates and the optimizer step have one
 ///    slot each. The weight-gradient accumulate always runs the register
 ///    panel, zero inputs included: both estimators hand it a whole batch's
 ///    rows per network at once.
@@ -47,8 +47,8 @@
 /// Across tiers, FMA's single rounding makes contraction results differ
 /// from the scalar tier by a bounded relative error (gated at
 /// kSimdRelTolerance by tests/kernels_test.cc and `bench_micro --smoke`);
-/// ColSumAccumulateSegments, AdamStep and SgdStep use no FMA and no
-/// cross-lane reductions, so they are bit-identical across tiers.
+/// ColSumAccumulateSegments and AdamStep use no FMA and no cross-lane
+/// reductions, so they are bit-identical across tiers.
 ///
 /// Segmented accumulates. GemmATAccumulateSegments/ColSumAccumulateSegments
 /// cut the shared row dimension at caller-given bounds and, per output
@@ -194,7 +194,7 @@ void ReluForward(const Matrix& in, Matrix* out);
 void ReluMaskBackward(const Matrix& grad_out, const Matrix& pre_activation,
                       Matrix* grad_in);
 
-// ------------------------------------------------------- optimizer steps
+// -------------------------------------------------------- optimizer step
 
 /// One Adam update of `p` (with first/second-moment state `m`/`v`) from
 /// gradient `g`; bc1/bc2 are the precomputed bias corrections 1 - beta^t.
@@ -203,11 +203,6 @@ void ReluMaskBackward(const Matrix& grad_out, const Matrix& pre_activation,
 /// across every tier.
 void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
               double beta1, double beta2, double eps, double bc1, double bc2);
-
-/// One SGD+momentum update of `p` (velocity `v`) from gradient `g`.
-/// Bit-identical across tiers for the same reason.
-void SgdStep(Matrix* p, const Matrix& g, Matrix* v, double lr,
-             double momentum);
 
 // ------------------------------------------------------------- reference
 // The historical unblocked loops, self-contained (no dispatch, scalar

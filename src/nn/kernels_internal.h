@@ -64,12 +64,7 @@ struct KernelTable {
   /// every lane operation (mul/add/div/sqrt) is a single IEEE rounding.
   void (*adam_step)(double* p, const double* g, double* m, double* v,
                     size_t n, double lr, double beta1, double beta2,
-                    double eps, double bc1, double bc2);
-  /// One SGD+momentum update over flat arrays of length n. Bit-identical
-  /// across tiers for the same reason.
-  void (*sgd_step)(double* p, const double* g, double* v, size_t n,
-                   double lr, double momentum);
-};
+                    double eps, double bc1, double bc2);};
 
 /// The bit-exact scalar tier (always available; the reference loops'
 /// arithmetic).

@@ -289,14 +289,6 @@ void AdamStepImpl(double* __restrict p, const double* __restrict g,
   }
 }
 
-void SgdStepImpl(double* __restrict p, const double* __restrict g,
-                 double* __restrict v, size_t n, double lr, double momentum) {
-  for (size_t k = 0; k < n; ++k) {
-    v[k] = momentum * v[k] - lr * g[k];
-    p[k] += v[k];
-  }
-}
-
 }  // namespace
 
 void BiasPass(const Matrix& bias, Matrix* out) {
@@ -324,7 +316,6 @@ const KernelTable& ScalarTable() {
       DenseATAccumulate,     // at_acc_panel
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step
-      SgdStepImpl,           // sgd_step
   };
   return table;
 }

@@ -402,7 +402,7 @@ void ColSumAccumulateImpl(const Matrix& a, const size_t* bounds,
   }
 }
 
-// ---------------------------------------------------- optimizer steps
+// ----------------------------------------------------- optimizer step
 
 /// Elementwise Adam with explicit mul/add (never fma) and IEEE sqrt/div:
 /// every lane operation is a single rounding, so the update is
@@ -447,24 +447,6 @@ void AdamStepImpl(double* __restrict p, const double* __restrict g,
   }
 }
 
-void SgdStepImpl(double* __restrict p, const double* __restrict g,
-                 double* __restrict v, size_t n, double lr, double momentum) {
-  const __m256d vmo = _mm256_set1_pd(momentum);
-  const __m256d vlr = _mm256_set1_pd(lr);
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d vv =
-        _mm256_sub_pd(_mm256_mul_pd(vmo, _mm256_loadu_pd(v + k)),
-                      _mm256_mul_pd(vlr, _mm256_loadu_pd(g + k)));
-    _mm256_storeu_pd(v + k, vv);
-    _mm256_storeu_pd(p + k, _mm256_add_pd(_mm256_loadu_pd(p + k), vv));
-  }
-  for (; k < n; ++k) {
-    v[k] = momentum * v[k] - lr * g[k];
-    p[k] += v[k];
-  }
-}
-
 }  // namespace
 
 const KernelTable* Avx2Table() {
@@ -477,7 +459,6 @@ const KernelTable* Avx2Table() {
       DenseATAccumulate,     // at_acc_panel
       ColSumAccumulateImpl,  // colsum_acc
       AdamStepImpl,          // adam_step
-      SgdStepImpl,           // sgd_step
   };
   return &table;
 }

@@ -24,7 +24,7 @@ Matrix LinearLayer::Forward(const Matrix& input) const {
 
 void LinearLayer::ForwardInto(const Matrix& input, Matrix* output) const {
   // Fused bias epilogue: the blocked kernel adds b while the output panel
-  // is still in registers instead of a second AddRowBroadcast pass.
+  // is still in registers instead of a second bias pass.
   kernels::GemmNNBias(input, w_, b_, output);
 }
 

@@ -1,7 +1,6 @@
 #include "nn/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/kernels.h"
 #include "util/rng.h"
@@ -23,11 +22,6 @@ void Matrix::ZeroPadColumns() {
     double* row = data_.data() + r * ld_;
     std::fill(row + cols_, row + ld_, 0.0);
   }
-}
-
-std::vector<double> Matrix::Row(size_t r) const {
-  QCFE_CHECK(r < rows_, "Matrix::Row index out of range");
-  return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);
 }
 
 void Matrix::SetRow(size_t r, const std::vector<double>& values) {
@@ -100,12 +94,6 @@ void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   kernels::GemmNN(a, b, out);
 }
 
-Matrix Matrix::MatMulBT(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  kernels::GemmBT(a, b, &out);
-  return out;
-}
-
 Matrix Matrix::MatMulAT(const Matrix& a, const Matrix& b) {
   Matrix out;
   kernels::GemmAT(a, b, &out);
@@ -126,30 +114,8 @@ void Matrix::Add(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::Sub(const Matrix& other) {
-  QCFE_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-             "Matrix::Sub shape mismatch");
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
 void Matrix::Scale(double s) {
   for (double& x : data_) x *= s;
-}
-
-void Matrix::Hadamard(const Matrix& other) {
-  QCFE_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-             "Matrix::Hadamard shape mismatch");
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
-void Matrix::AddRowBroadcast(const Matrix& row) {
-  QCFE_CHECK(row.rows() == 1 && row.cols() == cols_,
-             "AddRowBroadcast requires a 1 x cols() row vector");
-  for (size_t r = 0; r < rows_; ++r) {
-    double* dst = RowPtr(r);
-    const double* src = row.RowPtr(0);
-    for (size_t c = 0; c < cols_; ++c) dst[c] += src[c];
-  }
 }
 
 Matrix Matrix::ColSum() const {
@@ -162,22 +128,6 @@ Matrix Matrix::ColSum() const {
   return out;
 }
 
-Matrix Matrix::ColMean() const {
-  // Sum and scale in one output matrix — same chains as ColSum() followed
-  // by Scale(), without the intermediate allocation.
-  Matrix out(1, cols_);
-  double* dst = out.RowPtr(0);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* src = RowPtr(r);
-    for (size_t c = 0; c < cols_; ++c) dst[c] += src[c];
-  }
-  if (rows_ > 0) {
-    const double inv = 1.0 / static_cast<double>(rows_);
-    for (size_t c = 0; c < cols_; ++c) dst[c] *= inv;
-  }
-  return out;
-}
-
 void Matrix::RandomizeGaussian(Rng* rng, double stddev) {
   // Row-wise: the pad columns must stay zero (and the draw sequence must
   // cover exactly the logical elements, independent of the padded layout).
@@ -185,12 +135,6 @@ void Matrix::RandomizeGaussian(Rng* rng, double stddev) {
     double* dst = RowPtr(r);
     for (size_t c = 0; c < cols_; ++c) dst[c] = rng->Gaussian(0.0, stddev);
   }
-}
-
-double Matrix::Norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
 }
 
 }  // namespace qcfe

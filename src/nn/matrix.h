@@ -97,9 +97,6 @@ class Matrix {
   /// Sets every entry to v.
   void Fill(double v);
 
-  /// Copies one row out as a vector.
-  std::vector<double> Row(size_t r) const;
-
   /// Overwrites one row from a vector (size must equal cols()).
   void SetRow(size_t r, const std::vector<double>& values);
 
@@ -129,9 +126,6 @@ class Matrix {
   /// alias `a` or `b`.
   static void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
-  /// a * b^T without materialising the transpose: (m x k) * (n x k) -> (m x n).
-  static Matrix MatMulBT(const Matrix& a, const Matrix& b);
-
   /// a^T * b without materialising the transpose: (k x m) * (k x n) -> (m x n).
   static Matrix MatMulAT(const Matrix& a, const Matrix& b);
 
@@ -139,27 +133,14 @@ class Matrix {
 
   /// this += other (same shape).
   void Add(const Matrix& other);
-  /// this -= other (same shape).
-  void Sub(const Matrix& other);
   /// this *= scalar.
   void Scale(double s);
-  /// this = this (elementwise *) other (same shape).
-  void Hadamard(const Matrix& other);
-
-  /// Adds a row vector (1 x cols) to every row; used for biases.
-  void AddRowBroadcast(const Matrix& row);
 
   /// Column-wise sum producing a 1 x cols row vector.
   Matrix ColSum() const;
 
-  /// Column-wise mean producing a 1 x cols row vector.
-  Matrix ColMean() const;
-
   /// Gaussian init: N(0, stddev). Used for weight initialisation.
   void RandomizeGaussian(Rng* rng, double stddev);
-
-  /// Frobenius norm.
-  double Norm() const;
 
  private:
   /// Rows are padded to a multiple of 8 doubles so each row starts on a

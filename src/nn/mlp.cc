@@ -1,9 +1,6 @@
 #include "nn/mlp.h"
 
 #include <algorithm>
-#include <iomanip>
-#include <istream>
-#include <ostream>
 
 #include "nn/kernels.h"
 #include "nn/matrix_io.h"
@@ -202,86 +199,6 @@ std::vector<Matrix*> Mlp::Grads() {
   return out;
 }
 
-Status Mlp::Save(std::ostream& os) const {
-  os << std::setprecision(17);
-  os << "mlp " << in_dim_ << " " << out_dim_ << " "
-     << static_cast<int>(act_) << " " << layers_.size() << "\n";
-  for (const auto& layer : layers_) {
-    os << static_cast<int>(layer->kind());
-    if (layer->kind() == LayerKind::kLinear) {
-      const auto* lin = static_cast<const LinearLayer*>(layer.get());
-      os << " " << lin->in_dim() << " " << lin->out_dim() << "\n";
-      // Logical elements only, row by row: the serialized format is exactly
-      // rows*cols values, independent of the padded storage layout.
-      const Matrix& w = lin->weights();
-      for (size_t r = 0; r < w.rows(); ++r) {
-        const double* row = w.RowPtr(r);
-        for (size_t c = 0; c < w.cols(); ++c) os << row[c] << " ";
-      }
-      os << "\n";
-      const Matrix& b = lin->bias();
-      for (size_t r = 0; r < b.rows(); ++r) {
-        const double* row = b.RowPtr(r);
-        for (size_t c = 0; c < b.cols(); ++c) os << row[c] << " ";
-      }
-    }
-    os << "\n";
-  }
-  if (!os.good()) return Status::Internal("stream write failed");
-  return Status::OK();
-}
-
-Status Mlp::Load(std::istream& is) {
-  std::string magic;
-  size_t n_layers = 0;
-  int act = 0;
-  is >> magic >> in_dim_ >> out_dim_ >> act >> n_layers;
-  if (magic != "mlp" || !is.good()) {
-    return Status::ParseError("bad mlp header");
-  }
-  act_ = static_cast<Activation>(act);
-  layers_.clear();
-  Rng dummy(0);
-  for (size_t i = 0; i < n_layers; ++i) {
-    int kind = 0;
-    is >> kind;
-    switch (static_cast<LayerKind>(kind)) {
-      case LayerKind::kLinear: {
-        size_t in = 0, out = 0;
-        is >> in >> out;
-        auto lin = std::make_unique<LinearLayer>(in, out, &dummy);
-        // Mirror of Save: read exactly rows*cols logical values per matrix,
-        // leaving the storage pad columns untouched (zero).
-        Matrix& w = lin->weights();
-        for (size_t r = 0; r < w.rows(); ++r) {
-          double* row = w.RowPtr(r);
-          for (size_t c = 0; c < w.cols(); ++c) is >> row[c];
-        }
-        Matrix& b = lin->bias();
-        for (size_t r = 0; r < b.rows(); ++r) {
-          double* row = b.RowPtr(r);
-          for (size_t c = 0; c < b.cols(); ++c) is >> row[c];
-        }
-        layers_.push_back(std::move(lin));
-        break;
-      }
-      case LayerKind::kRelu:
-        layers_.push_back(std::make_unique<ReluLayer>());
-        break;
-      case LayerKind::kSigmoid:
-        layers_.push_back(std::make_unique<SigmoidLayer>());
-        break;
-      case LayerKind::kTanh:
-        layers_.push_back(std::make_unique<TanhLayer>());
-        break;
-      default:
-        return Status::ParseError("unknown layer kind");
-    }
-    if (!is.good() && !is.eof()) return Status::ParseError("truncated mlp");
-  }
-  return Status::OK();
-}
-
 void Mlp::SaveBinary(ByteWriter* w) const {
   w->PutU32(static_cast<uint32_t>(in_dim_));
   w->PutU32(static_cast<uint32_t>(out_dim_));
@@ -373,17 +290,6 @@ void Mlp::AppendLayer(std::unique_ptr<Layer> layer) {
     in_dim_ = 0;
   }
   layers_.push_back(std::move(layer));
-}
-
-Mlp Mlp::Clone() const {
-  Mlp copy;
-  copy.in_dim_ = in_dim_;
-  copy.out_dim_ = out_dim_;
-  copy.act_ = act_;
-  for (const auto& layer : layers_) {
-    copy.layers_.push_back(CloneLayer(*layer));
-  }
-  return copy;
 }
 
 Status Mlp::ShrinkInputs(const std::vector<size_t>& kept_columns) {

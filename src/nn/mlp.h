@@ -8,7 +8,6 @@
 /// final regressor.
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +36,8 @@ class Mlp {
   /// paper's models use ReLU; Sigmoid/Tanh exist for ablation tests.
   Mlp(const std::vector<size_t>& layer_dims, Activation act, Rng* rng);
 
-  /// Deserialization constructor (empty net; use Load()).
+  /// Empty net, filled by AppendLayer (composite views). Artifacts restore
+  /// weights with LoadBinary into a net built with the saved dims instead.
   Mlp() = default;
 
   /// Caller-owned activation record of one forward pass: activations[0] is
@@ -146,11 +146,6 @@ class Mlp {
   size_t num_layers() const { return layers_.size(); }
   const std::vector<std::unique_ptr<Layer>>& layers() const { return layers_; }
 
-  /// Serializes architecture + weights to a text stream.
-  Status Save(std::ostream& os) const;
-  /// Restores a network saved with Save().
-  Status Load(std::istream& is);
-
   /// Appends architecture + weights to `w` in the exact little-endian binary
   /// form used by model artifacts (core/artifact.h) — doubles as bit
   /// patterns, so a round trip is bit-identical.
@@ -162,9 +157,6 @@ class Mlp {
   /// construction stay bound. Architecture mismatch is kFailedPrecondition;
   /// truncated bytes are kDataLoss.
   Status LoadBinary(ByteReader* r);
-
-  /// Deep copy (fresh caches, same weights).
-  Mlp Clone() const;
 
   /// Appends a layer (composite-view construction: feature reduction builds
   /// "embed -> unit -> select" stacks from trained layers). Updates

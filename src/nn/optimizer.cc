@@ -59,15 +59,31 @@ bool ClearlyBelow(const std::vector<Matrix*>& grads,
 
 }  // namespace
 
-void Optimizer::SetGrads(const std::vector<GradBlock>& blocks,
-                         const BlockFill& fill, ThreadPool* pool,
-                         std::vector<double>* slot_sq) {
+AdamOptimizer::AdamOptimizer(std::vector<Matrix*> params,
+                             std::vector<Matrix*> grads, double lr,
+                             double beta1, double beta2, double eps)
+    : params_(std::move(params)),
+      grads_(std::move(grads)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
+  assert(params_.size() == grads_.size());
+  for (Matrix* p : params_) {
+    m_.emplace_back(p->rows(), p->cols());
+    v_.emplace_back(p->rows(), p->cols());
+  }
+}
+
+void AdamOptimizer::SetGrads(const std::vector<GradBlock>& blocks,
+                             const BlockFill& fill, ThreadPool* pool,
+                             std::vector<double>* slot_sq) {
   std::vector<double> block_sq(blocks.size(), 0.0);
   ParallelFor(pool, blocks.size(), [&](size_t i) {
     const GradBlock& block = blocks[i];
     Matrix* g = grads_[block.slot];
     QCFE_CHECK(block.row_begin <= block.row_end && block.row_end <= g->rows(),
-               "Optimizer::SetGrads: block rows outside the gradient");
+               "AdamOptimizer::SetGrads: block rows outside the gradient");
     // Rows are contiguous in the padded layout (pads are zero), so the
     // block is one flat run of the buffer.
     double* begin = g->data().data() + block.row_begin * g->ld();
@@ -80,40 +96,6 @@ void Optimizer::SetGrads(const std::vector<GradBlock>& blocks,
   slot_sq->assign(grads_.size(), 0.0);
   for (size_t i = 0; i < blocks.size(); ++i) {
     (*slot_sq)[blocks[i].slot] += block_sq[i];
-  }
-}
-
-SgdOptimizer::SgdOptimizer(std::vector<Matrix*> params,
-                           std::vector<Matrix*> grads, double lr,
-                           double momentum)
-    : Optimizer(std::move(params), std::move(grads)),
-      lr_(lr),
-      momentum_(momentum) {
-  assert(params_.size() == grads_.size());
-  for (Matrix* p : params_) velocity_.emplace_back(p->rows(), p->cols());
-}
-
-Status SgdOptimizer::Step(ThreadPool* pool) {
-  // The update runs in the active kernel ISA tier; lane arithmetic is
-  // single-rounding only, so every tier produces bit-identical parameters.
-  ParallelFor(pool, params_.size(), [&](size_t i) {
-    kernels::SgdStep(params_[i], *grads_[i], &velocity_[i], lr_, momentum_);
-  });
-  return Status::OK();
-}
-
-AdamOptimizer::AdamOptimizer(std::vector<Matrix*> params,
-                             std::vector<Matrix*> grads, double lr,
-                             double beta1, double beta2, double eps)
-    : Optimizer(std::move(params), std::move(grads)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
-  assert(params_.size() == grads_.size());
-  for (Matrix* p : params_) {
-    m_.emplace_back(p->rows(), p->cols());
-    v_.emplace_back(p->rows(), p->cols());
   }
 }
 

@@ -2,8 +2,8 @@
 #define QCFE_NN_OPTIMIZER_H_
 
 /// \file optimizer.h
-/// First-order optimizers over (param, grad) pairs. Adam is the default for
-/// both estimators, matching the reference QPPNet/MSCN implementations.
+/// Adam over (param, grad) pairs: the one optimizer both estimators train
+/// with, matching the reference QPPNet/MSCN implementations.
 ///
 /// Every per-batch phase that touches all parameter slots (the gradient
 /// phase and the optimizer step) can fan out over a ThreadPool passed per
@@ -26,19 +26,13 @@ class ByteReader;
 class ByteWriter;
 class ThreadPool;
 
-/// Base optimizer bound to a fixed set of parameter/gradient pairs.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction, bound to a fixed set of
+/// parameter/gradient pairs.
+class AdamOptimizer {
  public:
-  Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads)
-      : params_(std::move(params)), grads_(std::move(grads)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the currently accumulated gradients. With a
-  /// pool the update runs one parameter slot per task; null runs the plain
-  /// loop. Both are bit-identical. A gradient norm that is not finite
-  /// (checked when the optimizer computes one) is kNumericError, and no
-  /// parameter or optimizer state changes.
-  virtual Status Step(ThreadPool* pool = nullptr) = 0;
+  AdamOptimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads,
+                double lr, double beta1 = 0.9, double beta2 = 0.999,
+                double eps = 1e-8);
 
   /// Zeroes all bound gradients.
   void ZeroGrad() {
@@ -62,44 +56,22 @@ class Optimizer {
   /// grad); with a pool, blocks run concurrently, so splitting a large
   /// gradient into row blocks balances the phase without changing a bit.
   /// `slot_sq` (optional) receives each slot's sum of squares, its
-  /// blocks' sums added in block order, for AdamOptimizer::Step's clip
-  /// check (which uses them only as a bound).
+  /// blocks' sums added in block order, for Step's clip check (which uses
+  /// them only as a bound).
   void SetGrads(const std::vector<GradBlock>& blocks, const BlockFill& fill,
                 ThreadPool* pool, std::vector<double>* slot_sq = nullptr);
 
- protected:
-  std::vector<Matrix*> params_;
-  std::vector<Matrix*> grads_;
-};
-
-/// Stochastic gradient descent with classical momentum.
-class SgdOptimizer : public Optimizer {
- public:
-  SgdOptimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-               double lr, double momentum = 0.0);
-  Status Step(ThreadPool* pool = nullptr) override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class AdamOptimizer : public Optimizer {
- public:
-  AdamOptimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-                double lr, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
-  /// Clips (when enabled) and updates. Whenever clipping may apply, the
-  /// clip norm is summed serially in slot order, skipping all-zero slots
-  /// (they add exactly +0), so it is the same number with or without a
-  /// pool. Per-slot sums of squares, taken in parallel, first skip that
-  /// chain when they prove the norm inside the clip radius.
-  Status Step(ThreadPool* pool = nullptr) override;
+  /// Applies one update using the currently bound gradients: clips (when
+  /// enabled), then updates. With a pool the update runs one parameter
+  /// slot per task; null runs the plain loop. Both are bit-identical.
+  /// Whenever clipping may apply, the clip norm is summed serially in slot
+  /// order, skipping all-zero slots (they add exactly +0), so it is the
+  /// same number with or without a pool. Per-slot sums of squares, taken in
+  /// parallel, first skip that chain when they prove the norm inside the
+  /// clip radius. A gradient norm that is not finite (computed only when
+  /// clipping may apply) is kNumericError, and no parameter or optimizer
+  /// state changes.
+  Status Step(ThreadPool* pool = nullptr);
   /// Step for gradients whose per-slot sums of squares are already known
   /// (SetGrads returns them), saving a pass over the gradients.
   Status Step(ThreadPool* pool, const std::vector<double>& slot_sq);
@@ -122,6 +94,8 @@ class AdamOptimizer : public Optimizer {
   Status LoadState(ByteReader* r);
 
  private:
+  std::vector<Matrix*> params_;
+  std::vector<Matrix*> grads_;
   double lr_;
   double beta1_;
   double beta2_;

@@ -1,9 +1,8 @@
 #include "nn/scaler.h"
 
+#include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <ostream>
+#include <string>
 
 #include "nn/matrix_io.h"
 #include "util/serialize.h"
@@ -66,30 +65,6 @@ Status StandardScaler::ShrinkTo(const std::vector<size_t>& kept_columns) {
   return Status::OK();
 }
 
-Status StandardScaler::Save(std::ostream& os) const {
-  os << std::setprecision(17);
-  os << "scaler " << mean_.size() << "\n";
-  for (double v : mean_) os << v << " ";
-  os << "\n";
-  for (double v : std_) os << v << " ";
-  os << "\n";
-  if (!os.good()) return Status::Internal("stream write failed");
-  return Status::OK();
-}
-
-Status StandardScaler::Load(std::istream& is) {
-  std::string magic;
-  size_t d = 0;
-  is >> magic >> d;
-  if (magic != "scaler") return Status::ParseError("bad scaler header");
-  mean_.assign(d, 0.0);
-  std_.assign(d, 1.0);
-  for (double& v : mean_) is >> v;
-  for (double& v : std_) is >> v;
-  if (is.fail()) return Status::ParseError("truncated scaler");
-  return Status::OK();
-}
-
 void LogTargetScaler::Fit(const std::vector<double>& y) {
   fitted_ = true;
   if (y.empty()) {
@@ -143,24 +118,6 @@ std::vector<double> LogTargetScaler::InverseTransform(
 
 double LogTargetScaler::InverseTransformOne(double yt) const {
   return std::expm1(yt * std_ + mean_);
-}
-
-Status LogTargetScaler::Save(std::ostream& os) const {
-  os << std::setprecision(17);
-  os << "logscaler " << mean_ << " " << std_ << " " << t_min_ << " " << t_max_
-     << "\n";
-  if (!os.good()) return Status::Internal("stream write failed");
-  return Status::OK();
-}
-
-Status LogTargetScaler::Load(std::istream& is) {
-  std::string magic;
-  is >> magic >> mean_ >> std_ >> t_min_ >> t_max_;
-  if (magic != "logscaler" || is.fail()) {
-    return Status::ParseError("bad logscaler");
-  }
-  fitted_ = true;
-  return Status::OK();
 }
 
 void StandardScaler::SaveBinary(ByteWriter* w) const {

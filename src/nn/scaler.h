@@ -6,7 +6,6 @@
 /// features and log-transformed standardised targets; both transforms must be
 /// invertible at inference time and serializable with the model.
 
-#include <iosfwd>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -38,9 +37,6 @@ class StandardScaler {
   size_t dims() const { return mean_.size(); }
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& stddev() const { return std_; }
-
-  Status Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   /// Binary form for model artifacts (core/artifact.h): bit-exact doubles.
   void SaveBinary(ByteWriter* w) const;
@@ -78,9 +74,6 @@ class LogTargetScaler {
   bool fitted() const { return fitted_; }
   double mean() const { return mean_; }
   double stddev() const { return std_; }
-
-  Status Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   /// Binary form for model artifacts (core/artifact.h): bit-exact doubles.
   void SaveBinary(ByteWriter* w) const;

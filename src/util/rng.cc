@@ -74,17 +74,10 @@ std::string Rng::RandomString(size_t length) {
   return out;
 }
 
-Rng Rng::Fork(uint64_t stream) {
-  // Mix the stream id into a fresh seed derived from our state without
-  // perturbing our own sequence.
-  uint64_t salted = state_ ^ (0xD1B54A32D192ED03ULL * (stream + 1));
-  return Rng(salted);
-}
-
 Rng Rng::Split(uint64_t stream) const {
   // Full SplitMix64 finalizer over (state, stream) so that adjacent stream
-  // ids land in well-separated states; a distinct additive constant keeps
-  // Split(i) decorrelated from Fork(i) at the same parent state.
+  // ids land in well-separated states; an additive constant other than
+  // Next()'s step keeps Split(i) off the parent's own sequence.
   uint64_t z = state_ + 0xBF58476D1CE4E5B9ULL * (stream + 1);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

@@ -74,17 +74,13 @@ class Rng {
   /// Random lowercase ASCII string of the given length.
   std::string RandomString(size_t length);
 
-  /// Derives an independent child generator; stream `i` differs from stream
-  /// `j` for i != j even with the same parent state.
-  Rng Fork(uint64_t stream);
-
   /// Derives an independent deterministic sub-stream identified by
-  /// `stream`. Unlike Fork(), Split() is const — it does not advance this
-  /// generator — so Split(i) depends only on the generator's state at the
-  /// call and the stream id, never on how many sibling streams were split
-  /// before it. This is the per-task seeding primitive for parallel
-  /// collection and reduction: task i always gets the same stream whether
-  /// tasks run serially, in any interleaving, or not at all.
+  /// `stream`. Split() is const — it does not advance this generator — so
+  /// Split(i) depends only on the generator's state at the call and the
+  /// stream id, never on how many sibling streams were split before it.
+  /// This is the per-task seeding primitive for parallel collection and
+  /// reduction: task i always gets the same stream whether tasks run
+  /// serially, in any interleaving, or not at all.
   Rng Split(uint64_t stream) const;
 
   /// Raw generator state, for model persistence (core/artifact.h): restoring

@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/feature_reduction.h"
 #include "harness/context.h"
@@ -19,6 +22,7 @@
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 #include "workload/benchmark.h"
 #include "workload/collector.h"
 
@@ -89,6 +93,41 @@ TEST_F(ModelsTest, PgBaselinePredictsWithoutTraining) {
   EXPECT_EQ(m.count, test_->size());
   EXPECT_EQ(pg.featurizer(), nullptr);
   EXPECT_FALSE(pg.OperatorView(OpType::kSeqScan, {}).ok());
+}
+
+TEST_F(ModelsTest, NonFinitePredictionFailsOnlyItsOwnSlot) {
+  // The PG formula passes a NaN or infinite root est_cost straight
+  // through; the served value must fail with kNumericError in its own slot
+  // and leave every co-batched request's bits alone.
+  PgCostModel pg;
+  ThreadPool pool(2);
+  for (double poison : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(poison);
+    std::unique_ptr<PlanNode> poisoned = (*test_)[3].plan->Clone();
+    poisoned->est_cost = poison;
+    std::vector<PlanSample> clean(test_->begin(), test_->begin() + 8);
+    std::vector<PlanSample> dirty = clean;
+    dirty[3].plan = poisoned.get();
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::vector<CostModel::BatchPrediction> want =
+          pg.PredictBatchEach(clean, p);
+      const std::vector<CostModel::BatchPrediction> got =
+          pg.PredictBatchEach(dirty, p);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        if (i == 3) {
+          EXPECT_EQ(got[i].status.code(), StatusCode::kNumericError);
+          continue;
+        }
+        ASSERT_TRUE(want[i].status.ok()) << i;
+        ASSERT_TRUE(got[i].status.ok()) << i;
+        EXPECT_EQ(0, std::memcmp(&got[i].ms, &want[i].ms, sizeof(double)))
+            << "slot " << i;
+      }
+    }
+    Result<double> one = pg.PredictMs(*poisoned, dirty[3].env_id);
+    EXPECT_EQ(one.status().code(), StatusCode::kNumericError);
+  }
 }
 
 TEST_F(ModelsTest, QppNetLearnsTheWorkload) {

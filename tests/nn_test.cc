@@ -1,16 +1,17 @@
 /// Unit tests for src/nn: matrix algebra, layer forward/backward consistency
-/// against numerical gradients, MLP training convergence, optimizers, least
-/// squares, scalers, serialization and input shrinking. The optimizer
-/// suite also pins the pool-parallel gradient phase (chunk-segmented
-/// parameter gradients) and Step to their serial loops, bit for bit.
+/// against numerical gradients, MLP training convergence, the Adam
+/// optimizer, least squares, scalers, binary serialization and input
+/// shrinking. The optimizer suite also pins the pool-parallel gradient
+/// phase (chunk-segmented parameter gradients) and Step to their serial
+/// loops, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "nn/optimizer.h"
 #include "nn/scaler.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -49,19 +51,6 @@ TEST(MatrixTest, MatMulKnownValues) {
   EXPECT_DOUBLE_EQ(c.At(1, 1), 154.0);
 }
 
-TEST(MatrixTest, MatMulBTMatchesExplicitTranspose) {
-  Rng rng(5);
-  Matrix a(4, 3), b(5, 3);
-  a.RandomizeGaussian(&rng, 1.0);
-  b.RandomizeGaussian(&rng, 1.0);
-  Matrix direct = Matrix::MatMulBT(a, b);
-  Matrix expect = Matrix::MatMul(a, b.Transposed());
-  ASSERT_EQ(direct.rows(), expect.rows());
-  for (size_t i = 0; i < direct.data().size(); ++i) {
-    EXPECT_NEAR(direct.data()[i], expect.data()[i], 1e-12);
-  }
-}
-
 TEST(MatrixTest, MatMulATMatchesExplicitTranspose) {
   Rng rng(6);
   Matrix a(4, 3), b(4, 5);
@@ -84,22 +73,14 @@ TEST(MatrixTest, SelectRowsAndCols) {
   EXPECT_DOUBLE_EQ(c.At(2, 0), 8.0);
 }
 
-TEST(MatrixTest, BroadcastAndColumnOps) {
-  Matrix m(2, 2, {1, 2, 3, 4});
-  Matrix row(1, 2, {10, 20});
-  m.AddRowBroadcast(row);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 11.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 24.0);
+TEST(MatrixTest, ColumnSum) {
+  Matrix m(2, 2, {11, 22, 13, 24});
   Matrix s = m.ColSum();
   EXPECT_DOUBLE_EQ(s.At(0, 0), 24.0);
-  Matrix mean = m.ColMean();
-  EXPECT_DOUBLE_EQ(mean.At(0, 1), 23.0);
 }
 
 TEST(MatrixTest, RowAccessors) {
   Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
-  auto row = m.Row(1);
-  EXPECT_EQ(row, (std::vector<double>{4, 5, 6}));
   m.SetRow(0, {9, 9, 9});
   EXPECT_DOUBLE_EQ(m.At(0, 2), 9.0);
 }
@@ -259,7 +240,8 @@ TEST(MlpTest, InputGradientLeavesAccumulatedGradsUntouched) {
 
   std::vector<Matrix> before;
   for (Matrix* g : net.Grads()) before.push_back(*g);
-  ASSERT_GT(before[0].Norm(), 0.0);
+  ASSERT_TRUE(std::any_of(before[0].data().begin(), before[0].data().end(),
+                          [](double v) { return v != 0.0; }));
 
   Matrix probe = net.InputGradient(x);
   ASSERT_EQ(probe.rows(), x.rows());
@@ -281,26 +263,31 @@ TEST(MlpTest, SaveLoadRoundTrip) {
   x.RandomizeGaussian(&rng, 1.0);
   Matrix before = net.Predict(x);
 
-  std::stringstream ss;
-  ASSERT_TRUE(net.Save(ss).ok());
-  Mlp loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  ByteWriter w;
+  net.SaveBinary(&w);
+  // Same architecture, other weights: LoadBinary overwrites them in place.
+  Rng other(49);
+  Mlp loaded({4, 8, 2}, Activation::kRelu, &other);
+  ByteReader r(w.bytes());
+  ASSERT_TRUE(loaded.LoadBinary(&r).ok());
+  EXPECT_EQ(r.remaining(), 0u);
   Matrix after = loaded.Predict(x);
   ASSERT_EQ(before.data().size(), after.data().size());
-  for (size_t i = 0; i < before.data().size(); ++i) {
-    EXPECT_NEAR(before.data()[i], after.data()[i], 1e-9);
-  }
+  EXPECT_EQ(0, std::memcmp(before.data().data(), after.data().data(),
+                           before.data().size() * sizeof(double)));
 }
 
-TEST(MlpTest, CloneIsIndependent) {
-  Rng rng(49);
-  Mlp net({2, 4, 1}, Activation::kRelu, &rng);
-  Mlp copy = net.Clone();
-  Matrix x(1, 2, {1.0, -1.0});
-  EXPECT_DOUBLE_EQ(net.Predict(x).At(0, 0), copy.Predict(x).At(0, 0));
-  // Mutate the original; the clone must not move.
-  net.Params()[0]->data()[0] += 1.0;
-  EXPECT_NE(net.Predict(x).At(0, 0), copy.Predict(x).At(0, 0));
+TEST(MlpTest, LoadBinaryRejectsTruncatedBytes) {
+  Rng rng(48);
+  Mlp net({4, 8, 2}, Activation::kRelu, &rng);
+  ByteWriter w;
+  net.SaveBinary(&w);
+  for (size_t n = 0; n < w.size(); ++n) {
+    Mlp loaded({4, 8, 2}, Activation::kRelu, &rng);
+    ByteReader r(w.bytes().data(), n);
+    EXPECT_EQ(loaded.LoadBinary(&r).code(), StatusCode::kDataLoss)
+        << n << " of " << w.size() << " bytes";
+  }
 }
 
 TEST(MlpTest, ShrinkInputsKeepsSelectedColumnsBehaviour) {
@@ -327,18 +314,6 @@ TEST(MlpTest, ShrinkInputsRejectsBadColumn) {
   EXPECT_FALSE(net.ShrinkInputs({0, 9}).ok());
 }
 
-TEST(OptimizerTest, SgdReducesQuadratic) {
-  // Minimise f(w) = (w - 3)^2 with SGD.
-  Matrix w(1, 1, {0.0});
-  Matrix g(1, 1);
-  SgdOptimizer opt({&w}, {&g}, 0.1, 0.9);
-  for (int i = 0; i < 200; ++i) {
-    g.At(0, 0) = 2.0 * (w.At(0, 0) - 3.0);
-    ASSERT_TRUE(opt.Step().ok());
-  }
-  EXPECT_NEAR(w.At(0, 0), 3.0, 1e-3);
-}
-
 TEST(OptimizerTest, AdamReducesQuadratic) {
   Matrix w(1, 2, {5.0, -5.0});
   Matrix g(1, 2);
@@ -355,7 +330,7 @@ TEST(OptimizerTest, AdamReducesQuadratic) {
 TEST(OptimizerTest, ZeroGradClearsAll) {
   Matrix w(1, 1, {0.0});
   Matrix g(1, 1, {5.0});
-  SgdOptimizer opt({&w}, {&g}, 0.1);
+  AdamOptimizer opt({&w}, {&g}, 0.1);
   opt.ZeroGrad();
   EXPECT_DOUBLE_EQ(g.At(0, 0), 0.0);
 }
@@ -462,14 +437,6 @@ TEST(OptimizerTest, AdamClipsGradientsExactlyWhenNormExceedsClip) {
   }
 }
 
-TEST(OptimizerTest, SgdStepOnPoolIsBitIdenticalToSerial) {
-  ExpectPoolStepMatchesSerial([](std::vector<Matrix*> p,
-                                  std::vector<Matrix*> g) {
-    return std::make_unique<SgdOptimizer>(std::move(p), std::move(g), 0.05,
-                                          0.9);
-  });
-}
-
 TEST(OptimizerTest, AdamRejectsNonFiniteGradientNorm) {
   std::vector<Matrix> p = OddSlots(), g = OddSlots();
   FillGrads(1, &g);
@@ -542,7 +509,7 @@ TEST(OptimizerTest, SetGradsSumsChunkSegmentsInChunkOrder) {
   }
 
   // Whole slots, plus the multi-row slots cut in two by rows.
-  std::vector<Optimizer::GradBlock> blocks;
+  std::vector<AdamOptimizer::GradBlock> blocks;
   for (size_t s = 0; s < grads.size(); ++s) {
     const size_t rows = grads[s]->rows();
     if (rows < 2) {
@@ -555,11 +522,11 @@ TEST(OptimizerTest, SetGradsSumsChunkSegmentsInChunkOrder) {
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     for (Matrix* g : grads) g->Fill(7.0);  // stale values must not survive
-    SgdOptimizer opt(params, grads, 0.1);
+    AdamOptimizer opt(params, grads, 0.1);
     std::vector<double> slot_sq;
     opt.SetGrads(
         blocks,
-        [&](const Optimizer::GradBlock& block, Matrix* grad) {
+        [&](const AdamOptimizer::GradBlock& block, Matrix* grad) {
           const auto [u, k] = slot_unit[block.slot];
           units[u].AddParamGrad(k, tapes[u], bounds[u], grad,
                                 block.row_begin, block.row_end);
@@ -723,24 +690,66 @@ TEST(ScalerTest, ClampedPredictionsNeverGoNegative) {
   EXPECT_GT(hi, 12.0);
 }
 
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(ScalerTest, SerializationRoundTrip) {
   Matrix x(3, 2, {1, 2, 3, 4, 5, 6});
   StandardScaler sc;
   sc.Fit(x);
-  std::stringstream ss;
-  ASSERT_TRUE(sc.Save(ss).ok());
+  ByteWriter w;
+  sc.SaveBinary(&w);
   StandardScaler sc2;
-  ASSERT_TRUE(sc2.Load(ss).ok());
-  EXPECT_EQ(sc2.mean(), sc.mean());
+  ByteReader r(w.bytes());
+  ASSERT_TRUE(sc2.LoadBinary(&r).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(SameBits(sc2.mean(), sc.mean()));
+  EXPECT_TRUE(SameBits(sc2.stddev(), sc.stddev()));
 
   LogTargetScaler ls;
   ls.Fit({1.0, 2.0, 3.0});
-  std::stringstream ss2;
-  ASSERT_TRUE(ls.Save(ss2).ok());
+  ByteWriter w2;
+  ls.SaveBinary(&w2);
   LogTargetScaler ls2;
-  ASSERT_TRUE(ls2.Load(ss2).ok());
-  EXPECT_DOUBLE_EQ(ls2.mean(), ls.mean());
-  EXPECT_DOUBLE_EQ(ls2.stddev(), ls.stddev());
+  ByteReader r2(w2.bytes());
+  ASSERT_TRUE(ls2.LoadBinary(&r2).ok());
+  EXPECT_EQ(r2.remaining(), 0u);
+  EXPECT_TRUE(ls2.fitted());
+  EXPECT_TRUE(SameBits(ls2.mean(), ls.mean()));
+  EXPECT_TRUE(SameBits(ls2.stddev(), ls.stddev()));
+  // The clamp range travels too.
+  for (double t : {-1e6, 1e6}) {
+    EXPECT_TRUE(SameBits(ls2.ClampTransformed(t), ls.ClampTransformed(t)));
+  }
+}
+
+TEST(ScalerTest, LoadBinaryRejectsTruncatedBytes) {
+  StandardScaler sc;
+  sc.Fit(Matrix(3, 2, {1, 2, 3, 4, 5, 6}));
+  ByteWriter w;
+  sc.SaveBinary(&w);
+  for (size_t n = 0; n < w.size(); ++n) {
+    StandardScaler loaded;
+    ByteReader r(w.bytes().data(), n);
+    EXPECT_EQ(loaded.LoadBinary(&r).code(), StatusCode::kDataLoss)
+        << n << " of " << w.size() << " bytes";
+  }
+  LogTargetScaler ls;
+  ls.Fit({1.0, 2.0, 3.0});
+  ByteWriter w2;
+  ls.SaveBinary(&w2);
+  for (size_t n = 0; n < w2.size(); ++n) {
+    LogTargetScaler loaded;
+    ByteReader r(w2.bytes().data(), n);
+    EXPECT_EQ(loaded.LoadBinary(&r).code(), StatusCode::kDataLoss)
+        << n << " of " << w2.size() << " bytes";
+  }
 }
 
 // Property-style sweep: input gradients match numerics across activations

@@ -232,13 +232,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(a, b);
 }
 
-TEST(RngTest, ForkStreamsAreIndependent) {
-  Rng parent(31);
-  Rng c1 = parent.Fork(1);
-  Rng c2 = parent.Fork(2);
-  EXPECT_NE(c1.Next(), c2.Next());
-}
-
 TEST(RngTest, SplitDoesNotAdvanceParent) {
   Rng a(41), b(41);
   (void)a.Split(0);  // child discarded: only a's own stream is under test
