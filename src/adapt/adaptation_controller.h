@@ -55,7 +55,7 @@ namespace adapt {
 struct AdaptationConfig {
   /// Observation window/buffer capacities (ObservationSink).
   ObservationWindowConfig window;
-  /// Default drift thresholds; per-env overrides go through detector().
+  /// Drift thresholds, the same for every environment.
   DriftConfig drift;
   /// Warm-start retraining budget for each adaptation cycle
   /// (TrainConfig::chunk_size keeps it bit-deterministic at any thread
@@ -143,7 +143,6 @@ class AdaptationController : public ObservationListener {
   Status last_cycle_status() const;
 
   ObservationSink* sink() { return &sink_; }
-  DriftDetector* detector() { return &detector_; }
   const AdaptationConfig& config() const { return config_; }
 
  private:

@@ -70,44 +70,23 @@ DriftVerdict DetectDrift(const std::vector<double>& window_qerrors,
   return v;
 }
 
-DriftDetector::DriftDetector(const DriftConfig& defaults)
-    : defaults_(defaults) {}
-
-void DriftDetector::SetBaseline(int env_id, double mean_qerror) {
-  MutexLock lock(&mu_);
-  baselines_[env_id] = mean_qerror;
-}
+DriftDetector::DriftDetector(const DriftConfig& config) : config_(config) {}
 
 void DriftDetector::SetBaselines(const std::map<int, double>& baselines) {
   MutexLock lock(&mu_);
   baselines_ = baselines;
 }
 
-double DriftDetector::Baseline(int env_id) const {
-  MutexLock lock(&mu_);
-  auto it = baselines_.find(env_id);
-  return it == baselines_.end() ? defaults_.fallback_baseline : it->second;
-}
-
-void DriftDetector::SetEnvConfig(int env_id, const DriftConfig& config) {
-  MutexLock lock(&mu_);
-  env_configs_[env_id] = config;
-}
-
 DriftVerdict DriftDetector::Evaluate(
     int env_id, const std::vector<double>& window_qerrors) const {
-  DriftConfig config;
-  double baseline = 0.0;
+  double baseline = config_.fallback_baseline;
   {
     MutexLock lock(&mu_);
-    auto cfg_it = env_configs_.find(env_id);
-    config = cfg_it == env_configs_.end() ? defaults_ : cfg_it->second;
-    auto base_it = baselines_.find(env_id);
-    baseline = base_it == baselines_.end() ? config.fallback_baseline
-                                           : base_it->second;
+    auto it = baselines_.find(env_id);
+    if (it != baselines_.end()) baseline = it->second;
   }
-  // Pure computation outside the lock: Evaluate never blocks SetBaseline.
-  return DetectDrift(window_qerrors, baseline, config);
+  // Pure computation outside the lock: Evaluate never blocks SetBaselines.
+  return DetectDrift(window_qerrors, baseline, config_);
 }
 
 }  // namespace adapt

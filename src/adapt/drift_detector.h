@@ -20,8 +20,8 @@
 ///
 /// Both tests are pure functions of (window, baseline, config) — no clock,
 /// no hidden state — so a verdict is exactly reproducible from its inputs.
-/// DetectDrift is that pure function; DriftDetector adds the per-env
-/// baseline/threshold table for serving use.
+/// DetectDrift is that pure function; DriftDetector holds the per-env
+/// baselines it is called with, under one DriftConfig for every env.
 
 #include <cstddef>
 #include <map>
@@ -78,35 +78,29 @@ DriftVerdict DetectDrift(const std::vector<double>& window_qerrors,
                          double baseline_mean_qerror,
                          const DriftConfig& config);
 
-/// Per-environment baseline/threshold table around DetectDrift.
+/// Per-environment baseline table around DetectDrift; the thresholds are
+/// the constructor's DriftConfig, the same for every environment.
 /// Thread-safe: serving threads Evaluate while the adaptation controller
 /// refreshes baselines after a retrain. Lock rank:
-/// lock_rank::kDriftDetector, a leaf (the evaluation itself runs on
-/// copied-out values).
+/// lock_rank::kDriftDetector, a leaf (the evaluation itself runs on a
+/// copied-out baseline).
 class DriftDetector {
  public:
-  explicit DriftDetector(const DriftConfig& defaults = {});
+  explicit DriftDetector(const DriftConfig& config = {});
 
-  /// Sets (or replaces) an environment's baseline mean q-error.
-  void SetBaseline(int env_id, double mean_qerror);
   /// Replaces all baselines with `baselines` (typically
-  /// Pipeline::env_baseline_qerror after a fit or retrain).
+  /// Pipeline::env_baseline_qerror after a fit or retrain). An environment
+  /// without one is evaluated against config.fallback_baseline.
   void SetBaselines(const std::map<int, double>& baselines);
-  /// The environment's baseline, or the configured fallback.
-  double Baseline(int env_id) const;
 
-  /// Per-environment threshold override (unset envs use the defaults).
-  void SetEnvConfig(int env_id, const DriftConfig& config);
-
-  /// DetectDrift with this environment's baseline and thresholds.
+  /// DetectDrift with this environment's baseline and the thresholds.
   DriftVerdict Evaluate(int env_id,
                         const std::vector<double>& window_qerrors) const;
 
  private:
+  const DriftConfig config_;
   mutable Mutex mu_{lock_rank::kDriftDetector};
-  DriftConfig defaults_ QCFE_GUARDED_BY(mu_);
   std::map<int, double> baselines_ QCFE_GUARDED_BY(mu_);
-  std::map<int, DriftConfig> env_configs_ QCFE_GUARDED_BY(mu_);
 };
 
 }  // namespace adapt

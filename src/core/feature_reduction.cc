@@ -10,18 +10,6 @@
 
 namespace qcfe {
 
-const char* ReductionAlgorithmName(ReductionAlgorithm algo) {
-  switch (algo) {
-    case ReductionAlgorithm::kGreedy:
-      return "Greedy";
-    case ReductionAlgorithm::kGradient:
-      return "GD";
-    case ReductionAlgorithm::kDiffProp:
-      return "FR";
-  }
-  return "?";
-}
-
 double ReductionResult::ReductionRatio() const {
   size_t total = 0, dropped = 0;
   for (const auto& [op, r] : per_op) {

@@ -37,8 +37,6 @@ enum class ReductionAlgorithm {
   kDiffProp,
 };
 
-const char* ReductionAlgorithmName(ReductionAlgorithm algo);
-
 /// Tuning knobs of the reduction pass.
 struct ReductionConfig {
   ReductionAlgorithm algorithm = ReductionAlgorithm::kDiffProp;

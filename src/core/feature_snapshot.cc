@@ -100,11 +100,6 @@ const OperatorSnapshot& FeatureSnapshot::GetFine(
   return per_op_[static_cast<size_t>(op)];
 }
 
-bool FeatureSnapshot::HasFine(OpType op, const std::string& table) const {
-  return fine_.count(std::to_string(static_cast<size_t>(op)) + "|" + table) >
-         0;
-}
-
 std::vector<OperatorObservation> FeatureSnapshot::ObservationsFrom(
     const LabeledQuerySet& set) {
   std::vector<OperatorObservation> out;

@@ -86,9 +86,6 @@ class FeatureSnapshot {
   /// operator-level coefficients.
   const OperatorSnapshot& GetFine(OpType op, const std::string& table) const;
 
-  /// True if a dedicated (op, table) fit exists.
-  bool HasFine(OpType op, const std::string& table) const;
-
   /// Predicted latency of one operator under this snapshot (for tests and
   /// snapshot-quality diagnostics).
   double PredictMs(OpType op, double n, double n2) const;

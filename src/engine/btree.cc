@@ -1,7 +1,6 @@
 #include "engine/btree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace qcfe {
@@ -77,76 +76,6 @@ void BPlusTree::RelinkLeaves() {
   if (prev != nullptr) prev->next_leaf = nullptr;
 }
 
-BPlusTree::SplitResult BPlusTree::InsertInto(Node* node, double key,
-                                             uint32_t row_id) {
-  SplitResult result;
-  if (node->is_leaf) {
-    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
-    size_t pos = static_cast<size_t>(it - node->keys.begin());
-    node->keys.insert(it, key);
-    node->values.insert(node->values.begin() + static_cast<ptrdiff_t>(pos),
-                        row_id);
-    if (node->keys.size() > kFanout) {
-      auto right = std::make_unique<Node>();
-      right->is_leaf = true;
-      size_t mid = node->keys.size() / 2;
-      right->keys.assign(node->keys.begin() + static_cast<ptrdiff_t>(mid),
-                         node->keys.end());
-      right->values.assign(node->values.begin() + static_cast<ptrdiff_t>(mid),
-                           node->values.end());
-      node->keys.resize(mid);
-      node->values.resize(mid);
-      right->next_leaf = node->next_leaf;
-      node->next_leaf = right.get();
-      result.separator = right->keys.front();
-      result.right = std::move(right);
-    }
-    return result;
-  }
-
-  // Internal: find child.
-  size_t idx = static_cast<size_t>(
-      std::upper_bound(node->keys.begin(), node->keys.end(), key) -
-      node->keys.begin());
-  SplitResult child_split = InsertInto(node->children[idx].get(), key, row_id);
-  if (child_split.right != nullptr) {
-    node->keys.insert(node->keys.begin() + static_cast<ptrdiff_t>(idx),
-                      child_split.separator);
-    node->children.insert(
-        node->children.begin() + static_cast<ptrdiff_t>(idx) + 1,
-        std::move(child_split.right));
-    if (node->keys.size() > kFanout) {
-      auto right = std::make_unique<Node>();
-      right->is_leaf = false;
-      size_t mid = node->keys.size() / 2;
-      result.separator = node->keys[mid];
-      right->keys.assign(node->keys.begin() + static_cast<ptrdiff_t>(mid) + 1,
-                         node->keys.end());
-      for (size_t i = mid + 1; i < node->children.size(); ++i) {
-        right->children.push_back(std::move(node->children[i]));
-      }
-      node->keys.resize(mid);
-      node->children.resize(mid + 1);
-      result.right = std::move(right);
-    }
-  }
-  return result;
-}
-
-void BPlusTree::Insert(double key, uint32_t row_id) {
-  SplitResult split = InsertInto(root_.get(), key, row_id);
-  if (split.right != nullptr) {
-    auto new_root = std::make_unique<Node>();
-    new_root->is_leaf = false;
-    new_root->keys.push_back(split.separator);
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split.right));
-    root_ = std::move(new_root);
-    ++height_;
-  }
-  ++size_;
-}
-
 const BPlusTree::Node* BPlusTree::FindLeaf(double key) const {
   // Descend with lower_bound so a run of duplicate keys that spans node
   // boundaries is entered at its leftmost leaf (separators equal to `key`
@@ -178,18 +107,6 @@ void BPlusTree::RangeScan(double lo, bool lo_inclusive, double hi,
     }
     leaf = leaf->next_leaf;
   }
-}
-
-void BPlusTree::PointLookup(double key, std::vector<uint32_t>* out) const {
-  RangeScan(key, true, key, true, out);
-}
-
-size_t BPlusTree::leaf_count() const {
-  const Node* n = root_.get();
-  while (!n->is_leaf) n = n->children.front().get();
-  size_t count = 0;
-  for (; n != nullptr; n = n->next_leaf) ++count;
-  return count;
 }
 
 }  // namespace qcfe

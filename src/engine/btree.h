@@ -14,36 +14,29 @@
 
 namespace qcfe {
 
-/// Bulk-loadable B+-tree with insert and range scan.
+/// B+-tree built by bulk load and read by range scans (Table::BuildIndex
+/// builds or rebuilds an index whole; nothing updates one in place).
 class BPlusTree {
  public:
-  /// Maximum keys per node before a split.
+  /// Maximum keys per node.
   static constexpr size_t kFanout = 64;
 
   BPlusTree();
 
-  /// Bulk load from (key, row_id) pairs; sorts internally. Faster and more
-  /// compact than repeated Insert; used when an index is first built.
+  /// Bulk load from (key, row_id) pairs; sorts internally. Replaces any
+  /// previous contents.
   void BulkLoad(std::vector<std::pair<double, uint32_t>> entries);
-
-  /// Single insertion (splits on overflow).
-  void Insert(double key, uint32_t row_id);
 
   /// Appends row ids with key in [lo, hi] (inclusive on both ends as
   /// requested) to `out`, in key order. Infinite bounds express one-sided
-  /// ranges.
+  /// ranges; lo == hi, both inclusive, is a point lookup.
   void RangeScan(double lo, bool lo_inclusive, double hi, bool hi_inclusive,
                  std::vector<uint32_t>* out) const;
-
-  /// Appends row ids whose key equals `key`.
-  void PointLookup(double key, std::vector<uint32_t>* out) const;
 
   size_t size() const { return size_; }
   /// Height of the tree (1 = just a leaf). Exposed for tests and for the
   /// cost simulator's index-descent accounting.
   size_t height() const { return height_; }
-  /// Number of leaf nodes (proxy for index pages touched by a full scan).
-  size_t leaf_count() const;
 
  private:
   struct Node {
@@ -56,13 +49,6 @@ class BPlusTree {
     Node* next_leaf = nullptr;  // leaf chain for range scans
   };
 
-  /// Returns the new right sibling if the child split, plus the separator.
-  struct SplitResult {
-    std::unique_ptr<Node> right;
-    double separator = 0.0;
-  };
-
-  SplitResult InsertInto(Node* node, double key, uint32_t row_id);
   const Node* FindLeaf(double key) const;
   void RelinkLeaves();
 

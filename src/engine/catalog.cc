@@ -11,11 +11,6 @@ Status Catalog::AddTable(std::unique_ptr<Table> table) {
   return Status::OK();
 }
 
-Table* Catalog::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
 const Table* Catalog::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();

@@ -20,7 +20,7 @@ class Catalog {
   /// Registers a table; fails on duplicate names.
   Status AddTable(std::unique_ptr<Table> table);
 
-  Table* GetTable(const std::string& name);
+  /// The named table, or nullptr.
   const Table* GetTable(const std::string& name) const;
 
   /// Recomputes statistics for every table (run after data loading).

@@ -34,15 +34,6 @@ const std::vector<OpType>& AllOpTypes() {
   return kAll;
 }
 
-WorkCounts& WorkCounts::operator+=(const WorkCounts& other) {
-  seq_pages += other.seq_pages;
-  rand_pages += other.rand_pages;
-  tuples += other.tuples;
-  index_tuples += other.index_tuples;
-  op_units += other.op_units;
-  return *this;
-}
-
 void PlanNode::Visit(const std::function<void(PlanNode*)>& fn) {
   fn(this);
   for (auto& c : children) c->Visit(fn);

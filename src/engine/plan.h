@@ -48,8 +48,6 @@ struct WorkCounts {
   double tuples = 0.0;        ///< tuples processed by the operator
   double index_tuples = 0.0;  ///< tuples located via an index
   double op_units = 0.0;      ///< operator-specific units (comparisons, probes)
-
-  WorkCounts& operator+=(const WorkCounts& other);
 };
 
 /// A node of a physical plan tree.

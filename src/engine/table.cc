@@ -38,9 +38,7 @@ void Column::Append(const Value& v) {
   }
 }
 
-void Column::AppendInt(int64_t v) { Append(Value(v)); }
 void Column::AppendDouble(double v) { Append(Value(v)); }
-void Column::AppendString(std::string v) { Append(Value(std::move(v))); }
 
 Value Column::Get(size_t row) const {
   switch (type_) {

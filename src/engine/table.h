@@ -30,9 +30,7 @@ class Column {
   size_t size() const;
 
   void Append(const Value& v);
-  void AppendInt(int64_t v);
   void AppendDouble(double v);
-  void AppendString(std::string v);
 
   /// Appends row `row` of `src`, which must have this column's type.
   void AppendFrom(const Column& src, size_t row);

@@ -6,18 +6,6 @@
 
 namespace qcfe {
 
-const char* DataTypeName(DataType t) {
-  switch (t) {
-    case DataType::kInt64:
-      return "int64";
-    case DataType::kFloat64:
-      return "float64";
-    case DataType::kString:
-      return "string";
-  }
-  return "?";
-}
-
 size_t DataTypeWidth(DataType t) {
   switch (t) {
     case DataType::kInt64:

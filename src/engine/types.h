@@ -23,9 +23,6 @@ enum class DataType {
 /// Runtime value; the variant order must match DataType.
 using Value = std::variant<int64_t, double, std::string>;
 
-/// Human-readable type name ("int64", "float64", "string").
-const char* DataTypeName(DataType t);
-
 /// Width in bytes used for page accounting (strings use a fixed average
 /// payload like PostgreSQL's attribute width estimate).
 size_t DataTypeWidth(DataType t);

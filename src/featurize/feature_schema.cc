@@ -1,27 +1,10 @@
 #include "featurize/feature_schema.h"
 
-#include "util/string_util.h"
-
 namespace qcfe {
 
 size_t FeatureSchema::Add(const std::string& name) {
   names_.push_back(name);
   return names_.size() - 1;
-}
-
-std::optional<size_t> FeatureSchema::Find(const std::string& name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return i;
-  }
-  return std::nullopt;
-}
-
-std::vector<size_t> FeatureSchema::FindGroup(const std::string& prefix) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (StartsWith(names_[i], prefix)) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace qcfe

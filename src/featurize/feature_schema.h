@@ -4,9 +4,8 @@
 /// \file feature_schema.h
 /// Named feature dimensions. Every encoder publishes a schema so the
 /// reduction experiments (paper Figure 7) can report *which* features each
-/// algorithm dropped, and masks can be applied by name in tests.
+/// algorithm dropped.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,13 +20,6 @@ class FeatureSchema {
   size_t size() const { return names_.size(); }
   const std::string& name(size_t i) const { return names_[i]; }
   const std::vector<std::string>& names() const { return names_; }
-
-  /// Index of a named dimension.
-  std::optional<size_t> Find(const std::string& name) const;
-
-  /// Indices of dimensions whose name starts with `prefix` (feature groups,
-  /// e.g. "table=" or "pad.").
-  std::vector<size_t> FindGroup(const std::string& prefix) const;
 
   /// Schema equality (same names in the same order).
   bool operator==(const FeatureSchema& other) const {

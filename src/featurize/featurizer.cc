@@ -38,10 +38,6 @@ const FeatureSchema& MaskedFeaturizer::schema(OpType op) const {
   return schemas_[static_cast<size_t>(op)];
 }
 
-const std::vector<size_t>& MaskedFeaturizer::kept(OpType op) const {
-  return kept_[static_cast<size_t>(op)];
-}
-
 std::vector<double> MaskedFeaturizer::Encode(const PlanNode& node,
                                              size_t depth, int env_id) const {
   std::vector<double> full = inner_->Encode(node, depth, env_id);
@@ -49,14 +45,6 @@ std::vector<double> MaskedFeaturizer::Encode(const PlanNode& node,
   std::vector<double> out(keep.size());
   for (size_t i = 0; i < keep.size(); ++i) out[i] = full[keep[i]];
   return out;
-}
-
-size_t MaskedFeaturizer::TotalRemoved() const {
-  size_t removed = 0;
-  for (OpType op : AllOpTypes()) {
-    removed += inner_->dim(op) - dim(op);
-  }
-  return removed;
 }
 
 }  // namespace qcfe

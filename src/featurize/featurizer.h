@@ -74,12 +74,6 @@ class MaskedFeaturizer : public OperatorFeaturizer {
   std::vector<double> Encode(const PlanNode& node, size_t depth,
                              int env_id) const override;
 
-  /// Kept columns for one type (all columns if the type was not reduced).
-  const std::vector<size_t>& kept(OpType op) const;
-
-  /// Total dims removed across all operator types (for reduction ratios).
-  size_t TotalRemoved() const;
-
  private:
   const OperatorFeaturizer* inner_;
   std::array<std::vector<size_t>, kNumOpTypes> kept_;

@@ -113,16 +113,6 @@ OperatorEncoder::OperatorEncoder(const Catalog* catalog,
   }
 }
 
-int OperatorEncoder::TableSlot(const std::string& table) const {
-  auto it = table_slots_.find(table);
-  return it == table_slots_.end() ? -1 : static_cast<int>(it->second);
-}
-
-int OperatorEncoder::ColumnSlot(const std::string& qualified) const {
-  auto it = column_slots_.find(qualified);
-  return it == column_slots_.end() ? -1 : static_cast<int>(it->second);
-}
-
 std::vector<double> OperatorEncoder::Encode(const PlanNode& node,
                                             size_t depth) const {
   std::vector<double> x(schema_.size(), 0.0);

@@ -45,11 +45,6 @@ class OperatorEncoder {
   /// Encodes `node` at tree depth `depth` (root = 0).
   std::vector<double> Encode(const PlanNode& node, size_t depth) const;
 
-  /// Index of a table in the one-hot vocabulary (for tests).
-  int TableSlot(const std::string& table) const;
-  /// Index of a "table.column" in the column vocabulary (for tests).
-  int ColumnSlot(const std::string& qualified) const;
-
  private:
   const Catalog* catalog_;
   EncoderOptions options_;

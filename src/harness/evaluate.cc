@@ -33,17 +33,6 @@ EvalResult EvaluateModel(const CostModel& model,
   return EvaluateWithPool(model, test, model.thread_pool());
 }
 
-EvalResult EvaluateModel(const CostModel& model,
-                         const std::vector<PlanSample>& test,
-                         const Parallelism& parallelism) {
-  int requested = parallelism.num_threads.value_or(1);
-  if (ResolveNumThreads(requested) <= 1) {
-    return EvaluateWithPool(model, test, nullptr);
-  }
-  ThreadPool pool(requested);
-  return EvaluateWithPool(model, test, &pool);
-}
-
 EvalResult EvaluateModel(const Pipeline& pipeline,
                          const std::vector<PlanSample>& test) {
   return EvaluateWithPool(pipeline.model(), test, pipeline.thread_pool());

@@ -23,19 +23,12 @@ struct EvalResult {
   double inference_seconds = 0.0;
 };
 
-/// Predicts every sample through the batched serving path and summarises;
-/// times the prediction call. Falls back to the per-plan loop (scoring
-/// failed samples as 0) if the batch as a whole fails. Uses the model's
-/// attached thread pool, if any.
+/// Predicts every sample in one PredictBatchEach call and summarises;
+/// times that call. A sample the model fails to predict scores 0. Serves
+/// across the model's attached thread pool, if any; the pool changes only
+/// inference_seconds, never a metric.
 EvalResult EvaluateModel(const CostModel& model,
                          const std::vector<PlanSample>& test);
-
-/// Same, serving across a dedicated pool sized by `parallelism` (created
-/// for the call; metrics are bit-identical to the serial overload, only
-/// inference_seconds changes).
-EvalResult EvaluateModel(const CostModel& model,
-                         const std::vector<PlanSample>& test,
-                         const Parallelism& parallelism);
 
 /// Same, through a pipeline facade (serves across the pipeline's pool).
 EvalResult EvaluateModel(const Pipeline& pipeline,

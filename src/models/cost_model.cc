@@ -26,10 +26,60 @@ BatchRequestDedup::BatchRequestDedup(const std::vector<PlanSample>& batch) {
   }
 }
 
+Status CostModel::ValidatePlan(const PlanNode& plan) {
+  // Pre-order with an explicit stack: node numbers match PlanNode::Visit,
+  // and no plan depth can exhaust the call stack.
+  std::vector<const PlanNode*> stack = {&plan};
+  for (size_t index = 0; !stack.empty(); ++index) {
+    const PlanNode& node = *stack.back();
+    stack.pop_back();
+    auto invalid = [index](const std::string& what, int value) {
+      return Status::InvalidArgument("plan node " + std::to_string(index) +
+                                     ": " + what + " " +
+                                     std::to_string(value) +
+                                     " is out of range");
+    };
+    if (static_cast<size_t>(node.op) >= kNumOpTypes) {
+      return invalid("operator type", static_cast<int>(node.op));
+    }
+    for (const Predicate& f : node.filters) {
+      if (static_cast<size_t>(f.op) >
+          static_cast<size_t>(CompareOp::kBetween)) {
+        return invalid("filter comparison", static_cast<int>(f.op));
+      }
+    }
+    for (const Aggregate& a : node.aggregates) {
+      if (static_cast<size_t>(a.kind) >
+          static_cast<size_t>(Aggregate::Kind::kMax)) {
+        return invalid("aggregate kind", static_cast<int>(a.kind));
+      }
+    }
+    for (size_t c = node.children.size(); c > 0; --c) {
+      if (node.children[c - 1] == nullptr) {
+        return Status::InvalidArgument("plan node " + std::to_string(index) +
+                                       ": child " + std::to_string(c - 1) +
+                                       " is null");
+      }
+      stack.push_back(node.children[c - 1].get());
+    }
+  }
+  return Status::OK();
+}
+
 void CostModel::ServeShard(const std::vector<PlanSample>& requests,
                            size_t begin, size_t end,
                            std::vector<BatchPrediction>* out) const {
-  PredictShard(requests, begin, end, out);
+  // PredictShard results do not depend on which requests share a range, so
+  // serving the valid runs between rejected requests keeps every bit.
+  size_t run = begin;
+  for (size_t i = begin; i < end; ++i) {
+    Status valid = ValidatePlan(*requests[i].plan);
+    if (valid.ok()) continue;
+    if (run < i) PredictShard(requests, run, i, out);
+    (*out)[i] = {std::move(valid), 0.0};
+    run = i + 1;
+  }
+  if (run < end) PredictShard(requests, run, end, out);
   for (size_t i = begin; i < end; ++i) {
     BatchPrediction& p = (*out)[i];
     if (p.status.ok() && !std::isfinite(p.ms)) {

@@ -90,22 +90,32 @@ class CostModel {
   // Serving is one pure virtual, PredictShard (protected, below), behind
   // three non-virtual entry points: PredictBatchEach runs it shard by
   // shard, PredictBatchMs wraps PredictBatchEach, and PredictMs runs it on
-  // its one request. Both runs go through ServeShard, which fails a
-  // non-finite prediction in its own slot. None of them reads the pool set
-  // by set_thread_pool; the serving pool is always an explicit argument.
+  // its one request. Both runs go through ServeShard, which keeps a plan
+  // that fails ValidatePlan away from PredictShard and fails a non-finite
+  // prediction, each in its own slot. None of them reads the pool set by
+  // set_thread_pool; the serving pool is always an explicit argument.
+
+  /// The check every served plan passes before any model reads it: walks
+  /// the tree once and returns kInvalidArgument naming the first bad node
+  /// (by pre-order index, the root being node 0) for an operator type, a
+  /// filter's comparison or an aggregate's kind outside its enum, or a
+  /// null child. Each of those would index past a one-hot block or a
+  /// per-operator table, or dereference null, inside featurization.
+  static Status ValidatePlan(const PlanNode& plan);
 
   /// Batched prediction with per-request status isolation, the serving
   /// hot path: positionally aligned with `batch`, and a request that
-  /// cannot be served (null plan, untrained model, numeric failure) fails
-  /// alone instead of poisoning its co-batched neighbours. Repeated
-  /// (plan, environment) requests are served once (BatchRequestDedup),
-  /// null plans fail with kInvalidArgument in their own slots, and the
-  /// distinct requests are sharded into one contiguous block per worker of
-  /// `pool` (null = serial). Per-request arithmetic is row-independent, so
-  /// results are bit-identical for every thread count, every batch
-  /// composition and every repeat pattern — a request gets the same bits
-  /// alone as in any batch. This is the surface the async front end
-  /// (serve/async_server.h) flushes micro-batches through.
+  /// cannot be served (null or invalid plan, untrained model, numeric
+  /// failure) fails alone instead of poisoning its co-batched neighbours.
+  /// Repeated (plan, environment) requests are served once
+  /// (BatchRequestDedup), null plans and plans that fail ValidatePlan fail
+  /// with kInvalidArgument in their own slots, and the distinct requests
+  /// are sharded into one contiguous block per worker of `pool` (null =
+  /// serial). Per-request arithmetic is row-independent, so results are
+  /// bit-identical for every thread count, every batch composition and
+  /// every repeat pattern — a request gets the same bits alone as in any
+  /// batch. This is the surface the async front end (serve/async_server.h)
+  /// flushes micro-batches through.
   std::vector<BatchPrediction> PredictBatchEach(
       const std::vector<PlanSample>& batch, ThreadPool* pool = nullptr) const;
 
@@ -174,9 +184,11 @@ class CostModel {
                             std::vector<BatchPrediction>* out) const = 0;
 
  private:
-  /// PredictShard, then the one finiteness check every serving entry point
-  /// shares: a slot PredictShard left OK with a NaN or infinite value
-  /// fails alone with kNumericError.
+  /// PredictShard over the requests that pass ValidatePlan (in maximal
+  /// contiguous runs; a rejected request takes its validation error), then
+  /// the one finiteness check every serving entry point shares: a slot
+  /// PredictShard left OK with a NaN or infinite value fails alone with
+  /// kNumericError.
   void ServeShard(const std::vector<PlanSample>& requests, size_t begin,
                   size_t end, std::vector<BatchPrediction>* out) const;
 

@@ -154,17 +154,9 @@ Mscn::EncodedQuery Mscn::EncodeQuery(const PlanNode& plan, int env_id,
   if (q.ops.empty()) q.ops.emplace_back(op_dim_, 0.0);
 
   if (scale && scalers_fitted_) {
-    auto apply = [](const StandardScaler& sc,
-                    std::vector<std::vector<double>>* rows) {
-      for (auto& r : *rows) {
-        for (size_t i = 0; i < r.size(); ++i) {
-          r[i] = (r[i] - sc.mean()[i]) / sc.stddev()[i];
-        }
-      }
-    };
-    apply(join_scaler_, &q.joins);
-    apply(pred_scaler_, &q.preds);
-    apply(op_scaler_, &q.ops);
+    for (auto& r : q.joins) join_scaler_.TransformInPlace(&r);
+    for (auto& r : q.preds) pred_scaler_.TransformInPlace(&r);
+    for (auto& r : q.ops) op_scaler_.TransformInPlace(&r);
   }
   return q;
 }

@@ -84,16 +84,8 @@ QppNet::EncodedPlan QppNet::EncodePlan(const PlanNode& plan, int env_id,
             : 0.0;
     std::vector<double> feats = featurizer_->Encode(n, depth, env_id);
     if (scale_features) {
-      // Inline standardisation: identical arithmetic to
-      // StandardScaler::Transform, without the per-node matrix round-trip.
       const StandardScaler& sc = feature_scalers_[static_cast<size_t>(n.op)];
-      if (sc.fitted()) {
-        const std::vector<double>& mean = sc.mean();
-        const std::vector<double>& std = sc.stddev();
-        for (size_t i = 0; i < feats.size(); ++i) {
-          feats[i] = (feats[i] - mean[i]) / std[i];
-        }
-      }
+      if (sc.fitted()) sc.TransformInPlace(&feats);
     }
     encoded.nodes[index].feats = std::move(feats);
     for (const auto& c : n.children) {

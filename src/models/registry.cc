@@ -62,23 +62,6 @@ Result<EstimatorInfo> EstimatorRegistry::Info(const std::string& name) const {
   return it->second.info;
 }
 
-bool EstimatorRegistry::Contains(const std::string& name) const {
-  ReaderMutexLock lock(&mu_);
-  return entries_.count(name) > 0;
-}
-
-std::vector<std::string> EstimatorRegistry::Names() const {
-  // entries_ is an ordered map, so the result is already sorted.
-  ReaderMutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    (void)entry;
-    names.push_back(name);
-  }
-  return names;
-}
-
 EstimatorRegistration::EstimatorRegistration(EstimatorInfo info,
                                              EstimatorRegistry::Factory factory) {
   // A failed static registration (duplicate or empty name) is a programming

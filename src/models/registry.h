@@ -67,11 +67,6 @@ class EstimatorRegistry {
   /// Properties of the named estimator (NotFound for unknown names).
   Result<EstimatorInfo> Info(const std::string& name) const;
 
-  bool Contains(const std::string& name) const;
-
-  /// Registered names in sorted order.
-  std::vector<std::string> Names() const;
-
  private:
   struct Entry {
     EstimatorInfo info;

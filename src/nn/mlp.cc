@@ -171,11 +171,6 @@ void Mlp::PackParamRow(const Tape& tape, size_t row, Tape* packed) const {
   }
 }
 
-Matrix Mlp::InputGradient(const Matrix& input) const {
-  Tape tape;
-  return InputGradient(input, &tape);
-}
-
 Matrix Mlp::InputGradient(const Matrix& input, Tape* tape) const {
   const Matrix& out = Forward(input, tape);
   tape->seed.ResetShape(out.rows(), out.cols());

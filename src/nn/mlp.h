@@ -128,14 +128,10 @@ class Mlp {
   void PackParamRow(const Tape& tape, size_t row, Tape* packed) const;
 
   /// d(output_0)/d(input) for each sample: runs Forward+Backward with a
-  /// one-hot output gradient on a private tape, so optimizer-bound
-  /// parameter grads are untouched (byte-for-byte).
-  /// Returns a (batch x in_dim) matrix.
-  Matrix InputGradient(const Matrix& input) const;
-
-  /// InputGradient through a caller-owned tape, so repeated probes (e.g.
-  /// the gradient-importance sweep in feature reduction) reuse one scratch
-  /// arena instead of allocating per call.
+  /// one-hot output gradient on the caller's tape, so optimizer-bound
+  /// parameter grads are untouched (byte-for-byte), and repeated probes
+  /// (the gradient-importance sweep in feature reduction) reuse one
+  /// scratch arena. Returns a (batch x in_dim) matrix.
   Matrix InputGradient(const Matrix& input, Tape* tape) const;
 
   std::vector<Matrix*> Params();

@@ -37,20 +37,10 @@ void StandardScaler::Fit(const Matrix& x) {
   }
 }
 
-Matrix StandardScaler::Transform(const Matrix& x) const {
-  Matrix out = x;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.RowPtr(r);
-    for (size_t c = 0; c < out.cols(); ++c) {
-      row[c] = (row[c] - mean_[c]) / std_[c];
-    }
+void StandardScaler::TransformInPlace(std::vector<double>* row) const {
+  for (size_t c = 0; c < row->size(); ++c) {
+    (*row)[c] = ((*row)[c] - mean_[c]) / std_[c];
   }
-  return out;
-}
-
-Matrix StandardScaler::FitTransform(const Matrix& x) {
-  Fit(x);
-  return Transform(x);
 }
 
 Status StandardScaler::ShrinkTo(const std::vector<size_t>& kept_columns) {
@@ -98,22 +88,8 @@ double LogTargetScaler::ClampTransformed(double yt, double margin) const {
   return yt;
 }
 
-std::vector<double> LogTargetScaler::Transform(
-    const std::vector<double>& y) const {
-  std::vector<double> out(y.size());
-  for (size_t i = 0; i < y.size(); ++i) out[i] = TransformOne(y[i]);
-  return out;
-}
-
 double LogTargetScaler::TransformOne(double y) const {
   return (std::log1p(std::max(y, 0.0)) - mean_) / std_;
-}
-
-std::vector<double> LogTargetScaler::InverseTransform(
-    const std::vector<double>& yt) const {
-  std::vector<double> out(yt.size());
-  for (size_t i = 0; i < yt.size(); ++i) out[i] = InverseTransformOne(yt[i]);
-  return out;
 }
 
 double LogTargetScaler::InverseTransformOne(double yt) const {

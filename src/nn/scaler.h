@@ -23,11 +23,9 @@ class StandardScaler {
   /// Learns column means/stds from the batch.
   void Fit(const Matrix& x);
 
-  /// Applies the learned transform (columns must match Fit input).
-  Matrix Transform(const Matrix& x) const;
-
-  /// Fit + Transform in one step.
-  Matrix FitTransform(const Matrix& x);
+  /// Applies the learned transform to one row in place (its length must
+  /// match the Fit input's columns).
+  void TransformInPlace(std::vector<double>* row) const;
 
   /// Keeps only the listed columns of the fitted statistics; mirrors
   /// Mlp::ShrinkInputs after feature reduction.
@@ -54,12 +52,9 @@ class LogTargetScaler {
  public:
   void Fit(const std::vector<double>& y);
 
-  std::vector<double> Transform(const std::vector<double>& y) const;
-
-  /// Inverse transform back to original units (expm1 of de-standardised).
-  std::vector<double> InverseTransform(const std::vector<double>& yt) const;
-  double InverseTransformOne(double yt) const;
   double TransformOne(double y) const;
+  /// Inverse transform back to original units (expm1 of de-standardised).
+  double InverseTransformOne(double yt) const;
 
   /// Clamps a transformed prediction to the label range observed at Fit()
   /// time (+ margin above only). Predictions outside the observed range are

@@ -8,42 +8,6 @@
 
 namespace qcfe {
 
-const char* SimplifiedOpClassName(SimplifiedOpClass c) {
-  switch (c) {
-    case SimplifiedOpClass::kScan:
-      return "scan";
-    case SimplifiedOpClass::kSort:
-      return "sort";
-    case SimplifiedOpClass::kAggregate:
-      return "aggregate";
-    case SimplifiedOpClass::kJoin:
-      return "join";
-  }
-  return "?";
-}
-
-std::string SimplifiedTemplate::ToPattern() const {
-  switch (op_class) {
-    case SimplifiedOpClass::kScan:
-      return "SELECT * FROM " + table + " WHERE " + column + " [OP] [VALUE]";
-    case SimplifiedOpClass::kSort:
-      return "SELECT * FROM " + table + " WHERE " + column +
-             " [OP] [VALUE] ORDER BY " + table + "." + column;
-    case SimplifiedOpClass::kAggregate:
-      return "SELECT COUNT(*) FROM " + table + " WHERE " + column +
-             " [OP] [VALUE] GROUP BY " + column;
-    case SimplifiedOpClass::kJoin: {
-      std::string base = "SELECT * FROM " + left.table + " JOIN " +
-                         right.table + " ON " + left.ToString() + " = " +
-                         right.ToString() + " WHERE " + left.ToString() +
-                         " [OP] [VALUE]";
-      if (with_order_by) base += " ORDER BY " + left.ToString();
-      return base;
-    }
-  }
-  return "?";
-}
-
 Result<std::vector<SimplifiedTemplate>> SimplifiedTemplateGenerator::Generate(
     const std::vector<QueryTemplate>& original) const {
   // Phase 1: operator -> table/column info, deduplicated.

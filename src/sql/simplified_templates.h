@@ -37,8 +37,6 @@ enum class SimplifiedOpClass {
   kJoin,       ///< Merge/Hash Join, Nested Loop
 };
 
-const char* SimplifiedOpClassName(SimplifiedOpClass c);
-
 /// One simplified template (phase 2 output).
 struct SimplifiedTemplate {
   SimplifiedOpClass op_class = SimplifiedOpClass::kScan;
@@ -51,10 +49,6 @@ struct SimplifiedTemplate {
   /// Join variant with a trailing ORDER BY (second parent template of
   /// Table II's join row).
   bool with_order_by = false;
-
-  /// Human-readable pattern, e.g.
-  /// "SELECT * FROM partsupp WHERE ps_partkey [OP] [VALUE]".
-  std::string ToPattern() const;
 };
 
 /// Algorithm 1 implementation.

@@ -70,6 +70,4 @@ double WallTimer::Now() const {
 
 double WallTimer::Seconds() const { return Now() - start_; }
 
-void WallTimer::Reset() { start_ = Now(); }
-
 }  // namespace qcfe

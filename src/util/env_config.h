@@ -45,9 +45,8 @@ class WallTimer {
   WallTimer();
   /// Timer driven by an injected clock (non-owning; may not be null).
   explicit WallTimer(const Clock* clock);
-  /// Seconds since construction or the last Reset().
+  /// Seconds since construction.
   double Seconds() const;
-  void Reset();
 
  private:
   double Now() const;

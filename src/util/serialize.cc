@@ -102,10 +102,4 @@ Status ByteReader::ReadBytes(void* dst, size_t n) {
   return Status::OK();
 }
 
-Status ByteReader::Skip(size_t n) {
-  if (remaining() < n) return Underrun(n);
-  pos_ += n;
-  return Status::OK();
-}
-
 }  // namespace qcfe

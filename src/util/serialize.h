@@ -99,7 +99,6 @@ class ByteReader {
   Status ReadCount(uint64_t* out, size_t min_bytes_per_elem);
 
   Status ReadBytes(void* dst, size_t n);
-  Status Skip(size_t n);
 
  private:
   Status Underrun(size_t need) const {

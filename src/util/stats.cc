@@ -35,16 +35,6 @@ double Mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size());
-}
-
-double Stddev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 double Pearson(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   if (a.size() < 2) return 0.0;

@@ -25,12 +25,6 @@ std::vector<double> QErrors(const std::vector<double>& actual,
 /// Arithmetic mean; returns 0 for an empty vector.
 double Mean(const std::vector<double>& xs);
 
-/// Population variance; returns 0 for fewer than 2 elements.
-double Variance(const std::vector<double>& xs);
-
-/// Population standard deviation.
-double Stddev(const std::vector<double>& xs);
-
 /// Pearson correlation coefficient (paper Equation 3). Returns 0 when either
 /// side is constant (undefined correlation).
 double Pearson(const std::vector<double>& a, const std::vector<double>& b);

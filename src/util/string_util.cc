@@ -33,12 +33,6 @@ std::string ToLower(const std::string& s) {
   return out;
 }
 
-std::string ToUpper(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -48,23 +42,8 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 bool Contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;
-}
-
-std::string ReplaceAll(std::string s, const std::string& from,
-                       const std::string& to) {
-  if (from.empty()) return s;
-  size_t pos = 0;
-  while ((pos = s.find(from, pos)) != std::string::npos) {
-    s.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return s;
 }
 
 std::string FormatDouble(double v, int precision) {

@@ -18,21 +18,11 @@ std::string Trim(const std::string& s);
 /// ASCII lower-casing.
 std::string ToLower(const std::string& s);
 
-/// ASCII upper-casing.
-std::string ToUpper(const std::string& s);
-
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
-
 /// True if `s` contains `needle`.
 bool Contains(const std::string& s, const std::string& needle);
-
-/// Replaces every occurrence of `from` with `to`.
-std::string ReplaceAll(std::string s, const std::string& from,
-                       const std::string& to);
 
 /// Fixed-precision double formatting ("%.3f" style) without locale surprises.
 std::string FormatDouble(double v, int precision = 3);

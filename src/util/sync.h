@@ -128,7 +128,7 @@ inline constexpr int kAsyncServerQueue = 30;
 /// outside the queue lock), ranked above it so an accidental nesting under
 /// the queue would still be legal in call order and caught if reversed.
 inline constexpr int kObservationSink = 31;
-/// DriftDetector's baseline/threshold tables: a leaf; evaluation copies
+/// DriftDetector's baseline table: a leaf; evaluation copies
 /// what it needs and computes outside the lock.
 inline constexpr int kDriftDetector = 32;
 /// AdaptationController's trip/worker state. The retrain cycle itself runs

@@ -2,7 +2,7 @@
 #define QCFE_UTIL_TABLE_PRINTER_H_
 
 /// \file table_printer.h
-/// Console table / CSV rendering for the benchmark harness. All paper tables
+/// Console table rendering for the benchmark harness. All paper tables
 /// are printed through this so the output format is uniform.
 
 #include <ostream>
@@ -25,9 +25,6 @@ class TablePrinter {
 
   /// Renders the table with column alignment and a header separator.
   void Print(std::ostream& os) const;
-
-  /// Renders comma-separated values (no alignment, header first).
-  void PrintCsv(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }
 

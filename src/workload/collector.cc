@@ -64,36 +64,6 @@ Result<LabeledQuerySet> QueryCollector::Collect(
   return set;
 }
 
-Result<LabeledQuerySet> QueryCollector::RunSpecsUnderEnv(
-    const std::vector<QuerySpec>& specs, const Environment& env,
-    uint64_t seed, ThreadPool* pool) {
-  Rng rng(seed);
-  std::vector<CollectedQuery> collected =
-      ParallelMap<CollectedQuery>(pool, specs.size(), [&](size_t i) {
-        Rng noise_rng = rng.Split(i);
-        CollectedQuery out;
-        Result<QueryRunResult> run = db_->Run(specs[i], env, &noise_rng);
-        if (!run.ok()) {
-          out.status = run.status();
-          return out;
-        }
-        out.query.template_index = i;
-        out.query.env_id = env.id;
-        out.query.total_ms = run->total_ms;
-        out.query.plan = std::move(run->plan);
-        return out;
-      });
-
-  LabeledQuerySet set;
-  set.queries.reserve(specs.size());
-  for (auto& c : collected) {
-    if (!c.status.ok()) return c.status;
-    set.collection_ms += c.query.total_ms;
-    set.queries.push_back(std::move(c.query));
-  }
-  return set;
-}
-
 Result<std::vector<LabeledQuerySet>> QueryCollector::RunSpecsGrid(
     const std::vector<QuerySpec>& specs,
     const std::vector<Environment>& envs, uint64_t seed, ThreadPool* pool) {
@@ -103,8 +73,8 @@ Result<std::vector<LabeledQuerySet>> QueryCollector::RunSpecsGrid(
         size_t e = j / per_env;
         size_t i = j % per_env;
         const Environment& env = envs[e];
-        // Same derivation as the historical per-environment loop, so each
-        // grid slice equals RunSpecsUnderEnv(specs, env, derived_seed).
+        // Keyed by env.id alone, so a slice does not depend on the other
+        // environments of the grid.
         uint64_t env_seed =
             seed ^ (0x9E37ULL * (static_cast<uint64_t>(env.id) + 1));
         Rng noise_rng = Rng(env_seed).Split(i);

@@ -55,20 +55,15 @@ class QueryCollector {
                                   size_t count, uint64_t seed,
                                   ThreadPool* pool = nullptr);
 
-  /// Runs every spec once under one specific environment (snapshot
-  /// collection path: FSO uses original-template instantiations, FST the
-  /// simplified queries).
-  Result<LabeledQuerySet> RunSpecsUnderEnv(const std::vector<QuerySpec>& specs,
-                                           const Environment& env,
-                                           uint64_t seed,
-                                           ThreadPool* pool = nullptr);
-
-  /// The snapshot-collection grid: every spec under every environment, one
-  /// LabeledQuerySet per environment (aligned with `envs`). Environment e
-  /// uses the derived seed `seed ^ (0x9E37 * (env.id + 1))`, making each
-  /// slice bit-identical to RunSpecsUnderEnv with that seed; flattening the
-  /// (environment, spec) grid into one task list keeps all workers busy even
-  /// when environments are fewer than threads.
+  /// The snapshot-collection grid (FSO runs original-template
+  /// instantiations, FST the simplified queries): every spec once under
+  /// every environment, one LabeledQuerySet per environment (aligned with
+  /// `envs`), query i of a set labelled with template_index i. Environment
+  /// e draws its noise from the derived seed `seed ^ (0x9E37 * (env.id +
+  /// 1))`, so a slice depends only on the specs, the seed and that
+  /// environment: a one-environment grid reproduces it bit for bit.
+  /// Flattening the (environment, spec) grid into one task list keeps all
+  /// workers busy even when environments are fewer than threads.
   Result<std::vector<LabeledQuerySet>> RunSpecsGrid(
       const std::vector<QuerySpec>& specs,
       const std::vector<Environment>& envs, uint64_t seed,

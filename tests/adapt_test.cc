@@ -465,29 +465,30 @@ TEST(DriftDetectTest, VerdictIsTotalOverHostileWindows) {
   }
 }
 
-TEST(DriftDetectorTest, BaselinesAndPerEnvOverrides) {
+TEST(DriftDetectorTest, BaselinesAndFallback) {
   adapt::DriftConfig d;
   d.min_samples = 4;
   d.mean_ratio_threshold = 2.0;
   d.ph_lambda = 1e9;  // isolate the mean-ratio test
   adapt::DriftDetector det(d);
-  EXPECT_EQ(det.Baseline(3), d.fallback_baseline);
 
   std::vector<double> window(4, 3.0);
   // Fallback baseline 1.0: ratio 3.0 > 2.0 trips.
-  EXPECT_TRUE(det.Evaluate(3, window).drifted);
+  adapt::DriftVerdict v = det.Evaluate(3, window);
+  EXPECT_EQ(v.baseline_mean_qerror, d.fallback_baseline);
+  EXPECT_TRUE(v.drifted);
   // With the real fit-time baseline the same window is fine.
-  det.SetBaseline(3, 2.0);
-  EXPECT_EQ(det.Baseline(3), 2.0);
-  EXPECT_FALSE(det.Evaluate(3, window).drifted);
-  // Per-env threshold override tightens just this environment.
-  adapt::DriftConfig strict = d;
-  strict.mean_ratio_threshold = 1.2;
-  det.SetEnvConfig(3, strict);
+  det.SetBaselines({{3, 2.0}});
+  v = det.Evaluate(3, window);
+  EXPECT_EQ(v.baseline_mean_qerror, 2.0);
+  EXPECT_FALSE(v.drifted);
+  // Another environment still reads the fallback.
+  EXPECT_TRUE(det.Evaluate(4, window).drifted);
+  // The refresh a successful retrain does replaces every baseline: env 3
+  // has none left and falls back again.
+  det.SetBaselines({{4, 3.0}});
+  EXPECT_FALSE(det.Evaluate(4, window).drifted);
   EXPECT_TRUE(det.Evaluate(3, window).drifted);
-  // Wholesale baseline refresh (what a successful retrain does).
-  det.SetBaselines({{3, 3.0}});
-  EXPECT_FALSE(det.Evaluate(3, window).drifted);
 }
 
 // ------------------------------------- retrain stats merge (bugfix) + io

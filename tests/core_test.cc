@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -21,6 +22,22 @@
 
 namespace qcfe {
 namespace {
+
+/// Index of the named dimension (schema.size() if there is none).
+size_t DimIndex(const FeatureSchema& schema, const std::string& name) {
+  const std::vector<std::string>& names = schema.names();
+  return static_cast<size_t>(std::find(names.begin(), names.end(), name) -
+                             names.begin());
+}
+
+/// The padding dimensions ("pad.0", "pad.1", ...).
+std::vector<size_t> PaddingDims(const FeatureSchema& schema) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < schema.size(); ++i) {
+    if (schema.name(i).compare(0, 4, "pad.") == 0) out.push_back(i);
+  }
+  return out;
+}
 
 // ------------------------------------------------------------- snapshot fit
 
@@ -237,12 +254,12 @@ TEST_F(ReductionTest, DiffPropDropsDeadDimsKeepsCardinality) {
   std::set<size_t> kept(r.kept.begin(), r.kept.end());
   const FeatureSchema& schema = featurizer_->schema(OpType::kIndexScan);
   // Padding dims are constant zero -> importance exactly 0 -> dropped.
-  for (size_t i : schema.FindGroup("pad.")) EXPECT_EQ(kept.count(i), 0u);
+  for (size_t i : PaddingDims(schema)) EXPECT_EQ(kept.count(i), 0u);
   // The cardinality estimate is the dominant cost driver -> kept.
-  EXPECT_EQ(kept.count(*schema.Find("num.log_est_rows")), 1u);
+  EXPECT_EQ(kept.count(DimIndex(schema, "num.log_est_rows")), 1u);
   // Scores vector aligns with dims; dead dims score exactly zero.
   ASSERT_EQ(r.scores.size(), featurizer_->dim(OpType::kIndexScan));
-  for (size_t i : schema.FindGroup("pad.")) {
+  for (size_t i : PaddingDims(schema)) {
     EXPECT_DOUBLE_EQ(r.scores[i], 0.0);
   }
   EXPECT_GT(result->ReductionRatio(), 0.1);
@@ -261,7 +278,7 @@ TEST_F(ReductionTest, GradientProducesScoresButKeepsSomeDeadDims) {
   // paper's criticism of gradient reduction.
   const FeatureSchema& schema = featurizer_->schema(OpType::kIndexScan);
   double dead_score_sum = 0.0;
-  for (size_t i : schema.FindGroup("pad.")) dead_score_sum += r.scores[i];
+  for (size_t i : PaddingDims(schema)) dead_score_sum += r.scores[i];
   EXPECT_GT(dead_score_sum, 0.0);
 }
 

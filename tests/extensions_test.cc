@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/feature_reduction.h"
@@ -69,10 +70,13 @@ TEST(RecallTest, DriftedWorkloadRecallsNewlyVaryingDims) {
   EXPECT_FALSE(idx_recalled.empty());
   // The BETWEEN predicate-op dim regained inherent value.
   const FeatureSchema& schema = featurizer.schema(OpType::kIndexScan);
-  auto between_dim = schema.Find("predop=between");
-  ASSERT_TRUE(between_dim.has_value());
+  auto between_dim = std::find(schema.names().begin(), schema.names().end(),
+                               "predop=between");
+  ASSERT_NE(between_dim, schema.names().end());
   std::set<size_t> recalled_set(idx_recalled.begin(), idx_recalled.end());
-  EXPECT_EQ(recalled_set.count(*between_dim), 1u);
+  EXPECT_EQ(recalled_set.count(static_cast<size_t>(
+                between_dim - schema.names().begin())),
+            1u);
   // Merged kept map is a superset of the old one and sorted/unique.
   const auto& new_kept = recall->new_kept.at(OpType::kIndexScan);
   EXPECT_GT(new_kept.size(), kept_before);
@@ -124,6 +128,12 @@ TEST(RecallTest, EmptySamplesRejected) {
 
 // ------------------------------------------------- fine-grained snapshots
 
+/// True if `snap` holds a dedicated (op, table) fit: GetFine falls back to
+/// the operator-level coefficients, the same object Get returns, otherwise.
+bool HasFine(const FeatureSnapshot& snap, OpType op, const std::string& table) {
+  return &snap.GetFine(op, table) != &snap.Get(op);
+}
+
 TEST(FineGrainedSnapshotTest, PerTableCoefficientsBeatOperatorLevel) {
   // Two "tables" with very different per-tuple scan costs.
   Rng rng(41);
@@ -146,9 +156,9 @@ TEST(FineGrainedSnapshotTest, PerTableCoefficientsBeatOperatorLevel) {
   auto fine = FeatureSnapshot::Fit(obs, SnapshotGranularity::kOperatorTable);
   ASSERT_TRUE(coarse.ok() && fine.ok());
 
-  EXPECT_FALSE(coarse->HasFine(OpType::kSeqScan, "narrow"));
-  ASSERT_TRUE(fine->HasFine(OpType::kSeqScan, "narrow"));
-  ASSERT_TRUE(fine->HasFine(OpType::kSeqScan, "wide"));
+  EXPECT_FALSE(HasFine(*coarse, OpType::kSeqScan, "narrow"));
+  ASSERT_TRUE(HasFine(*fine, OpType::kSeqScan, "narrow"));
+  ASSERT_TRUE(HasFine(*fine, OpType::kSeqScan, "wide"));
 
   // The fine-grained slopes recover each table's true cost; the coarse slope
   // is a compromise between them.
@@ -197,8 +207,8 @@ TEST(FineGrainedSnapshotTest, FeaturizerUsesPerTableCoefficients) {
 
   const FeatureSnapshot* snap = store.Get(0);
   ASSERT_NE(snap, nullptr);
-  if (snap->HasFine(OpType::kSeqScan, "lineitem") &&
-      snap->HasFine(OpType::kSeqScan, "customer")) {
+  if (HasFine(*snap, OpType::kSeqScan, "lineitem") &&
+      HasFine(*snap, OpType::kSeqScan, "customer")) {
     auto fine_l = fine.Encode(scan_l, 0, 0);
     auto fine_c = fine.Encode(scan_c, 0, 0);
     bool any_diff = false;
@@ -327,11 +337,7 @@ TEST_P(ReductionAlgoSweep, KeptSetsAreValidSubsets) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, ReductionAlgoSweep,
                          ::testing::Values(ReductionAlgorithm::kGreedy,
                                            ReductionAlgorithm::kGradient,
-                                           ReductionAlgorithm::kDiffProp),
-                         [](const ::testing::TestParamInfo<ReductionAlgorithm>&
-                                info) {
-                           return ReductionAlgorithmName(info.param);
-                         });
+                                           ReductionAlgorithm::kDiffProp));
 
 }  // namespace
 }  // namespace qcfe

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -128,6 +129,82 @@ TEST_F(ModelsTest, NonFinitePredictionFailsOnlyItsOwnSlot) {
     Result<double> one = pg.PredictMs(*poisoned, dirty[3].env_id);
     EXPECT_EQ(one.status().code(), StatusCode::kNumericError);
   }
+}
+
+TEST_F(ModelsTest, InvalidPlanFailsOnlyItsOwnSlot) {
+  // An operator type outside OpType indexes past the encoder's one-hot
+  // block and QPPNet's unit table, and a null child is dereferenced by
+  // every plan walk. ValidatePlan rejects each with kInvalidArgument in its
+  // own slot before any model reads the plan, and every co-batched request
+  // keeps its bits.
+  PgCostModel pg;
+  QppNet qpp(featurizer_, QppNetConfig{}, 71);
+  Mscn mscn(db_->catalog(), featurizer_, MscnConfig{}, 81);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  ASSERT_TRUE(qpp.Train(*train_, cfg, nullptr).ok());
+  ASSERT_TRUE(mscn.Train(*train_, cfg, nullptr).ok());
+
+  std::vector<PlanSample> clean(test_->begin(), test_->begin() + 8);
+  std::unique_ptr<PlanNode> bad_op = clean[3].plan->Clone();
+  bad_op->op = static_cast<OpType>(200);
+  auto with_child = std::find_if(
+      test_->begin(), test_->end(),
+      [](const PlanSample& s) { return s.plan->num_children() > 0; });
+  ASSERT_NE(with_child, test_->end());
+  std::unique_ptr<PlanNode> null_child = with_child->plan->Clone();
+  null_child->children[0].reset();
+  std::vector<PlanSample> dirty = clean;
+  dirty[3].plan = bad_op.get();
+  dirty[5].plan = null_child.get();
+
+  ThreadPool pool(2);
+  for (const CostModel* model : {static_cast<const CostModel*>(&pg),
+                                 static_cast<const CostModel*>(&qpp),
+                                 static_cast<const CostModel*>(&mscn)}) {
+    SCOPED_TRACE(model->name());
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::vector<CostModel::BatchPrediction> want =
+          model->PredictBatchEach(clean, p);
+      const std::vector<CostModel::BatchPrediction> got =
+          model->PredictBatchEach(dirty, p);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        if (i == 3 || i == 5) {
+          EXPECT_EQ(got[i].status.code(), StatusCode::kInvalidArgument) << i;
+          continue;
+        }
+        ASSERT_TRUE(want[i].status.ok()) << i;
+        ASSERT_TRUE(got[i].status.ok()) << i;
+        EXPECT_EQ(0, std::memcmp(&got[i].ms, &want[i].ms, sizeof(double)))
+            << "slot " << i;
+      }
+    }
+    EXPECT_EQ(model->PredictMs(*bad_op, 0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(model->PredictMs(*null_child, 0).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // Each error names the node, by pre-order index; the other two enum
+  // fields are checked the same way.
+  EXPECT_EQ(CostModel::ValidatePlan(*bad_op).message(),
+            "plan node 0: operator type 200 is out of range");
+  EXPECT_EQ(CostModel::ValidatePlan(*null_child).message(),
+            "plan node 0: child 0 is null");
+  std::unique_ptr<PlanNode> bad_filter = with_child->plan->Clone();
+  Predicate filter;
+  filter.op = static_cast<CompareOp>(99);
+  bad_filter->children[0]->filters.push_back(filter);
+  EXPECT_EQ(CostModel::ValidatePlan(*bad_filter).message(),
+            "plan node 1: filter comparison 99 is out of range");
+  std::unique_ptr<PlanNode> bad_agg = with_child->plan->Clone();
+  Aggregate agg;
+  agg.kind = static_cast<Aggregate::Kind>(-1);
+  bad_agg->aggregates.push_back(agg);
+  EXPECT_EQ(CostModel::ValidatePlan(*bad_agg).message(),
+            "plan node 0: aggregate kind -1 is out of range");
+  EXPECT_TRUE(CostModel::ValidatePlan(*with_child->plan).ok());
 }
 
 TEST_F(ModelsTest, QppNetLearnsTheWorkload) {

@@ -123,18 +123,17 @@ TEST_F(ParallelTest, RunSpecsGridMatchesPerEnvironmentRuns) {
   ASSERT_TRUE(grid_parallel.ok());
   ASSERT_EQ(grid_serial->size(), ctx_->envs.size());
   for (size_t e = 0; e < ctx_->envs.size(); ++e) {
-    const Environment& env = ctx_->envs[e];
-    // Each grid slice equals the historical single-environment entry point
-    // under the derived seed.
-    uint64_t env_seed =
-        seed ^ (0x9E37ULL * (static_cast<uint64_t>(env.id) + 1));
-    auto single = collector.RunSpecsUnderEnv(specs, env, env_seed, nullptr);
+    // Each slice equals a grid over its environment alone.
+    auto single =
+        collector.RunSpecsGrid(specs, {ctx_->envs[e]}, seed, nullptr);
     ASSERT_TRUE(single.ok());
+    ASSERT_EQ(single->size(), 1u);
+    const LabeledQuerySet& want = single->front();
     for (const auto* set : {&(*grid_serial)[e], &(*grid_parallel)[e]}) {
-      ASSERT_EQ(set->queries.size(), single->queries.size());
-      EXPECT_EQ(set->collection_ms, single->collection_ms);
+      ASSERT_EQ(set->queries.size(), want.queries.size());
+      EXPECT_EQ(set->collection_ms, want.collection_ms);
       for (size_t i = 0; i < set->queries.size(); ++i) {
-        EXPECT_EQ(set->queries[i].total_ms, single->queries[i].total_ms);
+        EXPECT_EQ(set->queries[i].total_ms, want.queries[i].total_ms);
       }
     }
   }
@@ -465,9 +464,10 @@ TEST_F(ParallelTest, PipelineFitIsBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(pa->size(), pb->size());
   for (size_t i = 0; i < pa->size(); ++i) EXPECT_EQ((*pa)[i], (*pb)[i]);
 
-  // EvaluateModel with an explicit Parallelism reproduces the same metrics.
+  // EvaluateModel serving across the 4-thread pipeline's pool reproduces
+  // the same metrics.
   EvalResult ea = EvaluateModel(**serial, test_);
-  EvalResult eb = EvaluateModel((*parallel)->model(), test_, Parallelism{4});
+  EvalResult eb = EvaluateModel(**parallel, test_);
   EXPECT_EQ(ea.summary.mean_qerror, eb.summary.mean_qerror);
   EXPECT_EQ(ea.summary.pearson, eb.summary.pearson);
 }

@@ -17,6 +17,7 @@
 #include "models/registry.h"
 #include "nn/mlp.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace qcfe {
@@ -52,9 +53,18 @@ std::vector<PlanSample> PipelineTest::test_;
 TEST_F(PipelineTest, RegistryContainsBuiltinEstimators) {
   EstimatorRegistry& registry = EstimatorRegistry::Global();
   for (const char* name : {"qppnet", "mscn", "pgsql"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
+    EXPECT_TRUE(registry.Info(name).ok()) << name;
   }
-  std::vector<std::string> names = registry.Names();
+  // An unknown name's error lists every registered name, sorted.
+  std::string message =
+      registry.Create("no_such_estimator", {}).status().message();
+  const std::string prefix = "(registered: ";
+  size_t begin = message.find(prefix);
+  ASSERT_NE(begin, std::string::npos) << message;
+  begin += prefix.size();
+  std::vector<std::string> names =
+      Split(message.substr(begin, message.find(')', begin) - begin), ',');
+  for (std::string& n : names) n = Trim(n);
   EXPECT_GE(names.size(), 3u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }

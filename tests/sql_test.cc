@@ -400,14 +400,5 @@ TEST(SimplifiedTemplatesTest, FillUsesVariedKeywords) {
   EXPECT_GE(ops.size(), 3u);
 }
 
-TEST(SimplifiedTemplatesTest, PatternRendering) {
-  SimplifiedTemplate s;
-  s.op_class = SimplifiedOpClass::kScan;
-  s.table = "partsupp";
-  s.column = "ps_partkey";
-  EXPECT_EQ(s.ToPattern(),
-            "SELECT * FROM partsupp WHERE ps_partkey [OP] [VALUE]");
-}
-
 }  // namespace
 }  // namespace qcfe

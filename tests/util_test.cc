@@ -102,7 +102,9 @@ TEST(RngTest, GaussianMoments) {
   std::vector<double> xs(20000);
   for (double& x : xs) x = rng.Gaussian();
   EXPECT_NEAR(Mean(xs), 0.0, 0.05);
-  EXPECT_NEAR(Stddev(xs), 1.0, 0.05);
+  std::vector<double> sq;
+  for (double x : xs) sq.push_back(x * x);
+  EXPECT_NEAR(Mean(sq), 1.0, 0.1);  // E[x^2] = variance + mean^2 = 1
 }
 
 TEST(RngTest, LognormalNoiseMeanIsOne) {
@@ -489,11 +491,10 @@ TEST(StatsTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.25), 2.5);
 }
 
-TEST(StatsTest, MeanVarianceKnownValues) {
+TEST(StatsTest, MeanKnownValues) {
   std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(Mean(xs), 5.0);
-  EXPECT_DOUBLE_EQ(Variance(xs), 4.0);
-  EXPECT_DOUBLE_EQ(Stddev(xs), 2.0);
+  EXPECT_EQ(Mean({}), 0.0);
 }
 
 TEST(StatsTest, SummarizeBundlesAllMetrics) {
@@ -524,19 +525,15 @@ TEST(StringTest, TrimBothEnds) {
 
 TEST(StringTest, CaseConversion) {
   EXPECT_EQ(ToLower("SELECT * FROM T"), "select * from t");
-  EXPECT_EQ(ToUpper("select"), "SELECT");
 }
 
-TEST(StringTest, JoinAndReplace) {
+TEST(StringTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(ReplaceAll("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(ReplaceAll("aaa", "a", "aa"), "aaaaaa");
 }
 
-TEST(StringTest, StartsWithContains) {
-  EXPECT_TRUE(StartsWith("SELECT *", "SELECT"));
-  EXPECT_FALSE(StartsWith("SE", "SELECT"));
+TEST(StringTest, Contains) {
   EXPECT_TRUE(Contains("a join b", "join"));
+  EXPECT_FALSE(Contains("a join b", "joins"));
 }
 
 TEST(StringTest, FormatDouble) {
@@ -554,14 +551,6 @@ TEST(TablePrinterTest, AlignsColumnsAndPadsShortRows) {
   EXPECT_NE(out.find("QCFE(qpp)"), std::string::npos);
   EXPECT_NE(out.find("model"), std::string::npos);
   EXPECT_EQ(tp.num_rows(), 2u);
-}
-
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter tp({"a", "b"});
-  tp.AddRow({"1", "2"});
-  std::ostringstream os;
-  tp.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
 TEST(EnvConfigTest, DefaultsToQuickScale) {
@@ -617,10 +606,11 @@ TEST(EnvConfigTest, WallTimerFollowsInjectedClock) {
   EXPECT_EQ(t.Seconds(), 0.25);
   clock.Advance(750'000);
   EXPECT_EQ(t.Seconds(), 1.0);
-  t.Reset();
-  EXPECT_EQ(t.Seconds(), 0.0);
+  // A second timer on the same clock starts from its own construction.
+  WallTimer later(&clock);
   clock.Advance(2'000'000);
-  EXPECT_EQ(t.Seconds(), 2.0);
+  EXPECT_EQ(later.Seconds(), 2.0);
+  EXPECT_EQ(t.Seconds(), 3.0);
 }
 
 TEST(ClockTest, FakeClockAdvancesManually) {

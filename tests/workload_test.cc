@@ -262,7 +262,7 @@ TEST(CollectorTest, CollectBalancesTemplatesAndEnvironments) {
   for (const auto& [t, c] : per_template) EXPECT_EQ(c, 40);
 }
 
-TEST(CollectorTest, RunSpecsUnderEnvKeepsOrder) {
+TEST(CollectorTest, RunSpecsGridKeepsOrder) {
   auto bench = MakeBenchmark("sysbench");
   auto db = (*bench)->BuildDatabase(0.05, 7);
   auto envs = EnvironmentSampler::Sample(2, HardwareProfile::H1(), 55);
@@ -275,12 +275,16 @@ TEST(CollectorTest, RunSpecsUnderEnvKeepsOrder) {
     ASSERT_TRUE(s.ok());
     specs.push_back(*s);
   }
-  auto set = collector.RunSpecsUnderEnv(specs, envs[1], 3);
-  ASSERT_TRUE(set.ok());
-  ASSERT_EQ(set->queries.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(set->queries[i].template_index, i);
-    EXPECT_EQ(set->queries[i].env_id, envs[1].id);
+  auto grid = collector.RunSpecsGrid(specs, envs, 3);
+  ASSERT_TRUE(grid.ok());
+  ASSERT_EQ(grid->size(), envs.size());
+  for (size_t e = 0; e < envs.size(); ++e) {
+    const LabeledQuerySet& set = (*grid)[e];
+    ASSERT_EQ(set.queries.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(set.queries[i].template_index, i);
+      EXPECT_EQ(set.queries[i].env_id, envs[e].id);
+    }
   }
 }
 

@@ -17,11 +17,15 @@ Usage:
     tools/reachability.py build-reach
 
     tools/reachability.py --targets    # print the production target names
+    tools/reachability.py --self-test  # parser + allowlist rules, no build
 
 Every unreached symbol must match an entry of tools/reachability_allowlist.txt
-(a prefix of the demangled name, then `#` and a one-line reason). Exit
-status: 0 = every unreached symbol is allowlisted, 1 = some are not (or an
-allowlist entry has no reason), 2 = usage or build-tree error.
+(a prefix of the demangled name, then `#` and a one-line reason), and every
+entry must match some unreached symbol: an entry that matches nothing is
+stale (its function was deleted or gained a production caller) and must go.
+Exit status: 0 = every unreached symbol is allowlisted and no entry is
+stale, 1 = some symbol is not allowlisted, some entry is stale or has no
+reason (or a self-test case fails), 2 = usage or build-tree error.
 """
 
 import os
@@ -127,10 +131,76 @@ def load_allowlist():
     return entries, bad
 
 
+def classify(unreached, allow):
+    """(offending, stale): the unreached names no entry covers, and the
+    entries that cover no unreached name."""
+    used = set()
+    offending = []
+    for name in unreached:
+        hit = next((a for a in allow if name.startswith(a)), None)
+        if hit is None:
+            offending.append(name)
+        else:
+            used.add(hit)
+    return offending, [a for a in allow if a not in used]
+
+
+# function_name cases: each demangled symbol form nm -C prints that the
+# parser must cut to its qualified name.
+NAME_CASES = (
+    ("qcfe::Foo::Bar(int) const", "qcfe::Foo::Bar"),
+    ("qcfe::Foo::operator()(int) const", "qcfe::Foo::operator()"),
+    ("qcfe::operator<<(std::ostream&, qcfe::Foo const&)", "qcfe::operator<<"),
+    ("qcfe::Counts::operator+=(qcfe::Counts const&)",
+     "qcfe::Counts::operator+="),
+    ("qcfe::Foo* std::copy<qcfe::Foo const*, qcfe::Foo*>"
+     "(qcfe::Foo const*, qcfe::Foo const*, qcfe::Foo*)",
+     "std::copy<qcfe::Foo const*, qcfe::Foo*>"),
+    ("std::vector<double, std::allocator<double> > "
+     "qcfe::Table<int>::Column<double>(unsigned long) const",
+     "qcfe::Table<int>::Column<double>"),
+    ("qcfe::(anonymous namespace)::IsNumeric(qcfe::Value const&)",
+     "qcfe::{anon}::IsNumeric"),
+    ("qcfe::Registry::Names[abi:cxx11]() const",
+     "qcfe::Registry::Names[abi:cxx11]"),
+    ("std::__cxx11::basic_string<char, std::char_traits<char>, "
+     "std::allocator<char> > qcfe::OpName[abi:cxx11](qcfe::OpType)",
+     "qcfe::OpName[abi:cxx11]"),
+)
+
+
+def self_test():
+    """Name parsing and the allowlist rules, on fixed inputs (no build)."""
+    failures = 0
+    for symbol, want in NAME_CASES:
+        got = function_name(symbol)
+        if got != want:
+            failures += 1
+            print("self-test MISMATCH function_name(%r): expected %r, got %r"
+                  % (symbol, want, got), file=sys.stderr)
+    # One covered name, one uncovered, one entry that matches nothing.
+    offending, stale = classify(
+        ["qcfe::A::f(int)", "qcfe::B::g()"], ["qcfe::A::", "qcfe::C::"])
+    if offending != ["qcfe::B::g()"] or stale != ["qcfe::C::"]:
+        failures += 1
+        print("self-test MISMATCH classify: offending %r, stale %r" %
+              (offending, stale), file=sys.stderr)
+    entries, bad = load_allowlist()
+    if bad or not entries:
+        failures += 1
+        print("self-test: %s has %d entries, reasonless lines %s" %
+              (ALLOWLIST, len(entries), bad), file=sys.stderr)
+    print("self-test: %d name cases, %d allowlist entries, %d mismatches" %
+          (len(NAME_CASES), len(entries), failures))
+    return 1 if failures else 0
+
+
 def main(argv):
     if argv == ["--targets"]:
         print(" ".join(production_targets()))
         return 0
+    if argv == ["--self-test"]:
+        return self_test()
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
@@ -159,25 +229,17 @@ def main(argv):
               ", ".join(map(str, bad)), file=sys.stderr)
         return 1
 
-    used = set()
-    offending = []
-    for name in unreached:
-        hit = next((a for a in allow if name.startswith(a)), None)
-        if hit is None:
-            offending.append(name)
-        else:
-            used.add(hit)
-
+    offending, stale = classify(unreached, allow)
     print("reachability: %d qcfe:: functions in %d objects reach none of %d "
-          "production executables; %d allowlisted, %d not" %
+          "production executables; %d allowlisted, %d not; %d stale "
+          "allowlist entries" %
           (len(unreached), len(objects), len(exes),
-           len(unreached) - len(offending), len(offending)))
-    for entry in allow:
-        if entry not in used:
-            print("  stale allowlist entry (matches nothing): %s" % entry)
+           len(unreached) - len(offending), len(offending), len(stale)))
+    for entry in stale:
+        print("  stale allowlist entry (matches nothing): %s" % entry)
     for name in offending:
         print("  unreached: %s" % name)
-    return 1 if offending else 0
+    return 1 if offending or stale else 0
 
 
 if __name__ == "__main__":
